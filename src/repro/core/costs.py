@@ -43,7 +43,7 @@ bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .constants import INPUT, OUTPUT
 from .graph import ExecutionGraph
@@ -65,6 +65,31 @@ def comm_edges(graph: ExecutionGraph) -> List[CommEdge]:
     edges.extend(sorted(graph.edges))
     edges.extend((k, OUTPUT) for k in graph.exit_nodes)
     return edges
+
+
+def effective_bandwidths(
+    platform: Platform,
+    flows: List[Tuple[str, str]],
+    pairs: Optional[Iterable[Tuple[str, str]]] = None,
+) -> Dict[Tuple[str, str], Fraction]:
+    """Contended effective bandwidth of server pairs under *flows*.
+
+    *flows* holds one ``(src_server, dst_server)`` pair per graph edge
+    whose endpoints sit on distinct servers; each is one concurrent flow,
+    and ``k`` flows on a link of capacity ``c`` each see ``c/k``.  A
+    pair's effective bandwidth is therefore ``min_l cap_l / k_l`` over its
+    route.  *pairs* (default: every flow's pair) picks which pairs to
+    price; each must be one of the flows.  Pairs with an empty route
+    (flat cliques) are left out: their platform bandwidth applies.
+    """
+    counts = link_flow_counts(platform, flows)
+    caps = platform.link_capacities()
+    out: Dict[Tuple[str, str], Fraction] = {}
+    for pair in set(flows) if pairs is None else pairs:
+        route = platform.route(*pair)
+        if route:
+            out[pair] = min(caps[l] / counts[l] for l in route)
+    return out
 
 
 class CostModel:
@@ -123,9 +148,6 @@ class CostModel:
         self._outsize = outsize
         # Contended topologies: price every cross-server edge at the
         # bottleneck of its route with concurrent flows sharing capacity.
-        # Each graph edge whose endpoints sit on distinct servers is one
-        # flow; ``k`` flows on a link of capacity ``c`` each see ``c/k``,
-        # so the pair's effective bandwidth is ``min_l cap_l / k_l``.
         # Input/output-world edges ride dedicated links and never appear.
         self._eff_bw: Dict[Tuple[str, str], Fraction] = {}
         if (
@@ -133,19 +155,14 @@ class CostModel:
             and mapping is not None
             and platform.has_contention
         ):
-            flows = [
-                (mapping.server(u), mapping.server(v))
-                for u, v in graph.edges
-                if mapping.server(u) != mapping.server(v)
-            ]
-            counts = link_flow_counts(platform, flows)
-            caps = platform.link_capacities()
-            for pair in set(flows):
-                route = platform.route(*pair)
-                if route:
-                    self._eff_bw[pair] = min(
-                        caps[l] / counts[l] for l in route
-                    )
+            self._eff_bw = effective_bandwidths(
+                platform,
+                [
+                    (mapping.server(u), mapping.server(v))
+                    for u, v in graph.edges
+                    if mapping.server(u) != mapping.server(v)
+                ],
+            )
 
     # -- platform lookups ------------------------------------------------------
     def server_of(self, node: str) -> str:
@@ -392,4 +409,4 @@ class CostModel:
         )
 
 
-__all__ = ["CostModel", "CommEdge", "comm_edges"]
+__all__ = ["CostModel", "CommEdge", "comm_edges", "effective_bandwidths"]

@@ -5,12 +5,17 @@ deployed (:class:`DynamicState`).  When an :class:`~repro.dynamic.events.
 Event` arrives, :func:`replan` does not re-solve from scratch: it applies
 the event to the incumbent, seeds the search from the surviving
 assignments, and runs a **bounded repair** — a best-first
-reassignment/swap descent priced by the same delta evaluators the static
-planner uses (:func:`~repro.optimize.incremental.placement_evaluator`,
-which dispatches to :class:`~repro.optimize.incremental.
-FullPlacementCosts` on contended topologies, where
-:class:`~repro.optimize.incremental.IncrementalSharedCosts` deliberately
-raises).  Candidates are scored lexicographically by
+reassignment/swap descent priced by the same evaluators the static
+planner uses (:func:`~repro.optimize.incremental.placement_evaluator`).
+On uncontended platforms those are the ``O(degree)`` deltas of
+:class:`~repro.optimize.incremental.IncrementalSharedCosts`, one call
+per candidate.  On contended topologies, where one move changes every
+co-routed edge's bandwidth, :class:`~repro.optimize.incremental.
+FullPlacementCosts` prices each scan's whole neighbourhood — every
+admissible reassignment, then every swap, then every walk-home move — in
+one batched float call, and settles exactly only the candidates that
+could win (bit-for-bit the all-``Fraction`` decisions; see
+``docs/performance.md``).  Candidates are scored lexicographically by
 ``(objective value, total migration cost)``: among equally good moves the
 repair prefers the one that ships the least state, where a move's state
 is priced as ``ancestor_selectivity * cost`` shipped over the
@@ -275,6 +280,17 @@ def apply_event(
     return multi, drained - set(event.servers)
 
 
+def _scores(evaluator, kind: str, moves, *, ties: bool = False):
+    """Scores of *moves* in scan order: one batched neighbourhood call
+    where the evaluator prices in bulk (contended topologies), else one
+    lazy call per move."""
+    bulk = getattr(evaluator, "score_moves", None)
+    if bulk is not None:
+        return bulk(kind, moves, ties=ties)
+    score = evaluator.score_reassign if kind == "reassign" else evaluator.score_swap
+    return (score(*move) for move in moves)
+
+
 def _repair_search(
     graph,
     platform: Platform,
@@ -291,10 +307,14 @@ def _repair_search(
 
     Each round scans every admissible reassignment and cross-server swap,
     scores the improving ones by ``(value after, total migration cost
-    after)`` and applies the lexicographic best; stops when no admissible
-    move improves the objective.  Admissible means the move keeps the
-    number of distinct voluntary migrations (vs. *baseline*, minus
-    *forced*) within *budget* and targets only *allowed* servers.
+    after)`` and applies the lexicographic best (the first in scan order
+    on ties); stops when no admissible move improves the objective.
+    Admissible means the move keeps the number of distinct voluntary
+    migrations (vs. *baseline*, minus *forced*) within *budget* and
+    targets only *allowed* servers.  Each scan hands its whole
+    neighbourhood to the evaluator at once, so a
+    :class:`~repro.optimize.incremental.FullPlacementCosts` prices it in
+    one batched call and settles only the near-ties exactly.
 
     With an empty *baseline* and no budget this degenerates to a plain
     constrained local search — the cold-solve path under drains reuses it.
@@ -326,64 +346,76 @@ def _repair_search(
         )
         vol_now = sum(vol_of(svc, assignment[svc]) for svc in baseline)
         best = None  # (trial value, migration after, kind, payload)
-        for svc in services:
-            home = assignment[svc]
-            for server in allowed:
-                if server == home:
-                    continue
-                if budget is not None and (
-                    vol_now - vol_of(svc, home) + vol_of(svc, server) > budget
-                ):
-                    continue
-                trial_value = evaluator.score_reassign(svc, server)
-                if not trial_value < value:
-                    continue
-                mig = mig_now - mig_of(svc, home) + mig_of(svc, server)
-                cand = (trial_value, mig, "reassign", (svc, server))
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
+        reassigns = [
+            (svc, server)
+            for svc in services
+            for server in allowed
+            if server != assignment[svc]
+            and (
+                budget is None
+                or vol_now - vol_of(svc, assignment[svc]) + vol_of(svc, server)
+                <= budget
+            )
+        ]
+        for (svc, server), trial_value in zip(
+            reassigns, _scores(evaluator, "reassign", reassigns)
+        ):
+            if not trial_value < value:
+                continue
+            mig = mig_now - mig_of(svc, assignment[svc]) + mig_of(svc, server)
+            cand = (trial_value, mig, "reassign", (svc, server))
+            if best is None or cand[:2] < best[:2]:
+                best = cand
         if best is None:
             # Swaps are the escape hatch when no single reassignment
             # improves — scanning the O(n^2) pair space every round would
-            # dominate the repair wall for nothing.
-            for i, a in enumerate(services):
-                ha = assignment[a]
-                if ha not in allowed:
+            # dominate the repair wall for nothing.  Same-server swaps
+            # are shared-space no-ops.
+            swaps = [
+                (a, b)
+                for i, a in enumerate(services)
+                for b in services[i + 1:]
+                if assignment[a] in allowed
+                and assignment[b] in allowed
+                and assignment[a] != assignment[b]
+                and (
+                    budget is None
+                    or vol_now
+                    - vol_of(a, assignment[a]) - vol_of(b, assignment[b])
+                    + vol_of(a, assignment[b]) + vol_of(b, assignment[a])
+                    <= budget
+                )
+            ]
+            for (a, b), trial_value in zip(
+                swaps, _scores(evaluator, "swap", swaps)
+            ):
+                if not trial_value < value:
                     continue
-                for b in services[i + 1:]:
-                    hb = assignment[b]
-                    if ha == hb or hb not in allowed:
-                        continue  # same-server swap is a shared-space no-op
-                    if budget is not None and (
-                        vol_now
-                        - vol_of(a, ha) - vol_of(b, hb)
-                        + vol_of(a, hb) + vol_of(b, ha)
-                        > budget
-                    ):
-                        continue
-                    trial_value = evaluator.score_swap(a, b)
-                    if not trial_value < value:
-                        continue
-                    mig = (
-                        mig_now
-                        - mig_of(a, ha) - mig_of(b, hb)
-                        + mig_of(a, hb) + mig_of(b, ha)
-                    )
-                    cand = (trial_value, mig, "swap", (a, b))
-                    if best is None or cand[:2] < best[:2]:
-                        best = cand
+                ha, hb = assignment[a], assignment[b]
+                mig = (
+                    mig_now
+                    - mig_of(a, ha) - mig_of(b, hb)
+                    + mig_of(a, hb) + mig_of(b, ha)
+                )
+                cand = (trial_value, mig, "swap", (a, b))
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
         if best is None:
             # Objective-neutral migration clean-up: a service already off
             # its incumbent server may walk home for free (same value,
-            # strictly less state shipped).
-            for svc, origin in baseline.items():
-                if svc in forced or assignment.get(svc, origin) == origin:
-                    continue
-                if origin not in allowed:
-                    continue
-                trial_value = evaluator.score_reassign(svc, origin)
+            # strictly less state shipped).  The first such move wins.
+            homes = [
+                (svc, origin)
+                for svc, origin in baseline.items()
+                if svc not in forced
+                and assignment.get(svc, origin) != origin
+                and origin in allowed
+            ]
+            for move, trial_value in zip(
+                homes, _scores(evaluator, "reassign", homes, ties=True)
+            ):
                 if not value < trial_value:
-                    best = (trial_value, ZERO, "reassign", (svc, origin))
+                    best = (trial_value, ZERO, "reassign", move)
                     break
         if best is None:
             break

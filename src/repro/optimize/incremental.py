@@ -55,7 +55,18 @@ search trajectory — stay **bit-for-bit identical** to the exact tier.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..core import (
     CERT_EPS,
@@ -68,11 +79,14 @@ from ..core import (
     FloatCosts,
     GraphArrays,
     Mapping,
+    MappingBatch,
     Platform,
     certified_threshold,
 )
+from ..core.costs import effective_bandwidths
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 #: A quantity in either numeric tier.
 Num = Union[Fraction, float]
@@ -481,7 +495,163 @@ def period_delta(
     )
 
 
-class IncrementalSharedCosts:
+class _SharedLoads:
+    """Weighted per-server ``(Cin, Ccomp, Cout)`` loads of shared placements.
+
+    The concurrent regime's cost terms, numeric-generic through the
+    ``_num`` hook.  The graph-only quantities — each service's out-size
+    and work volume, its ancestor product folded once — are computed at
+    construction and reused for every assignment priced afterwards.
+    :meth:`server_loads` folds the weighted per-server loads of any
+    assignment: :func:`exact_placement_value` maximises them over every
+    server, :class:`FullPlacementCosts`' bottleneck certificate reads
+    them on the incumbent's bottleneck servers only, and
+    :class:`IncrementalSharedCosts` maintains their sums under deltas.
+    """
+
+    #: Numeric-tier hook (see :class:`IncrementalForestPeriod`).
+    _num = staticmethod(lambda value: value)
+
+    def __init__(
+        self,
+        graph: ExecutionGraph,
+        platform: Platform,
+        *,
+        model: CommModel = CommModel.OVERLAP,
+        weights: Optional[Dict[str, Fraction]] = None,
+    ) -> None:
+        self.graph = graph
+        self.platform = platform
+        self.model = model
+        num = self._num
+        self._one: Num = num(ONE)
+        self._zero: Num = num(Fraction(0))
+        self.weights: Dict[str, Num] = (
+            {k: num(v) for k, v in weights.items()} if weights else {}
+        )
+        self._bw_cache: Dict[Tuple[str, str], Num] = {}
+        self._speed_cache: Dict[str, Num] = {}
+        app = graph.application
+        self._outsize: Dict[str, Num] = {}
+        self._work: Dict[str, Num] = {}
+        sigma = {n: num(app.selectivity(n)) for n in app.names}
+        costv = {n: num(app.cost(n)) for n in app.names}
+        for node in graph.topological_order:
+            prod = self._one
+            for j in graph.ancestors(node):
+                prod *= sigma[j]
+            self._outsize[node] = prod * sigma[node]
+            self._work[node] = prod * costv[node]
+
+    def _bw(self, src: str, dst: str) -> Num:
+        found = self._bw_cache.get((src, dst))
+        if found is None:
+            found = self._bw_cache[(src, dst)] = self._num(
+                self.platform.bandwidth(src, dst)
+            )
+        return found
+
+    def _sp(self, server: str) -> Num:
+        found = self._speed_cache.get(server)
+        if found is None:
+            found = self._speed_cache[server] = self._num(
+                self.platform.speed(server)
+            )
+        return found
+
+    def _node_triple(
+        self,
+        node: str,
+        assignment: Dict[str, str],
+        eff: Optional[Dict[Tuple[str, str], Num]] = None,
+    ) -> Tuple[Num, Num, Num]:
+        """Weighted (Cin, Ccomp, Cout) of *node* under *assignment*.
+
+        *eff* overrides the bandwidth of contended server pairs (see
+        :func:`~repro.core.costs.effective_bandwidths`); every other pair
+        is priced at its platform bandwidth.
+        """
+        bw = self._bw
+        if eff:
+            static = bw
+
+            def bw(src: str, dst: str) -> Num:
+                found = eff.get((src, dst))
+                return static(src, dst) if found is None else found
+
+        graph = self.graph
+        server = assignment[node]
+        preds = graph.predecessors(node)
+        if preds:
+            cin = sum(
+                (
+                    self._outsize[p] / bw(assignment[p], server)
+                    for p in preds
+                    if assignment[p] != server
+                ),
+                self._zero,
+            )
+        else:
+            cin = self._one / bw(INPUT, server)
+        ccomp = self._work[node] / self._sp(server)
+        succs = graph.successors(node)
+        if succs:
+            cout = sum(
+                (
+                    self._outsize[node] / bw(server, assignment[s])
+                    for s in succs
+                    if assignment[s] != server
+                ),
+                self._zero,
+            )
+        else:
+            cout = self._outsize[node] / bw(server, OUTPUT)
+        w = self.weights.get(node)
+        if w is not None and w != 1:
+            return (cin * w, ccomp * w, cout * w)
+        return (cin, ccomp, cout)
+
+    def _combine(self, sums: Sequence[Num]) -> Num:
+        if self.model.overlaps_compute:
+            return max(sums)
+        return sums[0] + sums[1] + sums[2]
+
+    def server_loads(
+        self,
+        assignment: Dict[str, str],
+        servers: Optional[FrozenSet[str]] = None,
+    ) -> Dict[str, Num]:
+        """Combined weighted load of each server under *assignment*.
+
+        Sums each server's weighted ``Cin``/``Ccomp``/``Cout`` and combines
+        them like :meth:`CostModel.server_cexec
+        <repro.core.CostModel.server_cexec>`.  Only the servers in
+        *servers* when given; a server hosting no service has no entry.
+        On contended topologies every cross-server edge is priced at the
+        effective bandwidth of *assignment*'s own flows (exact tier).
+        """
+        eff = None
+        if self.platform.has_contention:
+            flows = _flows(self.graph.edges, assignment)
+            pairs = None
+            if servers is not None:
+                pairs = {p for p in flows if p[0] in servers or p[1] in servers}
+            eff = effective_bandwidths(self.platform, flows, pairs)
+        zero = self._zero
+        sums: Dict[str, List[Num]] = {}
+        for node in self.graph.nodes:
+            server = assignment[node]
+            if servers is not None and server not in servers:
+                continue
+            cin, ccomp, cout = self._node_triple(node, assignment, eff)
+            acc = sums.setdefault(server, [zero, zero, zero])
+            acc[0] += cin
+            acc[1] += ccomp
+            acc[2] += cout
+        return {u: self._combine(acc) for u, acc in sums.items()}
+
+
+class IncrementalSharedCosts(_SharedLoads):
     """Delta evaluation of shared-server (non-injective) mappings.
 
     The concurrent-applications regime maps several services — possibly
@@ -514,9 +684,6 @@ class IncrementalSharedCosts:
         (Fraction(5, 1), Fraction(3, 1))
     """
 
-    #: Numeric-tier hook (see :class:`IncrementalForestPeriod`).
-    _num = staticmethod(lambda value: value)
-
     def __init__(
         self,
         graph: ExecutionGraph,
@@ -533,31 +700,10 @@ class IncrementalSharedCosts:
                 "contended topologies need FullPlacementCosts (one move "
                 "changes every co-routed edge's effective bandwidth)"
             )
-        self.graph = graph
-        self.platform = platform
-        self.model = model
-        num = self._num
-        self._one: Num = num(ONE)
-        self._zero: Num = num(Fraction(0))
-        self.weights: Dict[str, Num] = (
-            {k: num(v) for k, v in weights.items()} if weights else {}
-        )
-        self._bw_cache: Dict[Tuple[str, str], Num] = {}
-        self._speed_cache: Dict[str, Num] = {}
+        super().__init__(graph, platform, model=model, weights=weights)
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
-        app = graph.application
-        self._outsize: Dict[str, Num] = {}
-        self._work: Dict[str, Num] = {}
-        sigma = {n: num(app.selectivity(n)) for n in app.names}
-        costv = {n: num(app.cost(n)) for n in app.names}
-        for node in graph.topological_order:
-            prod = self._one
-            for j in graph.ancestors(node):
-                prod *= sigma[j]
-            self._outsize[node] = prod * sigma[node]
-            self._work[node] = prod * costv[node]
         self._triple: Dict[str, Tuple[Num, Num, Num]] = {}
         self._sums: Dict[str, List[Num]] = {}
         for node in graph.nodes:
@@ -565,58 +711,6 @@ class IncrementalSharedCosts:
         self._rebuild_sums()
 
     # -- internals ---------------------------------------------------------
-    def _bw(self, src: str, dst: str) -> Num:
-        found = self._bw_cache.get((src, dst))
-        if found is None:
-            found = self._bw_cache[(src, dst)] = self._num(
-                self.platform.bandwidth(src, dst)
-            )
-        return found
-
-    def _sp(self, server: str) -> Num:
-        found = self._speed_cache.get(server)
-        if found is None:
-            found = self._speed_cache[server] = self._num(
-                self.platform.speed(server)
-            )
-        return found
-
-    def _node_triple(
-        self, node: str, assignment: Dict[str, str]
-    ) -> Tuple[Num, Num, Num]:
-        """Weighted (Cin, Ccomp, Cout) of *node* under *assignment*."""
-        graph = self.graph
-        server = assignment[node]
-        preds = graph.predecessors(node)
-        if preds:
-            cin = sum(
-                (
-                    self._outsize[p] / self._bw(assignment[p], server)
-                    for p in preds
-                    if assignment[p] != server
-                ),
-                self._zero,
-            )
-        else:
-            cin = self._one / self._bw(INPUT, server)
-        ccomp = self._work[node] / self._sp(server)
-        succs = graph.successors(node)
-        if succs:
-            cout = sum(
-                (
-                    self._outsize[node] / self._bw(server, assignment[s])
-                    for s in succs
-                    if assignment[s] != server
-                ),
-                self._zero,
-            )
-        else:
-            cout = self._outsize[node] / self._bw(server, OUTPUT)
-        w = self.weights.get(node)
-        if w is not None and w != 1:
-            return (cin * w, ccomp * w, cout * w)
-        return (cin, ccomp, cout)
-
     def _rebuild_sums(self) -> None:
         sums: Dict[str, List[Num]] = {}
         for node, (cin, ccomp, cout) in self._triple.items():
@@ -635,11 +729,6 @@ class IncrementalSharedCosts:
             out.update(self.graph.predecessors(svc))
             out.update(self.graph.successors(svc))
         return out
-
-    def _combine(self, sums: Sequence[Num]) -> Num:
-        if self.model.overlaps_compute:
-            return max(sums)
-        return sums[0] + sums[1] + sums[2]
 
     def _trial_sums(
         self, trial: Dict[str, str], moved: Iterable[str]
@@ -843,9 +932,20 @@ class CertifiedPlacementCosts:
         self._refresh()
 
 
+def _flows(
+    edges: Sequence[Tuple[str, str]], assignment: Dict[str, str]
+) -> List[Tuple[str, str]]:
+    """One ``(src_server, dst_server)`` flow per edge crossing servers."""
+    return [
+        (assignment[u], assignment[v])
+        for u, v in edges
+        if assignment[u] != assignment[v]
+    ]
+
+
 def exact_placement_value(
     graph: ExecutionGraph,
-    platform: Optional[Platform],
+    platform: Platform,
     mapping: Mapping,
     *,
     model: CommModel = CommModel.OVERLAP,
@@ -855,26 +955,18 @@ def exact_placement_value(
     """Exact (Fraction) placement objective of one concrete mapping.
 
     The value the incremental evaluators maintain, computed from scratch
-    through :class:`~repro.core.CostModel` — which prices contended
-    topologies correctly (effective bandwidths under the mapping's flow
-    pattern).  ``shared``/*weights* switch to the per-server weighted
-    aggregation of the concurrent regime; otherwise this is
-    ``CostModel(...).period_lower_bound(model)`` verbatim.
+    — with contended topologies priced correctly (effective bandwidths
+    under the mapping's flow pattern).  ``shared``/*weights* switch to the
+    max over servers of the weighted per-server loads
+    (:meth:`_SharedLoads.server_loads`, the concurrent regime's
+    objective); otherwise this is ``CostModel(...).period_lower_bound(model)``
+    verbatim.
     """
-    costs = CostModel(graph, platform, mapping)
     if not shared and not weights:
-        return costs.period_lower_bound(model)
-    zero = Fraction(0)
-    sums: Dict[str, List[Fraction]] = {}
-    for node in graph.nodes:
-        acc = sums.setdefault(mapping.server(node), [zero, zero, zero])
-        w = weights.get(node, ONE) if weights else ONE
-        acc[0] += w * costs.cin(node)
-        acc[1] += w * costs.ccomp(node)
-        acc[2] += w * costs.cout(node)
-    if model.overlaps_compute:
-        return max(max(acc) for acc in sums.values())
-    return max(acc[0] + acc[1] + acc[2] for acc in sums.values())
+        return CostModel(graph, platform, mapping).period_lower_bound(model)
+    loads = _SharedLoads(graph, platform, model=model, weights=weights)
+    assignment = {node: mapping.server(node) for node in graph.nodes}
+    return max(loads.server_loads(assignment).values())
 
 
 class FullPlacementCosts:
@@ -885,17 +977,35 @@ class FullPlacementCosts:
     co-routed edge — so the ``O(degree)`` deltas of
     :class:`IncrementalSharedCosts` are invalid.  This evaluator speaks
     the same protocol (``value``/``score_*``/``apply_*``/``assignment``/
-    ``mapping``) but re-prices each candidate mapping from scratch:
-    the float tier (:class:`~repro.core.FloatCosts`, sharing one
-    :class:`~repro.core.GraphArrays`) scores candidates, and the
-    certified tier re-prices exactly inside the
-    :data:`~repro.core.CERT_EPS` band, keeping accept/reject decisions —
-    and the returned value — bit-for-bit the all-``Fraction`` ones.
+    ``mapping``) but prices each candidate mapping from scratch.  Exact
+    values come from one :class:`_SharedLoads` per evaluator, so every
+    trial reuses the graph-only exact quantities and re-derives only the
+    effective bandwidths of its own flows.
+
+    * :meth:`score_moves` prices a whole neighbourhood in one
+      :class:`~repro.core.MappingBatch` call (rows bit-for-bit the
+      per-candidate :class:`~repro.core.FloatCosts` doubles) and
+      exact-prices only the moves the caller's selection could pick.
+    * ``score_reassign``/``score_swap`` price one candidate: on the float
+      tier first, exactly inside the :data:`~repro.core.CERT_EPS` band.
+    * Both settle a near-tie with the **bottleneck certificate** before
+      any full exact evaluation.  A shared mapping's value is a max over
+      servers (an injective one's over services), so the trial's exact
+      load on one of the incumbent's bottleneck servers is a lower bound
+      on the trial's value: at or above the incumbent's value, the move
+      cannot improve.
+
+    A move that cannot improve may be answered with any value not below
+    :meth:`value` (its float, or the certificate's bound); a move that
+    can is answered exactly.  Accept/reject decisions — and the returned
+    value — stay bit-for-bit the all-``Fraction`` ones.  ``EXACT`` skips
+    the float tier and the certificate: every candidate is priced exactly.
     """
 
     __slots__ = (
         "graph", "platform", "model", "weights", "shared", "exactness",
         "eps", "assignment", "_arrays", "_allow_shared", "_value", "_cut",
+        "_loads", "_batch", "_bottleneck",
     )
 
     def __init__(
@@ -920,6 +1030,9 @@ class FullPlacementCosts:
         self.exactness = Exactness.coerce(exactness)
         self.eps = eps
         self._arrays = GraphArrays(graph)
+        self._loads = _SharedLoads(graph, platform, model=model, weights=weights)
+        self._batch = None
+        self._bottleneck: FrozenSet[str] = frozenset()
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
@@ -929,6 +1042,16 @@ class FullPlacementCosts:
     def _mapping_of(self, assignment: Dict[str, str]) -> Mapping:
         return Mapping(assignment, shared=self._allow_shared)
 
+    def _trial(self, kind: str, move: Tuple[str, str]) -> Dict[str, str]:
+        """The assignment after one ``reassign``/``swap`` *move*."""
+        trial = dict(self.assignment)
+        if kind == "reassign":
+            trial[move[0]] = move[1]
+        else:
+            a, b = move
+            trial[a], trial[b] = trial[b], trial[a]
+        return trial
+
     def _float_value(self, mapping: Mapping) -> float:
         fast = FloatCosts(
             self.graph, self.platform, mapping,
@@ -936,33 +1059,81 @@ class FullPlacementCosts:
         )
         return fast.period_lower_bound(self.model)
 
-    def _exact_value(self, mapping: Mapping) -> Fraction:
-        return exact_placement_value(
-            self.graph, self.platform, mapping,
-            model=self.model, weights=self.weights, shared=self.shared,
-        )
+    def _exact_value(self, assignment: Dict[str, str]) -> Fraction:
+        return max(self._loads.server_loads(assignment).values())
 
-    def _score(self, mapping: Mapping) -> Num:
-        if self.exactness is not Exactness.EXACT:
+    def _bottleneck_bound(self, assignment: Dict[str, str]) -> Fraction:
+        """Exact lower bound on *assignment*'s value: its largest load on
+        one of the incumbent's bottleneck servers (0 if they host none)."""
+        loads = self._loads.server_loads(assignment, self._bottleneck)
+        return max(loads.values(), default=ZERO)
+
+    def _settle(self, trial: Dict[str, str], *, ties: bool) -> Fraction:
+        """Exact verdict on a near-tie: the certificate, else a full
+        evaluation.  *ties* keeps moves that match the value (the caller
+        accepts ``<=``), so only a bound strictly above it rejects."""
+        bound = self._bottleneck_bound(trial)
+        if bound > self._value or (bound == self._value and not ties):
+            return bound
+        return self._exact_value(trial)
+
+    def _score(self, trial: Dict[str, str], *, ties: bool = False) -> Num:
+        if self.exactness is Exactness.EXACT:
+            return self._exact_value(trial)
+        try:
+            fast = self._float_value(self._mapping_of(trial))
+        except OverflowError:
+            return self._exact_value(trial)
+        if self.exactness is Exactness.FAST or fast > self._cut:
+            return fast
+        return self._settle(trial, ties=ties)
+
+    def _prices(self, kind: str, moves: Sequence[Tuple[str, str]]):
+        """Float value of every move, one :class:`MappingBatch` call
+        (``None`` beyond float range)."""
+        import numpy as np
+
+        if self._batch is None:
             try:
-                trial = self._float_value(mapping)
+                self._batch = MappingBatch(
+                    self.graph, self.platform, kind="period",
+                    model=self.model, shared=self.shared,
+                    weights=self.weights, arrays=self._arrays,
+                )
             except OverflowError:
-                trial = None
-            if trial is not None and (
-                self.exactness is Exactness.FAST or trial > self._cut
-            ):
-                return trial
-        return self._exact_value(mapping)
+                return None
+        batch = self._batch
+        col = self._arrays.index
+        index = batch.server_index
+        base = np.array(
+            [index[self.assignment[name]] for name in self._arrays.names]
+        )
+        rows = np.repeat(base[None, :], len(moves), axis=0)
+        r = np.arange(len(moves))
+        if kind == "reassign":
+            rows[r, [col[svc] for svc, _ in moves]] = [
+                index[server] for _, server in moves
+            ]
+        else:
+            a = np.array([col[a] for a, _ in moves])
+            b = np.array([col[b] for _, b in moves])
+            rows[r, a], rows[r, b] = base[b], base[a]
+        return batch.values(rows).tolist()
 
     def _refresh(self) -> None:
-        current = self._mapping_of(self.assignment)
         if self.exactness is Exactness.FAST:
             try:
-                self._value: Num = self._float_value(current)
+                self._value: Num = self._float_value(
+                    self._mapping_of(self.assignment)
+                )
             except OverflowError:
-                self._value = self._exact_value(current)
+                self._value = self._exact_value(self.assignment)
         else:
-            self._value = self._exact_value(current)
+            loads = self._loads.server_loads(self.assignment)
+            self._value = max(loads.values())
+            self._bottleneck = frozenset(
+                u for u, load in loads.items() if load == self._value
+            )
         try:
             self._cut = certified_threshold(float(self._value), self.eps)
         except OverflowError:
@@ -976,26 +1147,65 @@ class FullPlacementCosts:
         return self._mapping_of(self.assignment)
 
     def score_reassign(self, service: str, server: str) -> Num:
-        trial = dict(self.assignment)
-        trial[service] = server
-        return self._score(self._mapping_of(trial))
+        return self._score(self._trial("reassign", (service, server)))
 
     def apply_reassign(self, service: str, server: str) -> None:
-        self.assignment = dict(self.assignment)
-        self.assignment[service] = server
+        self.assignment = self._trial("reassign", (service, server))
         self._refresh()
 
     def score_swap(self, a: str, b: str) -> Num:
-        trial = dict(self.assignment)
-        trial[a], trial[b] = trial[b], trial[a]
-        return self._score(self._mapping_of(trial))
+        return self._score(self._trial("swap", (a, b)))
 
     def apply_swap(self, a: str, b: str) -> None:
-        self.assignment = dict(self.assignment)
-        self.assignment[a], self.assignment[b] = (
-            self.assignment[b], self.assignment[a]
-        )
+        self.assignment = self._trial("swap", (a, b))
         self._refresh()
+
+    def score_moves(
+        self,
+        kind: str,
+        moves: Sequence[Tuple[str, str]],
+        *,
+        ties: bool = False,
+    ) -> Iterator[Num]:
+        """Scores of a neighbourhood of *kind* moves, in order.
+
+        *kind* is ``"reassign"`` (payloads ``(service, server)``) or
+        ``"swap"`` (payloads ``(a, b)``).  ``EXACT`` prices each move on
+        its own.  ``FAST`` answers with the floats of one
+        :class:`~repro.core.MappingBatch` call.  ``CERTIFIED`` exact-prices
+        only the moves that the caller's selection could pick:
+
+        * ``ties=False`` — the caller keeps the lexicographically best
+          move strictly below :meth:`value`.  A move whose float exceeds
+          the :data:`~repro.core.CERT_EPS` band of the neighbourhood's
+          best float keeps that float: its exact value is above the best
+          move's, so it cannot win.  Near-ties go to the certificate.
+        * ``ties=True`` — the caller takes the first move at or below
+          :meth:`value`, so there is no band rule, and the certificate
+          rejects only a bound strictly above the value.
+
+        Either way the selected move and its exact score are the ones
+        all-``Fraction`` scoring selects.  Exact pricing is lazy: a caller
+        that stops early never pays for the rest.
+        """
+        prices = None
+        if moves and self.exactness is not Exactness.EXACT:
+            prices = self._prices(kind, moves)
+        if prices is None:  # the exact tier, or beyond float range
+            for move in moves:
+                yield self._score(self._trial(kind, move), ties=ties)
+            return
+        if self.exactness is Exactness.FAST:
+            yield from prices
+            return
+        cut = self._cut
+        if not ties:
+            cut = min(cut, certified_threshold(min(prices), self.eps))
+        for move, price in zip(moves, prices):
+            if price > cut:
+                yield price
+            else:
+                yield self._settle(self._trial(kind, move), ties=ties)
 
 
 def placement_evaluator(

@@ -23,6 +23,7 @@ free, turning every solver into a graph × server-assignment search.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -49,9 +50,29 @@ ONE_WEIGHT = Fraction(1)
 #: Memo of ``optimize_mapping`` outcomes — the planner resolves the winning
 #: mapping after the cached objective already computed the value, and this
 #: table turns that second resolution into a lookup instead of re-running
-#: the whole placement search.
+#: the whole placement search.  The serve daemon solves on executor
+#: threads while clearing from its event loop, so every lookup-and-promote,
+#: insert-and-evict and clear holds ``_memo_lock``.
 _MEMO_MAX_ENTRIES = 50_000
 _memo: "OrderedDict[tuple, Tuple[Fraction, Mapping]]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memo_get(key: tuple) -> Optional[Tuple[Fraction, Mapping]]:
+    """The memoized outcome for *key* (promoted to most recent), or None."""
+    with _memo_lock:
+        found = _memo.get(key)
+        if found is not None:
+            _memo.move_to_end(key)
+        return found
+
+
+def _memo_put(key: tuple, outcome: Tuple[Fraction, Mapping]) -> None:
+    """Memoize *outcome*, evicting the least recently used past the bound."""
+    with _memo_lock:
+        _memo[key] = outcome
+        if len(_memo) > _MEMO_MAX_ENTRIES:
+            _memo.popitem(last=False)
 
 
 def clear_placement_memo() -> None:
@@ -62,12 +83,14 @@ def clear_placement_memo() -> None:
     memo — previously the module-level table survived and could serve
     stale placements (and misleading hit counts) across runs.
     """
-    _memo.clear()
+    with _memo_lock:
+        _memo.clear()
 
 
 def placement_memo_size() -> int:
     """Number of memoized placement outcomes (for tests and diagnostics)."""
-    return len(_memo)
+    with _memo_lock:
+        return len(_memo)
 
 
 def mapping_space_size(n_services: int, n_servers: int) -> int:
@@ -324,9 +347,8 @@ def optimize_mapping(
         kind, model, effort, platform.key(), exhaustive_limit, max_moves,
         exactness.memo_tier, strategy, graph.application, graph.edges,
     )
-    found = _memo.get(memo_key)
+    found = _memo_get(memo_key)
     if found is not None:
-        _memo.move_to_end(memo_key)
         return found
 
     def score(mapping: Mapping) -> Fraction:
@@ -417,9 +439,7 @@ def optimize_mapping(
                 value = Fraction(value)
             if outcome is None or value < outcome[0]:
                 outcome = (value, mapping)
-    _memo[memo_key] = outcome
-    if len(_memo) > _MEMO_MAX_ENTRIES:
-        _memo.popitem(last=False)
+    _memo_put(memo_key, outcome)
     return outcome
 
 
@@ -553,9 +573,8 @@ def optimize_shared_mapping(
         "shared", model, weight_key, platform.key(), exhaustive_limit,
         max_moves, exactness.memo_tier, graph.application, graph.edges,
     )
-    found = _memo.get(memo_key)
+    found = _memo_get(memo_key)
     if found is not None:
-        _memo.move_to_end(memo_key)
         return found
 
     services = tuple(graph.nodes)
@@ -563,7 +582,7 @@ def optimize_shared_mapping(
         # The empty system (every application evicted): the one shared
         # mapping is the empty one, loading no server at all.
         outcome = (Fraction(0), Mapping.shared({}))
-        _memo[memo_key] = outcome
+        _memo_put(memo_key, outcome)
         return outcome
     method = shared_search_method(len(services), len(platform), exhaustive_limit)
     if method == "shared-exhaustive":
@@ -634,9 +653,7 @@ def optimize_shared_mapping(
         if exactness is Exactness.FAST:
             value = Fraction(value)
         outcome = (value, mapping)
-    _memo[memo_key] = outcome
-    if len(_memo) > _MEMO_MAX_ENTRIES:
-        _memo.popitem(last=False)
+    _memo_put(memo_key, outcome)
     return outcome
 
 

@@ -333,3 +333,62 @@ def test_concurrent_get_or_compute_never_duplicates_work():
     assert len(computed) == 1
     assert values == [42] * 8
     assert cache.hits == 7 and cache.misses == 1
+
+
+def test_placement_memo_survives_concurrent_clear():
+    """8 threads solving placements on het4 while a 9th clears the
+    placement memo.  A lookup is a read plus an LRU promotion, and a clear
+    landing between the two used to raise ``KeyError`` — which the serve
+    daemon (solves and replans on executor threads, ``clear_cache`` on the
+    event loop) reported as a client input error."""
+    import sys
+    import time
+
+    from repro.optimize import Effort
+    from repro.optimize.placement import (
+        clear_placement_memo,
+        optimize_mapping,
+        placement_memo_size,
+    )
+    from repro.planner import load_platform
+
+    platform = load_platform("het4")
+    graph = _graph()
+    stop = threading.Event()
+    errors = []
+
+    def solve() -> None:
+        try:
+            while not stop.is_set():
+                value, _mapping = optimize_mapping(
+                    graph, "period", CommModel.OVERLAP, Effort.HEURISTIC,
+                    platform,
+                )
+                assert value > 0
+        except Exception as exc:  # surfaced below; threads swallow otherwise
+            errors.append(exc)
+
+    def clear() -> None:
+        try:
+            while not stop.is_set():
+                clear_placement_memo()
+                time.sleep(0.0005)
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=solve) for _ in range(8)]
+    workers.append(threading.Thread(target=clear))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for w in workers:
+            w.start()
+        time.sleep(1.5)
+    finally:
+        stop.set()
+        for w in workers:
+            w.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not errors, errors[:3]
+    assert placement_memo_size() <= 1

@@ -435,6 +435,83 @@ class TestContentionGate:
         assert state.drained == frozenset()
 
 
+class TestCertifiedRepairOnContendedTree:
+    """The batched, certificate-gated repair decides exactly like the
+    all-Fraction tier, event by event, on a contended two-rack tree."""
+
+    #: (workload, rho) of each admitted application.
+    APPS = {
+        "a": ("chain:n=3,seed=11", F(63)),
+        "b": ("star:leaves=3,seed=12", F(78)),
+        "c": ("fig1", F(84)),
+        "d": ("forkjoin:branches=2,seed=13", F(70)),
+        "e": ("chain:n=3,seed=14", F(59)),
+        "f": ("star:leaves=3,seed=15", F(81)),
+    }
+
+    def _trace(self, racks):
+        admit = [
+            Event("admit", app=name, workload=spec, rho=rho)
+            for name, (spec, rho) in self.APPS.items()
+        ]
+        return [
+            *admit[:4],
+            Event("evict", app="a"),
+            admit[4],
+            Event("load", app="b", rho=F(66)),
+            Event("drain", servers=racks[0]),
+            Event("evict", app="c"),
+            admit[5],
+            Event("load", app="d", rho=F(91)),
+            Event("restore", servers=racks[0]),
+            Event("drain", servers=racks[1]),
+            # Infeasible after repair on the one live rack: the cold
+            # fallback (itself a drained-server repair) takes over.
+            Event("load", app="d", rho=F(30)),
+            Event("evict", app="b"),
+            Event("restore", servers=racks[1]),
+        ]
+
+    def _replay(self, platform, exactness):
+        state = initial_state([], platform=platform)
+        outcomes = []
+        for event in self._trace([m for _, m in platform.topology.groups()]):
+            result = replan(state, event, budget=2, exactness=exactness)
+            state = result.state
+            outcomes.append((
+                sorted(result.mapping.items()), result.moved, result.forced,
+                result.fallback, result.feasible, result.value,
+            ))
+        return outcomes
+
+    def test_certified_equals_exact_at_every_event(self, monkeypatch):
+        platform = load_platform("tree:racks=2,servers=4")
+        assert platform.has_contention
+        exact = self._replay(platform, "exact")
+        calls = {"settle": 0, "full": 0}
+        settle = FullPlacementCosts._settle
+        full = FullPlacementCosts._exact_value
+
+        def counted_settle(self, *args, **kwargs):
+            calls["settle"] += 1
+            return settle(self, *args, **kwargs)
+
+        def counted_full(self, *args, **kwargs):
+            calls["full"] += 1
+            return full(self, *args, **kwargs)
+
+        monkeypatch.setattr(FullPlacementCosts, "_settle", counted_settle)
+        monkeypatch.setattr(FullPlacementCosts, "_exact_value", counted_full)
+        certified = self._replay(platform, None)
+        for k, (want, got) in enumerate(zip(exact, certified)):
+            assert got == want, k
+        assert any(moved for _m, moved, *_rest in exact)
+        assert any(forced for _m, _v, forced, *_rest in exact)
+        assert any(fallback for _m, _v, _f, fallback, *_rest in exact)
+        # The near-ties really were settled, most by the certificate alone.
+        assert calls["settle"] > 2 * calls["full"] > 0
+
+
 # ---------------------------------------------------------------------------
 # replay + CLI
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.optimize import Effort, greedy_mapping, hierarchical_seed
 from repro.optimize.incremental import (
     FullPlacementCosts,
     IncrementalSharedCosts,
+    exact_placement_value,
     period_delta,
     placement_evaluator,
 )
@@ -326,6 +327,47 @@ class TestBatchedParity:
                     )
                     assert values[k] == scalar, (seed, kind, model, k)
 
+    def test_mapping_batch_shared_weighted_rows(self):
+        # The contended re-planner's configuration: shared rows (services
+        # co-located freely) with concurrent 1/rho weights on tree and
+        # torus platforms — every row equals the scalar FloatCosts double.
+        for seed in range(40):
+            rng = random.Random(seed)
+            _, platform, _ = _structured_instance(seed)
+            n = rng.randrange(3, 8)
+            app = random_application(n, seed=seed + 300)
+            graph = random_execution_graph(
+                app, seed=seed + 301, density=rng.uniform(0.2, 0.7)
+            )
+            weights = (
+                {name: F(1, rng.randrange(20, 90)) for name in app.names}
+                if seed % 3
+                else None
+            )
+            model = MODELS[seed % 3]
+            batch = MappingBatch(
+                graph, platform, kind="period", model=model,
+                shared=True, weights=weights,
+            )
+            mappings = [
+                Mapping.shared(
+                    {
+                        name: rng.choice(platform.names[: rng.randrange(1, 4)])
+                        if k % 2
+                        else rng.choice(platform.names)
+                        for name in graph.nodes
+                    }
+                )
+                for k in range(30)
+            ]
+            rows = np.stack([batch.encode(m) for m in mappings])
+            values = batch.values(rows)
+            for k, m in enumerate(mappings):
+                scalar = FloatCosts(
+                    graph, platform, m, weights=weights
+                ).period_lower_bound(model)
+                assert values[k] == scalar, (seed, model, k)
+
     def test_forest_batch_pinned_mapping(self, forest_graph):
         for seed in range(40):
             rng = random.Random(seed)
@@ -345,6 +387,69 @@ class TestBatchedParity:
             for k, g in enumerate(graphs):
                 scalar = FloatCosts(g, platform, mapping).period_lower_bound(model)
                 assert values[k] == scalar, (seed, model, k)
+
+
+class TestNeighbourhoodScoring:
+    """FullPlacementCosts.score_moves: batched floats, near-ties settled
+    exactly, the certificate's strictness following the caller's rule."""
+
+    def _near_tie(self, exactness):
+        # S1 hosts A (load exactly 1, the bottleneck).  Moving C onto S2
+        # lifts S2 to 1 + 2^-60: the float reads 1.0, the bottleneck's
+        # load stays exactly 1, yet the move makes the value worse.
+        tiny = F(1, 2 ** 60)
+        app = make_application(
+            [("A", 1, 1), ("B", 1 - 2 * tiny, 1), ("C", 3 * tiny, 1)]
+        )
+        graph = ExecutionGraph.empty(app)
+        platform = Platform.homogeneous(3, bandwidth=10 ** 6)
+        mapping = Mapping.shared({"A": "S1", "B": "S2", "C": "S3"})
+        return FullPlacementCosts(
+            graph, platform, mapping, shared=True, exactness=exactness
+        ), 1 + tiny
+
+    def test_walk_home_rule_never_accepts_a_worse_move(self):
+        exact, worse = self._near_tie(Exactness.EXACT)
+        certified, _ = self._near_tie(Exactness.CERTIFIED)
+        assert exact.value() == certified.value() == 1
+        move = [("C", "S2")]
+        assert list(exact.score_moves("reassign", move)) == [worse]
+        # Best-of callers (strictly below the value) may reject on the
+        # certificate: the bottleneck still carries exactly 1.
+        (best_of,) = certified.score_moves("reassign", move)
+        assert not best_of < certified.value()
+        # A walk-home caller accepts ties, so the certificate's equal
+        # bound settles nothing and the move is priced in full.
+        (walk_home,) = certified.score_moves("reassign", move, ties=True)
+        assert walk_home == worse
+        assert not certified.score_reassign("C", "S2") < certified.value()
+
+    def test_repair_walk_home_rejects_a_worse_move(self):
+        # C sits off its incumbent server S2; no move improves, so the
+        # repair reaches its walk-home scan, where C -> S2 ties on the
+        # bottleneck but is 2^-60 worse overall: both tiers stop in the
+        # first round.  (Accepting it would oscillate: C -> S2 and back.)
+        from repro.dynamic import migration_sizes
+        from repro.dynamic.replan import _repair_search
+
+        for exactness in (Exactness.EXACT, Exactness.CERTIFIED):
+            evaluator, _ = self._near_tie(exactness)
+            _repair_search(
+                evaluator.graph, evaluator.platform, evaluator,
+                evaluator.platform.names,
+                baseline={"A": "S1", "B": "S2", "C": "S2"},
+                forced=frozenset(), sizes=migration_sizes(evaluator.graph),
+                budget=None, max_rounds=3,
+            )
+            assert evaluator.assignment == {"A": "S1", "B": "S2", "C": "S3"}
+            assert evaluator.value() == 1
+
+    def test_fast_tier_answers_with_batched_floats(self):
+        fast, _ = self._near_tie(Exactness.FAST)
+        moves = [("C", "S2"), ("C", "S1"), ("B", "S3")]
+        batched = list(fast.score_moves("reassign", moves))
+        assert batched == [fast.score_reassign(*m) for m in moves]
+        assert all(type(v) is float for v in batched)
 
 
 class TestCertifiedBitForBit:
@@ -407,8 +512,6 @@ class TestCertifiedBitForBit:
 
 
 def _shared_value(graph, platform, mapping, model):
-    from repro.optimize.incremental import exact_placement_value
-
     return exact_placement_value(
         graph, platform, mapping, model=model, shared=True
     )
@@ -440,6 +543,39 @@ class TestIncrementalGates:
         graph, platform, mapping = self._contended()
         ev = placement_evaluator(graph, platform, mapping)
         assert isinstance(ev, FullPlacementCosts)
+
+    def test_exact_shared_value_matches_cost_model(self):
+        # exact_placement_value folds the weighted per-server sums without
+        # a CostModel (the repair's exact tier and its certificate share
+        # that fold); it must equal CostModel's own aggregation.
+        for seed in range(30):
+            rng = random.Random(seed)
+            _, platform, _ = _structured_instance(seed)
+            app = random_application(rng.randrange(2, 7), seed=seed + 500)
+            graph = random_execution_graph(app, seed=seed + 501, density=0.5)
+            mapping = Mapping.shared(
+                {
+                    name: rng.choice(platform.names[:3])
+                    for name in graph.nodes
+                }
+            )
+            weights = {name: F(rng.randrange(1, 5), 7) for name in app.names}
+            model = MODELS[seed % 3]
+            costs = CostModel(graph, platform, mapping)
+            assert exact_placement_value(
+                graph, platform, mapping, model=model, shared=True
+            ) == costs.period_lower_bound(model), seed
+            loads = {}
+            for node in graph.nodes:
+                acc = loads.setdefault(mapping.server(node), [0, 0, 0])
+                acc[0] += weights[node] * costs.cin(node)
+                acc[1] += weights[node] * costs.ccomp(node)
+                acc[2] += weights[node] * costs.cout(node)
+            combine = max if model.overlaps_compute else sum
+            assert exact_placement_value(
+                graph, platform, mapping, model=model, weights=weights,
+                shared=True,
+            ) == max(combine(acc) for acc in loads.values()), seed
 
     def test_full_placement_costs_scores_match_recompute(self):
         for seed in range(15):
