@@ -155,16 +155,45 @@ class Event:
         kind = payload.get("kind")
         if not isinstance(kind, str):
             raise ValueError("event needs a 'kind' string")
-        rho = payload.get("rho")
+        # Wire payloads carry arbitrary JSON: every field is type-checked
+        # here so a bad value is a one-line ValueError, never a TypeError.
+        for key in ("app", "workload"):
+            value = payload.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"event {key!r} must be a string, got {value!r}")
+
+        def number(key: str) -> Optional[Fraction]:
+            value = payload.get(key)
+            if value is None or value == "":
+                return None
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, str, Fraction)
+            ):
+                raise ValueError(
+                    f"event {key!r} must be a number or a numeric string, "
+                    f"got {value!r}"
+                )
+            try:
+                return as_fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"event {key!r} divides by zero: {value!r}") from None
+
         servers = payload.get("servers", ())
         if isinstance(servers, str):
             servers = tuple(s for s in servers.split(";") if s)
+        elif not isinstance(servers, (list, tuple)) or not all(
+            isinstance(s, str) for s in servers
+        ):
+            raise ValueError(
+                f"event 'servers' must be a ';'-separated string or a list "
+                f"of server names, got {servers!r}"
+            )
         return cls(
             kind=kind,
-            time=as_fraction(payload.get("time") or 0),
-            app=str(payload.get("app") or ""),
-            workload=str(payload.get("workload") or ""),
-            rho=as_fraction(rho) if rho not in (None, "") else None,
+            time=number("time") or ZERO,
+            app=payload.get("app") or "",
+            workload=payload.get("workload") or "",
+            rho=number("rho"),
             servers=tuple(servers),
         )
 

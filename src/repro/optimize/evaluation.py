@@ -41,6 +41,7 @@ from ..core import (
     Exactness,
     ExecutionGraph,
     FloatCosts,
+    ForestBatch,
     Mapping,
     Platform,
 )
@@ -96,9 +97,8 @@ def fast_period_value(
 ) -> Optional[float]:
     """Float-tier period value, or ``None`` when no float kernel applies.
 
-    One-shot form of :func:`make_fast_period_objective` — that factory is
-    the single source of truth for which configurations the kernel
-    covers.
+    One-shot form of :func:`make_fast_period_objective`; coverage is
+    :func:`kernel_covers`.
     """
     fast = make_fast_period_objective(model, effort, platform, mapping)
     return fast(graph) if fast is not None else None
@@ -112,9 +112,8 @@ def fast_latency_value(
 ) -> Optional[float]:
     """Float-tier latency value, or ``None`` when no float kernel applies.
 
-    One-shot form of :func:`make_fast_latency_objective` — that factory
-    is the single source of truth for which configurations the kernel
-    covers.
+    One-shot form of :func:`make_fast_latency_objective`; coverage is
+    :func:`kernel_covers`.
     """
     fast = make_fast_latency_objective(effort, platform, mapping)
     return fast(graph) if fast is not None else None
@@ -322,6 +321,52 @@ def make_latency_objective(
     )
 
 
+def kernel_covers(
+    kind: str,
+    model: Optional[CommModel],
+    effort: Effort,
+    *,
+    shared: bool = False,
+    forest: bool = False,
+) -> bool:
+    """Is the Section-2.1 bound the *kind* objective here?
+
+    The coverage rule of every float kernel (scalar, batched and the
+    incremental deltas), which price that bound.  The period is covered
+    under OVERLAP (Theorem 1), at the ``BOUND`` effort, or on a *shared*
+    mapping; the latency at the ``BOUND`` effort on a non-*forest* (a
+    forest's latency is Algorithm 1), or on a *shared* mapping.
+
+        >>> kernel_covers("period", CommModel.INORDER, Effort.HEURISTIC)
+        False
+    """
+    if shared:
+        return True
+    if kind == "period":
+        return model is CommModel.OVERLAP or effort is Effort.BOUND
+    return effort is Effort.BOUND and not forest
+
+
+def _kernel_config(
+    kind: str,
+    model: Optional[CommModel],
+    effort: Effort,
+    platform: Optional[Platform],
+    mapping: Optional[Mapping],
+) -> Optional["tuple[Optional[Platform], Optional[Mapping], bool]"]:
+    """The normalised ``(platform, mapping, shared)`` a *kind* kernel
+    prices, or ``None`` when no graph can be covered — in particular on
+    a non-unit platform with a free mapping, whose objective runs the
+    placement optimiser (which has its own gate)."""
+    plat, mapp = _normalise(platform, mapping)
+    if plat is not None and mapp is None:
+        return None
+    shared = mapp is not None and not mapp.is_injective
+    if not kernel_covers(kind, model, effort, shared=shared):
+        return None
+    return plat, mapp, shared
+
+
 def make_fast_period_objective(
     model: CommModel,
     effort: Effort = Effort.HEURISTIC,
@@ -330,22 +375,14 @@ def make_fast_period_objective(
 ) -> Optional[Callable[[ExecutionGraph], Optional[float]]]:
     """A ``graph -> float | None`` period evaluator on the float tier.
 
-    The single source of truth for the period kernel's coverage: OVERLAP
-    at any effort (Theorem 1), the ``BOUND`` effort under any model, and
-    shared-server mappings (whose aggregated bound is the concurrent
-    readout) — exactly the configurations where the Section-2.1 bound
-    *is* the period objective.  A non-unit platform with a free mapping
-    is not covered (the objective there runs the placement optimiser,
-    which has its own fast path), and the factory then returns ``None``.
-    The returned callable answers ``None`` per graph when the instance's
-    quantities overflow a float — the caller must score exactly.
+    ``None`` where no kernel applies (see :func:`_kernel_config`); the
+    returned callable answers ``None`` for a graph whose quantities
+    overflow a float — the caller must score exactly.
     """
-    plat, mapp = _normalise(platform, mapping)
-    if plat is not None and mapp is None:
+    config = _kernel_config("period", model, effort, platform, mapping)
+    if config is None:
         return None
-    shared = mapp is not None and not mapp.is_injective
-    if not (model is CommModel.OVERLAP or effort is Effort.BOUND or shared):
-        return None
+    plat, mapp, _shared = config
 
     def evaluate(graph: ExecutionGraph) -> Optional[float]:
         try:
@@ -362,25 +399,16 @@ def make_forest_period_batch(
     effort: Effort = Effort.HEURISTIC,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
-):
-    """A :class:`~repro.core.ForestBatch` for this configuration, or ``None``.
-
-    The batched twin of :func:`make_fast_period_objective`: covered in
-    exactly the same configurations (its per-row values are bit-for-bit
-    the scalar kernel's), ``None`` where the scalar factory would return
-    ``None`` — plus when numpy is unavailable or the instance overflows
-    float range at compilation time.
+) -> Optional[ForestBatch]:
+    """The forest enumerations' gate: a :class:`~repro.core.ForestBatch`
+    for this configuration, or ``None`` where no kernel applies or the
+    instance overflows float range.  Its rows are bit-for-bit the scalar
+    kernel's floats.
     """
-    plat, mapp = _normalise(platform, mapping)
-    if plat is not None and mapp is None:
+    config = _kernel_config("period", model, effort, platform, mapping)
+    if config is None:
         return None
-    shared = mapp is not None and not mapp.is_injective
-    if not (model is CommModel.OVERLAP or effort is Effort.BOUND or shared):
-        return None
-    try:
-        from ..core.batched import ForestBatch
-    except ImportError:  # pragma: no cover - numpy-free environments
-        return None
+    plat, mapp, _shared = config
     try:
         return ForestBatch(app, model, plat, mapp)
     except OverflowError:
@@ -394,22 +422,19 @@ def make_fast_latency_objective(
 ) -> Optional[Callable[[ExecutionGraph], Optional[float]]]:
     """A ``graph -> float | None`` latency evaluator on the float tier.
 
-    The single source of truth for the latency kernel's coverage: shared
-    mappings and the ``BOUND`` effort, minus injective forests (their
-    objective is the Algorithm-1 scheduler, answered with a per-graph
-    ``None`` — as is an instance overflowing float range).  The
-    communication model plays no role: the critical-path bound is
-    model-independent.
+    ``None`` where no kernel applies (see :func:`_kernel_config`); the
+    returned callable answers ``None`` for a graph outside
+    :func:`kernel_covers` (an injective forest) or beyond float range.
     """
-    plat, mapp = _normalise(platform, mapping)
-    if plat is not None and mapp is None:
+    config = _kernel_config("latency", None, effort, platform, mapping)
+    if config is None:
         return None
-    shared = mapp is not None and not mapp.is_injective
-    if not (shared or effort is Effort.BOUND):
-        return None
+    plat, mapp, shared = config
 
     def evaluate(graph: ExecutionGraph) -> Optional[float]:
-        if not shared and graph.is_forest:
+        if not kernel_covers(
+            "latency", None, effort, shared=shared, forest=graph.is_forest
+        ):
             return None  # Algorithm 1 territory: no float shortcut
         try:
             return FloatCosts(graph, plat, mapp).latency_lower_bound()
@@ -423,6 +448,7 @@ __all__ = [
     "Objective",
     "fast_latency_value",
     "fast_period_value",
+    "kernel_covers",
     "latency_objective",
     "make_fast_latency_objective",
     "make_fast_period_objective",

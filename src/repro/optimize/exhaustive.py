@@ -16,9 +16,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from ..core import Application, CommModel, ExecutionGraph, certified_threshold
+import numpy as np
+
+from ..core import (
+    Application,
+    CommModel,
+    ExecutionGraph,
+    certified_threshold,
+    iter_forest_rows,
+)
 from .evaluation import Effort, latency_objective, period_objective
 
 #: :func:`iter_dags` refuses applications larger than this (the DAG space
@@ -104,109 +112,114 @@ def iter_dags(app: Application) -> Iterator[ExecutionGraph]:
             yield graph
 
 
+#: Parent-vector rows :func:`scan_best_forests_batched` prices per numpy call.
+FOREST_CHUNK = 512
+
+
+class RunningBest:
+    """The survivor rule of every certified enumeration, written once.
+
+    Candidates are offered in enumeration order.  The float gate
+    (:meth:`skips`) drops a candidate whose float exceeds
+    :func:`~repro.core.certified_threshold` of the running best: it is
+    provably no better.  :meth:`offer` takes each survivor's exact value
+    and keeps the first strict minimum.  While the best overflows a float
+    there is no gate.  Value, winner and tie-break are therefore
+    bit-for-bit the ungated scan's.
+    """
+
+    __slots__ = ("value", "item", "cut")
+
+    def __init__(self) -> None:
+        self.value: Optional[Fraction] = None
+        self.item: Any = None
+        #: ``certified_threshold`` of the best; ``None`` means no gate.
+        self.cut: Optional[float] = None
+
+    def skips(self, fast: Optional[float]) -> bool:
+        """Is a candidate whose float value is *fast* provably no better?"""
+        return self.cut is not None and fast is not None and fast > self.cut
+
+    def offer(self, item: Any, value: Fraction) -> None:
+        """Keep *item* when its exact *value* is a strict new minimum."""
+        if self.value is None or value < self.value:
+            self.value, self.item = value, item
+            try:
+                self.cut = certified_threshold(float(value))
+            except OverflowError:
+                self.cut = None  # beyond float range: exact scoring only
+
+    def result(self) -> Tuple[Fraction, Any]:
+        if self.item is None or self.value is None:
+            raise ValueError("no candidate execution graph")
+        return self.value, self.item
+
+
 def scan_best(
-    graphs: Iterable[ExecutionGraph],
+    candidates: Iterable[Any],
     objective,
     *,
-    fast_objective: Optional[
-        Callable[[ExecutionGraph], Optional[float]]
-    ] = None,
-) -> Tuple[Fraction, ExecutionGraph, int]:
-    """Scan *graphs*, returning ``(best value, best graph, count scanned)``.
+    fast_objective: Optional[Callable[[Any], Optional[float]]] = None,
+) -> Tuple[Fraction, Any, int]:
+    """Scan *candidates*, returning ``(best value, best candidate, count)``.
 
-    Shared by the exhaustive searches here and the planner's exhaustive
-    solver.  Ties keep the first graph in enumeration order.
-
-    Passing *fast_objective* (a float-tier evaluator, e.g. from
-    :func:`~repro.optimize.evaluation.make_fast_period_objective`) turns
-    the scan into a **certified** two-tier sweep: each candidate is scored
-    on the float kernel first and the exact *objective* is consulted only
-    when the float value lands at or under the running best's
-    :func:`~repro.core.certified_threshold` — so the result (value, graph
-    and tie-breaks) is bit-for-bit the plain scan's, while the vast
-    majority of candidates never allocate a Fraction.  A per-graph
-    ``None`` from *fast_objective* (no kernel for that graph) falls back
-    to exact scoring for that candidate.
+    Candidates are execution graphs or mappings; ties keep the first in
+    enumeration order.  *fast_objective* (the scalar float kernel, e.g.
+    :func:`~repro.optimize.evaluation.make_fast_latency_objective`) gates
+    the scan with :class:`RunningBest`, so the result is bit-for-bit the
+    plain scan's while most candidates never allocate a Fraction; a
+    per-candidate ``None`` means "score exactly".  Only DAG enumerations
+    take this gate: forests and placements gate on the batched kernel
+    (:func:`scan_best_forests_batched`,
+    :func:`repro.optimize.placement.optimize_mapping`).
     """
-    best_val: Optional[Fraction] = None
-    best_graph: Optional[ExecutionGraph] = None
-    cut: Optional[float] = None
+    best = RunningBest()
     count = 0
-    for graph in graphs:
+    for item in candidates:
         count += 1
-        if fast_objective is not None and cut is not None:
-            fast = fast_objective(graph)
-            if fast is not None and fast > cut:
-                continue  # provably no better than the incumbent
-        val = objective(graph)
-        if best_val is None or val < best_val:
-            best_val, best_graph = val, graph
-            try:
-                cut = certified_threshold(float(best_val))
-            except OverflowError:
-                cut = None  # beyond float range: no gate, exact scoring only
-    if best_graph is None or best_val is None:
-        raise ValueError("no candidate execution graph")
-    return best_val, best_graph, count
+        # Price lazily: there is no gate before the first exact score.
+        if fast_objective is not None and best.cut is not None:
+            if best.skips(fast_objective(item)):
+                continue
+        best.offer(item, objective(item))
+    value, item = best.result()
+    return value, item, count
 
 
 def scan_best_forests_batched(
     app: Application,
     objective,
     batch,
-    *,
-    chunk: int = 512,
 ) -> Tuple[Fraction, ExecutionGraph, int]:
-    """The certified forest scan of :func:`scan_best`, gated in bulk.
+    """The certified forest scan, gated in bulk on a ``ForestBatch``.
 
     *batch* is a :class:`~repro.core.ForestBatch` for the configuration
     being searched (see
     :func:`~repro.optimize.evaluation.make_forest_period_batch`).  Parent
-    vectors are enumerated in :func:`iter_forests` order *chunk* rows at a
-    time and priced in one numpy call per chunk; only rows at or under the
-    running incumbent's :func:`~repro.core.certified_threshold` are
-    materialised as graphs and scored through *objective*.  Because the
-    batched floats are bit-for-bit the scalar kernel's, every gate
-    decision — and therefore the returned ``(value, graph, count)``
-    including tie-breaks — is identical to
-    ``scan_best(iter_forests(app), objective, fast_objective=...)``.
+    vectors are enumerated in :func:`iter_forests` order,
+    :data:`FOREST_CHUNK` rows at a time, and priced in one numpy call per
+    chunk; :class:`RunningBest` then decides which rows are materialised
+    as graphs and scored through *objective*.  The returned
+    ``(value, graph, count)``, tie-breaks included, is
+    ``scan_best(iter_forests(app), objective)``'s.
     """
-    import numpy as np
-
     if app.precedence:
         raise ValueError("forest enumeration assumes no precedence constraints")
-    from ..core.batched import iter_forest_rows
-
-    n = len(app.names)
-    best_val: Optional[Fraction] = None
-    best_graph: Optional[ExecutionGraph] = None
-    cut: Optional[float] = None
+    best = RunningBest()
     count = 0
-    for rows, _base in iter_forest_rows(n, chunk):
+    for rows, _base in iter_forest_rows(len(app.names), FOREST_CHUNK):
         valid, fast = batch.periods(rows)
         count += int(valid.sum())
-        if cut is None:
-            candidates = np.nonzero(valid)[0]
-        else:
-            # Chunk-level pre-filter with the cut as of the chunk start: it
-            # only ever *keeps* rows the scalar scan would examine (the cut
-            # never increases); the loop below re-checks the running cut so
-            # the survivor set matches the scalar scan exactly.
-            candidates = np.nonzero(valid & ~(fast > cut))[0]
-        for r in candidates:
-            if cut is not None and fast[r] > cut:
-                continue  # provably no better than the incumbent
-            graph = batch.decode(rows[r])
-            val = objective(graph)
-            if best_val is None or val < best_val:
-                best_val, best_graph = val, graph
-                try:
-                    cut = certified_threshold(float(best_val))
-                except OverflowError:
-                    cut = None  # beyond float range: exact scoring only
-    if best_graph is None or best_val is None:
-        raise ValueError("no candidate execution graph")
-    return best_val, best_graph, count
+        if best.cut is not None:
+            # Pre-filter with the gate as of the chunk start: the gate only
+            # tightens, so this keeps every row the rule below examines.
+            valid = valid & ~(fast > best.cut)
+        for r in np.nonzero(valid)[0]:
+            if not best.skips(fast[r]):
+                graph = batch.decode(rows[r])
+                best.offer(graph, objective(graph))
+    value, graph = best.result()
+    return value, graph, count
 
 
 def exhaustive_minperiod(
@@ -215,13 +228,8 @@ def exhaustive_minperiod(
     *,
     forests_only: bool = True,
     effort: Effort = Effort.EXACT,
-    certified: bool = False,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Exact MinPeriod by enumeration (forests by default — Prop 4).
-
-    ``certified=True`` pre-screens candidates on the float kernel (where
-    one covers the configuration) before exact scoring — same result,
-    fewer Fraction allocations; see :func:`scan_best`.
 
     Example (a filter in front of an expensive service halves its load;
     the facade equivalent is ``solve(app, method="exhaustive")``)::
@@ -232,13 +240,9 @@ def exhaustive_minperiod(
         >>> value, sorted(graph.edges)
         (Fraction(4, 1), [('A', 'B')])
     """
-    from .evaluation import make_fast_period_objective
-
     graphs = iter_forests(app) if forests_only else iter_dags(app)
-    fast = make_fast_period_objective(model, effort) if certified else None
     value, graph, _ = scan_best(
-        graphs, lambda g: period_objective(g, model, effort),
-        fast_objective=fast,
+        graphs, lambda g: period_objective(g, model, effort)
     )
     return value, graph
 
@@ -249,14 +253,12 @@ def exhaustive_minlatency(
     *,
     forests_only: bool = False,
     effort: Effort = Effort.EXACT,
-    certified: bool = False,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Exact MinLatency by enumeration.
 
     Optimal latency plans are *not* always forests (the Prop-13 gadget is a
     fork-join), so the default enumerates DAGs; ``forests_only=True`` gives
-    the Proposition-17 restricted problem.  ``certified=True`` as in
-    :func:`exhaustive_minperiod`.
+    the Proposition-17 restricted problem.
 
     Example (serial beats parallel here: filtering pays for the extra hop)::
 
@@ -266,19 +268,17 @@ def exhaustive_minlatency(
         >>> value, sorted(graph.edges)
         (Fraction(9, 2), [('A', 'B')])
     """
-    from .evaluation import make_fast_latency_objective
-
     graphs = iter_forests(app) if forests_only else iter_dags(app)
-    fast = make_fast_latency_objective(model, effort) if certified else None
     value, graph, _ = scan_best(
-        graphs, lambda g: latency_objective(g, model, effort),
-        fast_objective=fast,
+        graphs, lambda g: latency_objective(g, model, effort)
     )
     return value, graph
 
 
 __all__ = [
+    "FOREST_CHUNK",
     "MAX_DAG_SERVICES",
+    "RunningBest",
     "exhaustive_minlatency",
     "exhaustive_minperiod",
     "iter_dags",

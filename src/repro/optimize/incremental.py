@@ -463,9 +463,9 @@ def period_delta(
     float-priced rejections), ``FAST`` the :class:`FloatForestPeriod`
     twin (float values throughout — re-score the final graph exactly).
     """
-    from .evaluation import Effort
+    from .evaluation import kernel_covers
 
-    if model is not CommModel.OVERLAP and effort is not Effort.BOUND:
+    if not kernel_covers("period", model, effort):
         return None
     if platform is not None and platform.has_contention:
         # One reparent changes the flow pattern, hence the effective

@@ -23,21 +23,21 @@ free, turning every solver into a graph × server-assignment search.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import (
     CommModel,
     CostModel,
     Exactness,
     ExecutionGraph,
-    FloatCosts,
-    GraphArrays,
     Mapping,
+    MappingBatch,
     Platform,
 )
+from ..core.ttlcache import TTLCache
 
 #: Enumerate all assignments when the space is at most this large.
 DEFAULT_EXHAUSTIVE_LIMIT = 720
@@ -51,28 +51,9 @@ ONE_WEIGHT = Fraction(1)
 #: mapping after the cached objective already computed the value, and this
 #: table turns that second resolution into a lookup instead of re-running
 #: the whole placement search.  The serve daemon solves on executor
-#: threads while clearing from its event loop, so every lookup-and-promote,
-#: insert-and-evict and clear holds ``_memo_lock``.
-_MEMO_MAX_ENTRIES = 50_000
-_memo: "OrderedDict[tuple, Tuple[Fraction, Mapping]]" = OrderedDict()
-_memo_lock = threading.Lock()
-
-
-def _memo_get(key: tuple) -> Optional[Tuple[Fraction, Mapping]]:
-    """The memoized outcome for *key* (promoted to most recent), or None."""
-    with _memo_lock:
-        found = _memo.get(key)
-        if found is not None:
-            _memo.move_to_end(key)
-        return found
-
-
-def _memo_put(key: tuple, outcome: Tuple[Fraction, Mapping]) -> None:
-    """Memoize *outcome*, evicting the least recently used past the bound."""
-    with _memo_lock:
-        _memo[key] = outcome
-        if len(_memo) > _MEMO_MAX_ENTRIES:
-            _memo.popitem(last=False)
+#: threads while clearing from its event loop; the cache's lock makes
+#: every lookup, insert and clear atomic.
+_memo = TTLCache(max_entries=50_000)
 
 
 def clear_placement_memo() -> None:
@@ -83,14 +64,12 @@ def clear_placement_memo() -> None:
     memo — previously the module-level table survived and could serve
     stale placements (and misleading hit counts) across runs.
     """
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()
 
 
 def placement_memo_size() -> int:
     """Number of memoized placement outcomes (for tests and diagnostics)."""
-    with _memo_lock:
-        return len(_memo)
+    return len(_memo)
 
 
 def mapping_space_size(n_services: int, n_servers: int) -> int:
@@ -129,61 +108,6 @@ def greedy_mapping(graph: ExecutionGraph, platform: Platform) -> Mapping:
     return Mapping({svc: srv.name for svc, srv in zip(services, servers)})
 
 
-def _fast_mapping_value(
-    graph: ExecutionGraph,
-    kind: str,
-    model: CommModel,
-    effort,
-    platform: Platform,
-    *,
-    weights=None,
-    shared: bool = False,
-):
-    """A per-mapping float scorer, or ``None`` when no kernel applies.
-
-    The kernel covers exactly the configurations whose per-mapping
-    objective is a :class:`~repro.core.CostModel` bound (the placement
-    analogue of the per-graph rule in
-    :func:`repro.optimize.evaluation.make_fast_period_objective`): the
-    period bound for OVERLAP or the bound effort, the latency bound for
-    non-forests at the bound effort — and *shared* placements always,
-    whose (optionally *weights*-scaled) aggregated load is the bound by
-    construction.  Forest latency is Algorithm-1 territory.  The flat
-    arrays are compiled only once the gate passes and shared by every
-    mapping the returned scorer prices; a per-mapping ``None`` (float
-    overflow) tells the caller to score exactly.
-    """
-    from .evaluation import Effort
-
-    if shared or kind == "period":
-        covered = (
-            shared or model is CommModel.OVERLAP or effort is Effort.BOUND
-        )
-        latency = False
-    else:
-        covered = effort is Effort.BOUND and not graph.is_forest
-        latency = True
-    if not covered:
-        return None
-    try:
-        arrays = GraphArrays(graph)
-    except OverflowError:
-        return None  # beyond float range: exact tier only
-
-    def scorer(mapping: Mapping):
-        try:
-            fast = FloatCosts(
-                graph, platform, mapping, arrays=arrays, weights=weights
-            )
-            if latency:
-                return fast.latency_lower_bound()
-            return fast.period_lower_bound(model)
-        except OverflowError:
-            return None
-
-    return scorer
-
-
 def _make_mapping_batch(
     graph: ExecutionGraph,
     kind: str,
@@ -193,90 +117,59 @@ def _make_mapping_batch(
     *,
     weights=None,
     shared: bool = False,
-):
-    """A :class:`~repro.core.MappingBatch` for this configuration, or ``None``.
+) -> Optional[MappingBatch]:
+    """The placement enumerations' gate: a :class:`~repro.core.MappingBatch`
+    for this configuration, or ``None``.
 
-    The batched twin of :func:`_fast_mapping_value`: covered in exactly
-    the same configurations, with per-row values bit-for-bit the scalar
-    scorer's; ``None`` where the scalar gate would not apply (or numpy is
-    missing, or the instance overflows float range).
+    ``None`` where :func:`~repro.optimize.evaluation.kernel_covers` says
+    the per-mapping objective is not the Section-2.1 bound, or when the
+    instance overflows float range.
     """
-    from .evaluation import Effort
+    from .evaluation import kernel_covers
 
-    if shared or kind == "period":
-        covered = shared or model is CommModel.OVERLAP or effort is Effort.BOUND
-        batch_kind = "period"
-    else:
-        covered = effort is Effort.BOUND and not graph.is_forest
-        batch_kind = "latency"
-    if not covered:
-        return None
-    try:
-        from ..core.batched import MappingBatch
-    except ImportError:  # pragma: no cover - numpy-free environments
+    if not kernel_covers(
+        kind, model, effort, shared=shared, forest=graph.is_forest
+    ):
         return None
     try:
         return MappingBatch(
-            graph, platform, kind=batch_kind, model=model,
+            graph, platform, kind=kind, model=model,
             shared=shared, weights=weights,
         )
     except OverflowError:
         return None  # beyond float range: exact tier only
 
 
-def _scan_mappings_batched(
-    candidates, batch, exact_score, *, fast_tier: bool = False
-):
-    """The certified (or FAST) placement scan, float-gated in bulk.
+def _scan_placements(
+    candidates, exact_score, batch: Optional[MappingBatch], exactness: Exactness
+) -> Tuple[Fraction, Mapping]:
+    """The exhaustive placement scan, on the tier *exactness* picks.
 
-    *candidates* is the full enumeration (materialised — placement spaces
-    on the exhaustive branch are a few hundred rows); one numpy call
-    prices every row, then survivors are exact-scored in enumeration order
-    under the running :func:`~repro.core.certified_threshold` cut exactly
-    like :func:`~repro.optimize.exhaustive.scan_best`.  ``fast_tier=True``
-    skips exact scoring entirely and returns the first float minimum's
-    image — :func:`_fast_scan` semantics.
+    Without a *batch* (``EXACT``, no kernel, or a float overflow) every
+    candidate is scored exactly by
+    :func:`~repro.optimize.exhaustive.scan_best`.  With one, a single
+    numpy call prices the whole enumeration (placement spaces on the
+    exhaustive branch are a few hundred rows).  ``CERTIFIED`` then
+    exact-scores the survivors of
+    :class:`~repro.optimize.exhaustive.RunningBest` in enumeration order
+    (bit-for-bit the exact scan), and ``FAST`` returns the first float
+    minimum's image.
     """
-    import numpy as np
+    from .exhaustive import RunningBest, scan_best
 
-    from ..core import certified_threshold
-
+    if batch is None:
+        value, best, _ = scan_best(candidates, exact_score)
+        return value, best
     mappings = list(candidates)
-    rows = np.stack([batch.encode(m) for m in mappings])
-    fast = batch.values(rows)
-    if fast_tier:
-        best = int(np.argmin(fast))  # argmin keeps the first minimum
-        return Fraction(float(fast[best])), mappings[best]
-    best_val = None
-    best_mapping = None
-    cut = None
+    fast = batch.values(np.stack([batch.encode(m) for m in mappings]))
+    if exactness is Exactness.FAST:
+        k = int(np.argmin(fast))  # argmin keeps the first minimum
+        return Fraction(float(fast[k])), mappings[k]
+    best = RunningBest()
     for k, mapping in enumerate(mappings):
-        if cut is not None and fast[k] > cut:
-            continue  # provably no better than the incumbent
-        val = exact_score(mapping)
-        if best_val is None or val < best_val:
-            best_val, best_mapping = val, mapping
-            try:
-                cut = certified_threshold(float(best_val))
-            except OverflowError:
-                cut = None  # beyond float range: exact scoring only
-    assert best_val is not None and best_mapping is not None
-    return best_val, best_mapping
-
-
-def _fast_scan(candidates, fast_score, exact_score):
-    """FAST-tier scan: float scores, exact fallback per ``None``, first
-    strict minimum wins; the winner's value is the float image."""
-    best = None
-    best_candidate = None
-    for candidate in candidates:
-        f = fast_score(candidate) if fast_score is not None else None
-        if f is None:
-            f = exact_score(candidate)  # no kernel / float overflow
-        if best is None or f < best:
-            best, best_candidate = f, candidate
-    assert best is not None and best_candidate is not None
-    return Fraction(best), best_candidate
+        if not best.skips(fast[k]):
+            best.offer(mapping, exact_score(mapping))
+    return best.result()
 
 
 def optimize_mapping(
@@ -311,12 +204,14 @@ def optimize_mapping(
     exposes more than one locality group.  The exhaustive branch is
     seed-free, so the strategy only matters past *exhaustive_limit*.
 
-    *exactness* picks the numeric tier.  ``CERTIFIED`` scans candidates on
-    the :class:`~repro.core.FloatCosts` kernel and re-scores only the ones
-    inside the :data:`~repro.core.CERT_EPS` band of the running best in
-    exact ``Fraction``s — the returned pair is bit-for-bit the ``EXACT``
-    one.  ``FAST`` keeps everything on the float tier and returns the
-    float image of the winner's value.
+    *exactness* picks the numeric tier.  ``CERTIFIED`` prices the whole
+    enumeration in one :class:`~repro.core.MappingBatch` call and
+    exact-scores only the candidates inside the
+    :data:`~repro.core.CERT_EPS` band of the running best — the returned
+    pair is bit-for-bit the ``EXACT`` one.  ``FAST`` keeps everything on
+    the float tier and returns the float image of the winner's value.
+    Where no kernel covers the objective, or the instance overflows a
+    float, every tier scans exactly.
 
     Example (the fast server should host the expensive service)::
 
@@ -331,7 +226,7 @@ def optimize_mapping(
         >>> value, mapping.server("B")
         (Fraction(3, 1), 'S2')
     """
-    from .evaluation import Effort, latency_objective, period_objective
+    from .evaluation import kernel_covers, latency_objective, period_objective
     from .incremental import placement_evaluator
     from .local_search import placement_local_search
 
@@ -347,7 +242,7 @@ def optimize_mapping(
         kind, model, effort, platform.key(), exhaustive_limit, max_moves,
         exactness.memo_tier, strategy, graph.application, graph.edges,
     )
-    found = _memo_get(memo_key)
+    found = _memo.get(memo_key)
     if found is not None:
         return found
 
@@ -359,41 +254,14 @@ def optimize_mapping(
     platform.require_capacity(len(graph.nodes))
     space = mapping_space_size(len(graph.nodes), len(platform))
     if space <= exhaustive_limit:
-        from .exhaustive import scan_best
-
         batch = (
             _make_mapping_batch(graph, kind, model, effort, platform)
             if exactness.uses_float
             else None
         )
-        if batch is not None:
-            # One numpy call prices the whole space; same gate decisions
-            # (and FAST first-minimum rule) as the scalar paths below.
-            outcome = _scan_mappings_batched(
-                iter_mappings(graph.nodes, platform), batch, score,
-                fast_tier=exactness is Exactness.FAST,
-            )
-        elif exactness is Exactness.FAST:
-            fast_score = _fast_mapping_value(
-                graph, kind, model, effort, platform
-            )
-            outcome = _fast_scan(
-                iter_mappings(graph.nodes, platform), fast_score, score
-            )
-        else:
-            fast_score = (
-                _fast_mapping_value(graph, kind, model, effort, platform)
-                if exactness.uses_float
-                else None
-            )
-            # Plain scan (exact) or the certified float-gated scan —
-            # scan_best is item-type-agnostic and encodes the gate,
-            # cut-update and first-tie rules once for every caller.
-            value, best_mapping, _ = scan_best(
-                iter_mappings(graph.nodes, platform), score,
-                fast_objective=fast_score,
-            )
-            outcome = (value, best_mapping)
+        outcome = _scan_placements(
+            iter_mappings(graph.nodes, platform), score, batch, exactness
+        )
     else:
         use_hierarchy = strategy == "hierarchical" or (
             strategy == "auto" and len(platform.topology.groups()) > 1
@@ -412,8 +280,8 @@ def optimize_mapping(
         flat_seed = greedy_mapping(graph, platform)
         if not any(s.items() == flat_seed.items() for s in seeds):
             seeds.append(flat_seed)
-        use_evaluator = kind == "period" and (
-            model is CommModel.OVERLAP or effort is Effort.BOUND
+        use_evaluator = kind == "period" and kernel_covers(
+            "period", model, effort
         )
         batch = (
             _make_mapping_batch(graph, kind, model, effort, platform)
@@ -439,7 +307,7 @@ def optimize_mapping(
                 value = Fraction(value)
             if outcome is None or value < outcome[0]:
                 outcome = (value, mapping)
-    _memo_put(memo_key, outcome)
+    _memo.put(memo_key, outcome)
     return outcome
 
 
@@ -562,7 +430,7 @@ def optimize_shared_mapping(
         >>> value, mapping.services_on(mapping.server("A"))
         (Fraction(6, 1), ('A',))
     """
-    from .incremental import IncrementalSharedCosts, placement_evaluator
+    from .incremental import _SharedLoads, placement_evaluator
     from .local_search import shared_placement_local_search
 
     exactness = Exactness.coerce(exactness)
@@ -573,7 +441,7 @@ def optimize_shared_mapping(
         "shared", model, weight_key, platform.key(), exhaustive_limit,
         max_moves, exactness.memo_tier, graph.application, graph.edges,
     )
-    found = _memo_get(memo_key)
+    found = _memo.get(memo_key)
     if found is not None:
         return found
 
@@ -582,28 +450,18 @@ def optimize_shared_mapping(
         # The empty system (every application evicted): the one shared
         # mapping is the empty one, loading no server at all.
         outcome = (Fraction(0), Mapping.shared({}))
-        _memo_put(memo_key, outcome)
+        _memo.put(memo_key, outcome)
         return outcome
     method = shared_search_method(len(services), len(platform), exhaustive_limit)
     if method == "shared-exhaustive":
-        from .exhaustive import scan_best
+        # One set of graph-only exact quantities serves every candidate;
+        # contended topologies re-derive each candidate's own effective
+        # bandwidths inside server_loads.
+        loads = _SharedLoads(graph, platform, model=model, weights=weights)
 
-        if platform.has_contention:
-            # The incremental evaluator refuses contended topologies (its
-            # deltas assume static bandwidths); score each candidate from
-            # scratch through the contention-aware exact model instead.
-            from .incremental import exact_placement_value
-
-            def exact_value(mapping):
-                return exact_placement_value(
-                    graph, platform, mapping, model=model,
-                    weights=weights, shared=True,
-                )
-        else:
-            def exact_value(mapping):
-                return IncrementalSharedCosts(
-                    graph, platform, mapping, model=model, weights=weights
-                ).value()
+        def exact_value(mapping: Mapping) -> Fraction:
+            assignment = {svc: mapping.server(svc) for svc in services}
+            return max(loads.server_loads(assignment).values())
 
         batch = (
             _make_mapping_batch(
@@ -613,34 +471,10 @@ def optimize_shared_mapping(
             if exactness.uses_float
             else None
         )
-        if batch is not None:
-            outcome = _scan_mappings_batched(
-                iter_shared_mappings(services, platform), batch, exact_value,
-                fast_tier=exactness is Exactness.FAST,
-            )
-        else:
-            # The (weighted) aggregated load == the kernel's shared period
-            # bound; the flat arrays amortise the mapping-independent work
-            # across the whole enumeration.
-            fast_value = (
-                _fast_mapping_value(
-                    graph, "period", model, None, platform,
-                    weights=weights, shared=True,
-                )
-                if exactness.uses_float
-                else None
-            )
-            if exactness is Exactness.FAST:
-                outcome = _fast_scan(
-                    iter_shared_mappings(services, platform), fast_value,
-                    exact_value,
-                )
-            else:
-                value, best_mapping, _ = scan_best(
-                    iter_shared_mappings(services, platform), exact_value,
-                    fast_objective=fast_value,
-                )
-                outcome = (value, best_mapping)
+        outcome = _scan_placements(
+            iter_shared_mappings(services, platform), exact_value, batch,
+            exactness,
+        )
     else:
         seed = greedy_shared_mapping(graph, platform, weights=weights)
         evaluator = placement_evaluator(
@@ -653,7 +487,7 @@ def optimize_shared_mapping(
         if exactness is Exactness.FAST:
             value = Fraction(value)
         outcome = (value, mapping)
-    _memo_put(memo_key, outcome)
+    _memo.put(memo_key, outcome)
     return outcome
 
 

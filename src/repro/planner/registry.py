@@ -44,16 +44,12 @@ from the shared cache).  It returns ``(value, graph, extras)`` where
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..core import Application, CommModel, Exactness, ExecutionGraph
-from ..optimize.branch_and_bound import (
-    MAX_BB_LATENCY_SERVICES,
-    bb_minlatency,
-    bb_minperiod,
-)
+from ..optimize.branch_and_bound import bb_minlatency, bb_minperiod
 from ..optimize.chains import minlatency_chain, minperiod_chain
 from ..optimize.evaluation import (
     Effort,
@@ -64,6 +60,7 @@ from ..optimize.evaluation import (
     make_period_objective,
 )
 from ..optimize.exhaustive import (
+    FOREST_CHUNK,
     MAX_DAG_SERVICES,
     iter_dags,
     iter_forests,
@@ -175,8 +172,6 @@ def _solve_exhaustive(
     effort: Effort,
     objective_fn,
     space: Optional[str] = None,
-    batch: bool = True,
-    chunk: int = 512,
 ) -> SolverOutcome:
     """Exact enumeration: forests for period (Prop 4), DAGs for latency.
 
@@ -188,6 +183,11 @@ def _solve_exhaustive(
     problem) or ``"dags"`` explicitly.  Precedence-constrained
     applications need DAG enumeration (forests cannot express multiple
     predecessors' transitive requirements in general).
+
+    On the float tiers each candidate shape has one gate: forest periods
+    are priced in bulk on a :class:`~repro.core.ForestBatch`, DAGs one at
+    a time on the scalar kernel; the survivors are scored through the
+    (memoized, exact) objective.  Without a kernel the scan is plain.
     """
     if space not in (None, "forests", "dags"):
         raise ValueError(f"space must be 'forests' or 'dags', got {space!r}")
@@ -211,11 +211,22 @@ def _solve_exhaustive(
     exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
     platform = getattr(objective_fn, "platform", None)
     mapping = getattr(objective_fn, "mapping", None)
+    if space == "forests":
+        fb = None
+        if exactness.uses_float and objective == "period":
+            fb = make_forest_period_batch(app, model, effort, platform, mapping)
+        if fb is not None:
+            value, graph, count = scan_best_forests_batched(
+                app, objective_fn, fb
+            )
+            return value, graph, {
+                "space": space, "graphs_considered": count,
+                "batched": True, "chunk": FOREST_CHUNK,
+            }
+        value, graph, count = scan_best(iter_forests(app), objective_fn)
+        return value, graph, {"space": space, "graphs_considered": count}
     fast_objective = None
     if exactness.uses_float:
-        # Certified two-tier scan: float-gate the candidates, score the
-        # survivors through the (memoized, exact) objective.  Where no
-        # float kernel covers the configuration this stays a plain scan.
         if objective == "period":
             fast_objective = make_fast_period_objective(
                 model, effort, platform, mapping
@@ -224,28 +235,8 @@ def _solve_exhaustive(
             fast_objective = make_fast_latency_objective(
                 effort, platform, mapping
             )
-    if (
-        batch
-        and space == "forests"
-        and objective == "period"
-        and fast_objective is not None
-    ):
-        # Bulk-gated enumeration: chunked parent-vector pricing replaces
-        # the per-candidate float kernel.  Batched floats are bit-for-bit
-        # the scalar ones, so values, tie-breaks and the survivor set (and
-        # hence evaluation counts) are identical to the scalar scan.
-        fb = make_forest_period_batch(app, model, effort, platform, mapping)
-        if fb is not None:
-            value, graph, count = scan_best_forests_batched(
-                app, objective_fn, fb, chunk=chunk
-            )
-            return value, graph, {
-                "space": space, "graphs_considered": count,
-                "batched": True, "chunk": chunk,
-            }
-    graphs = iter_forests(app) if space == "forests" else iter_dags(app)
     value, graph, count = scan_best(
-        graphs, objective_fn, fast_objective=fast_objective
+        iter_dags(app), objective_fn, fast_objective=fast_objective
     )
     return value, graph, {"space": space, "graphs_considered": count}
 
@@ -270,19 +261,17 @@ def _solve_local_search(
     effort: Effort,
     objective_fn,
     max_moves: int = 200,
-    incremental: bool = True,
 ) -> SolverOutcome:
     """Greedy seed plus reparenting local search.
 
     Where the objective equals the Section-2.1 bound (period under
     OVERLAP, or the bound effort) candidate moves are priced by
     :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas
-    instead of full objective evaluations; ``incremental=False`` (a solver
-    option) forces the baseline path, e.g. for benchmarking.
+    instead of full objective evaluations.
     """
     seed_value, seed_graph = greedy_forest(app, objective_fn)
     delta = None
-    if incremental and objective == "period":
+    if objective == "period":
         delta = period_delta(
             seed_graph, model, effort,
             getattr(objective_fn, "platform", None),

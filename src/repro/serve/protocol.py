@@ -62,6 +62,7 @@ parameters minus the workload, so only requests that can ride one
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -90,7 +91,15 @@ REPLAN_PARAMS: Tuple[str, ...] = (
 
 
 class ProtocolError(ValueError):
-    """A malformed request line (bad JSON, unknown op, bad parameters)."""
+    """A malformed request line (bad JSON, unknown op, bad parameters).
+
+    *request_id* is the line's ``id`` when the line is a JSON object, so
+    the error response still reaches the caller that sent it.
+    """
+
+    def __init__(self, message: str, request_id: Any = None) -> None:
+        super().__init__(message)
+        self.request_id = request_id
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,9 @@ def parse_request(line: str) -> Request:
     :class:`ProtocolError` with a one-line message on malformed input)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer literal over
+        # the interpreter's digit limit; deep nesting recurses too far.
         raise ProtocolError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -116,10 +127,19 @@ def parse_request(line: str) -> Request:
     op = payload.get("op")
     if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(
-            f"unknown op {op!r}; expected one of: {', '.join(OPS)}"
+            f"unknown op {op!r}; expected one of: {', '.join(OPS)}",
+            request_id=payload.get("id"),
         )
     params = {k: v for k, v in payload.items() if k not in ("id", "op")}
     return Request(op=op, id=payload.get("id"), params=params)
+
+
+def _flag(params: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A boolean parameter, which must be a JSON ``true``/``false``."""
+    value = params.get(key, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def ok_response(request_id: Any, result: Any, **meta: Any) -> Dict[str, Any]:
@@ -178,14 +198,18 @@ def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
         raise ProtocolError("'platform' must be a spec string")
     deadline = params.get("deadline")
     if deadline is not None:
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError):
+        seconds = None
+        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+            try:
+                seconds = float(deadline)
+            except OverflowError:
+                pass
+        if seconds is None or not math.isfinite(seconds) or seconds < 0:
             raise ProtocolError(
-                f"'deadline' must be a number of seconds, got {deadline!r}"
-            ) from None
-        if deadline < 0:
-            raise ProtocolError(f"'deadline' must be >= 0, got {deadline}")
+                f"'deadline' must be a finite number of seconds >= 0, "
+                f"got {deadline!r}"
+            )
+        deadline = seconds
     robust = params.get("robust")
     if robust is not None and not isinstance(robust, str):
         # String specs only: the batching group tuple must stay hashable,
@@ -203,7 +227,7 @@ def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
         "effort": params.get("effort"),
         "exactness": params.get("exactness"),
         "deadline": deadline,
-        "schedule": bool(params.get("schedule", True)),
+        "schedule": _flag(params, "schedule", True),
         "robust": robust,
     }
 
@@ -282,7 +306,7 @@ def resolve_replan(params: Mapping[str, Any]) -> ReplanJob:
         platform_spec=platform_spec,
         model=str(params.get("model", "overlap")),
         exactness=exactness,
-        reset=bool(params.get("reset", False)),
+        reset=_flag(params, "reset", False),
     )
 
 

@@ -39,6 +39,7 @@ import os
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
@@ -373,7 +374,20 @@ class PlannerServer:
 
     def _spawn(self, request: Request, write: Write) -> None:
         async def respond() -> None:
-            write(await self.handle_request(request))
+            try:
+                response = await self.handle_request(request)
+            except Exception as exc:
+                # A server fault: answer it as one, never as bad input.
+                self.errors += 1
+                print(
+                    f"serve: internal error on request {request.id!r}:",
+                    file=sys.stderr,
+                )
+                traceback.print_exc(file=sys.stderr)
+                response = error_response(
+                    request.id, f"internal error: {type(exc).__name__}: {exc}"
+                )
+            write(response)
 
         task = asyncio.get_running_loop().create_task(respond())
         self._tasks.add(task)
@@ -390,7 +404,7 @@ class PlannerServer:
         except ProtocolError as exc:
             self.requests += 1
             self.errors += 1
-            write(error_response(None, str(exc)))
+            write(error_response(exc.request_id, str(exc)))
             return None
         if request.op == "shutdown":
             return request

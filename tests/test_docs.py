@@ -18,6 +18,7 @@ DOCTEST_MODULES = [
     "repro.core.numeric",
     "repro.core.platform",
     "repro.core.topology",
+    "repro.core.ttlcache",
     "repro.optimize.hierarchy",
     "repro.optimize.placement",
     "repro.planner",
