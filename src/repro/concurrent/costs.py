@@ -17,20 +17,21 @@ exposes the quantities the sequels optimise:
   ``rho_a``: each service's load weighs ``1 / rho_a``; the mapping is
   feasible iff every server's utilisation is at most 1.
 
-All values are exact :class:`~fractions.Fraction` arithmetic, delegated to
-the shared-mapping :class:`~repro.core.CostModel` aggregation.
+All values are exact :class:`~fractions.Fraction` arithmetic: one
+shared-mapping :class:`~repro.core.CostModel` of the combined graph folds
+every service's terms once, and each readout is its weighted per-server
+sum over the services (and weights) it needs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..core import CommModel, CostModel, Mapping, Platform
 from .multiapp import MultiApplication
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ConcurrentCosts:
@@ -64,7 +65,7 @@ class ConcurrentCosts:
         self.mapping = mapping
         self.model = model
         self.costs = CostModel(multi.combined_graph, platform, mapping)
-        self._weights = multi.weights()
+        self._weights = self.costs.weight_list(multi.weights())
 
     # -- system-wide -----------------------------------------------------------
     def system_period(self) -> Fraction:
@@ -73,58 +74,36 @@ class ConcurrentCosts:
         An empty system (no services mapped — e.g. every application
         evicted) sustains any period, so the bound degenerates to ``0``.
         """
-        if not self.costs.used_servers():
-            return ZERO
-        return self.costs.period_lower_bound(self.model)
+        return max(self.costs.loads(self.model).values(), default=ZERO)
 
     def server_loads(self) -> Dict[str, Fraction]:
         """Per used server: aggregated ``Cexec(u)`` (absolute time)."""
-        return {
-            u: self.costs.server_cexec(u, self.model)
-            for u in self.costs.used_servers()
-        }
+        loads = self.costs.loads(self.model)
+        return {u: loads[u] for u in sorted(loads)}
 
     # -- per-application -------------------------------------------------------
-    def _app_sums(
-        self, name: str
-    ) -> Dict[str, Tuple[Fraction, Fraction, Fraction]]:
-        """Per-server (Cin, Ccomp, Cout) sums of one application's services."""
-        sums: Dict[str, Tuple[Fraction, Fraction, Fraction]] = {}
-        for svc in self.multi.app_services(name):
-            server = self.mapping.server(svc)
-            cin, ccomp, cout = (
-                self.costs.cin(svc),
-                self.costs.ccomp(svc),
-                self.costs.cout(svc),
-            )
-            old = sums.get(server, (ZERO, ZERO, ZERO))
-            sums[server] = (old[0] + cin, old[1] + ccomp, old[2] + cout)
-        return sums
-
-    def _combine(self, cin: Fraction, ccomp: Fraction, cout: Fraction) -> Fraction:
-        if self.model.overlaps_compute:
-            return max(cin, ccomp, cout)
-        return cin + ccomp + cout
-
     def app_period(self, name: str) -> Fraction:
         """The period application *name* demands under this placement.
 
         ``max_u`` of the application's own aggregated per-server load —
         the Theorem-1 bound of the application run alone with the same
         placement (other applications' services excluded, intra-server
-        edges of the application itself still free).
+        edges of the application itself still free).  An application with
+        no services demands nothing: ``0``.
         """
-        return max(
-            self._combine(*sums) for sums in self._app_sums(name).values()
-        )
+        index = self.costs.arrays.index
+        nodes = [index[svc] for svc in self.multi.app_services(name)]
+        loads = self.costs.loads(self.model, nodes)
+        return max(loads.values(), default=ZERO)
 
     def app_latency(self, name: str) -> Fraction:
-        """Contention-free critical-path latency of application *name*."""
+        """Contention-free critical-path latency of application *name*
+        (``0`` for an application with no services)."""
+        services = self.multi.app_services(name)
+        if not services:
+            return ZERO
         sub_mapping = Mapping.shared(
-            {
-                svc: self.mapping.server(svc)
-                for svc in self.multi.app_services(name)
-            }
+            {svc: self.mapping.server(svc) for svc in services}
         )
         sub = CostModel(self.multi.app_graph(name), self.platform, sub_mapping)
         return sub.latency_lower_bound()
@@ -136,6 +115,9 @@ class ConcurrentCosts:
         return {name: self.app_latency(name) for name in self.multi.names}
 
     # -- utilisation under period targets --------------------------------------
+    def _utilisation(self) -> Dict[str, Fraction]:
+        return self.costs.loads(self.model, weights=self._weights)
+
     def server_utilisation(self, server: str) -> Fraction:
         """Weighted load of *server*: each service weighs ``1 / rho_a``.
 
@@ -145,14 +127,7 @@ class ConcurrentCosts:
         Without targets every service weighs ``1``, so the "utilisation"
         degenerates to the absolute aggregated load.
         """
-        weights = self._weights or {}
-        cin = ccomp = cout = ZERO
-        for svc in self.costs.server_services(server):
-            w = weights.get(svc, ONE)
-            cin += self.costs.cin(svc) * w
-            ccomp += self.costs.ccomp(svc) * w
-            cout += self.costs.cout(svc) * w
-        return self._combine(cin, ccomp, cout)
+        return self._utilisation().get(server, ZERO)
 
     def max_utilisation(self) -> Fraction:
         """``max_u`` utilisation — the sequels' load-balance objective.
@@ -160,10 +135,7 @@ class ConcurrentCosts:
         The empty system (no services mapped) loads no server at all, so
         its utilisation is ``0`` — not a ``max()`` over zero servers.
         """
-        used = self.costs.used_servers()
-        if not used:
-            return ZERO
-        return max(self.server_utilisation(u) for u in used)
+        return max(self._utilisation().values(), default=ZERO)
 
     def is_feasible(self) -> bool:
         """Every period target satisfiable: max utilisation at most 1.

@@ -17,11 +17,11 @@ The paper normalises ``delta_0 = b = s = 1`` (Section 2.1), which makes
 communication *times* equal message *sizes* and computation times equal
 ``P_k * c_k``.  Passing a :class:`~repro.core.platform.Platform` (plus a
 :class:`~repro.core.platform.Mapping` of services to servers) lifts the
-normalisation: :meth:`CostModel.comm_time` divides each message size by
-the bandwidth of the link it crosses, and :meth:`CostModel.ccomp` divides
-by the hosting server's speed.  With ``platform=None`` (or any *unit*
-platform such as ``Platform.homogeneous(n)``) every value is bit-for-bit
-the paper's.
+normalisation: a message's time is its size times the transfer
+coefficient ``1/b`` of the link it crosses, and ``Ccomp`` divides by the
+hosting server's speed.  With ``platform=None`` (or any *unit* platform
+such as ``Platform.homogeneous(n)``) every value is bit-for-bit the
+paper's.
 
 A **shared** (non-injective) mapping — several services on one server, the
 regime of the multi-application sequels — changes two things: an edge
@@ -31,6 +31,12 @@ leaves the server), and the period bound aggregates ``Cin``/``Ccomp``/
 (:meth:`CostModel.server_cexec`, :meth:`CostModel.period_lower_bound`).
 For injective mappings both rules degenerate to the paper's formulas
 bit-for-bit.
+
+:class:`CostAlgebra` writes this algebra once, on the flat arrays of
+:class:`GraphArrays`, whose ``num`` hook picks the numeric tier:
+:func:`exact_num` keeps exact ``Fraction`` values (:class:`CostModel`),
+``float`` gives the fast tier (:class:`~repro.core.numeric.FloatCosts`).
+Every fold runs in the order the batched kernels replay bit-for-bit.
 
 .. note::
    Appendix A of the paper writes the message size on an edge
@@ -43,7 +49,9 @@ bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from .constants import INPUT, OUTPUT
 from .graph import ExecutionGraph
@@ -51,8 +59,22 @@ from .models import CommModel
 from .platform import Mapping, Platform, link_flow_counts
 
 CommEdge = Tuple[str, str]
+#: A quantity in either numeric tier.
+Num = Union[Fraction, float]
+#: ``(Cin, Ccomp, Cout)`` of one service, or their sums over a server.
+Terms = Sequence[Num]
+#: Contended transfer coefficients of one assignment, by server pair.
+Contended = Dict[Tuple[str, str], Num]
+#: Per-service weights in one tier (``None`` for weight 1).
+Weights = Optional[List[Optional[Num]]]
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
+
+
+def exact_num(value: Fraction) -> Fraction:
+    """The exact tier's numeric hook: every quantity stays a ``Fraction``."""
+    return value
 
 
 def comm_edges(graph: ExecutionGraph) -> List[CommEdge]:
@@ -67,33 +89,423 @@ def comm_edges(graph: ExecutionGraph) -> List[CommEdge]:
     return edges
 
 
-def effective_bandwidths(
-    platform: Platform,
-    flows: List[Tuple[str, str]],
-    pairs: Optional[Iterable[Tuple[str, str]]] = None,
-) -> Dict[Tuple[str, str], Fraction]:
-    """Contended effective bandwidth of server pairs under *flows*.
+def combine(terms: Terms, model: CommModel) -> Num:
+    """``Cexec`` of ``(Cin, Ccomp, Cout)``: their max under OVERLAP, their
+    sum under the one-port models (Section 2.2)."""
+    if model.overlaps_compute:
+        return max(terms)
+    return terms[0] + terms[1] + terms[2]
 
-    *flows* holds one ``(src_server, dst_server)`` pair per graph edge
-    whose endpoints sit on distinct servers; each is one concurrent flow,
-    and ``k`` flows on a link of capacity ``c`` each see ``c/k``.  A
-    pair's effective bandwidth is therefore ``min_l cap_l / k_l`` over its
-    route.  *pairs* (default: every flow's pair) picks which pairs to
-    price; each must be one of the flows.  Pairs with an empty route
-    (flat cliques) are left out: their platform bandwidth applies.
+
+class GraphArrays:
+    """Mapping-independent flat arrays of one execution graph.
+
+    Node order is the application's canonical name order; every array is
+    indexed by that integer position.  *num* converts each selectivity and
+    cost once — ``float`` (the fast tier) or :func:`exact_num` — and the
+    ancestor products, output sizes and work volumes are folded once in
+    that tier, for every evaluation of the graph to share.
     """
-    counts = link_flow_counts(platform, flows)
-    caps = platform.link_capacities()
-    out: Dict[Tuple[str, str], Fraction] = {}
-    for pair in set(flows) if pairs is None else pairs:
-        route = platform.route(*pair)
-        if route:
-            out[pair] = min(caps[l] / counts[l] for l in route)
-    return out
+
+    __slots__ = (
+        "graph", "names", "index", "n", "num", "one", "zero", "sigma",
+        "cost", "preds", "succs", "topo", "anc", "outsize", "work",
+    )
+
+    def __init__(
+        self, graph: ExecutionGraph, num: Callable[[Fraction], Num] = float
+    ) -> None:
+        self.graph = graph
+        names = self.names = list(graph.nodes)
+        index = self.index = {name: i for i, name in enumerate(names)}
+        self.n = len(names)
+        self.num = num
+        one = self.one = num(ONE)
+        self.zero = num(ZERO)
+        app = graph.application
+        sigma = self.sigma = [num(app.selectivity(name)) for name in names]
+        cost = self.cost = [num(app.cost(name)) for name in names]
+        self.preds = [[index[p] for p in graph.predecessors(x)] for x in names]
+        self.succs = [[index[s] for s in graph.successors(x)] for x in names]
+        self.topo = [index[name] for name in graph.topological_order]
+        anc = self.anc = []
+        for name in names:
+            # Canonical name order, not set-iteration order: a deterministic
+            # float expression the batched kernels replay bit-for-bit.
+            # Products start at their first factor (``1 * x == x``).
+            prod = one
+            for j in sorted(index[other] for other in graph.ancestors(name)):
+                prod = sigma[j] if prod is one else prod * sigma[j]
+            anc.append(prod)
+        self.outsize = [s if p is one else p * s for p, s in zip(anc, sigma)]
+        self.work = [c if p is one else p * c for p, c in zip(anc, cost)]
 
 
-class CostModel:
-    """Cached evaluation of all Section-2.1 quantities for one graph.
+class CostAlgebra:
+    """The Section-2.1 algebra of one graph on one platform.
+
+    Written once on *arrays*, in their tier, for any assignment ``server``
+    (the server of each service by array index; the service names
+    themselves without a platform): the transfer coefficient
+    (:meth:`coef`), the per-service fold (:meth:`terms`), the weighted
+    per-server sum (:meth:`server_sums`) and the critical-path latency
+    bound (:meth:`latency`).  Unit coefficients and weights skip their
+    multiply; converted platform quantities are shared through
+    :meth:`Platform.tier_cache <repro.core.platform.Platform.tier_cache>`.
+    """
+
+    __slots__ = ("arrays", "platform", "scaled", "_memo", "_inv_bw", "_speed")
+
+    def __init__(
+        self, arrays: GraphArrays, platform: Optional[Platform] = None
+    ) -> None:
+        self.arrays = arrays
+        self.platform = platform
+        # Unit platforms keep the paper's normalised arithmetic (and a
+        # contended platform is never unit).
+        self.scaled = platform is not None and not platform.is_unit
+        memo = {} if platform is None else platform.tier_cache(arrays.num)
+        self._memo = memo
+        self._inv_bw: Dict[Tuple[str, str], Num] = memo.setdefault(
+            "inverse bandwidths", {}
+        )
+        self._speed: Dict[str, Num] = memo.setdefault("speeds", {})
+
+    def weight_list(self, weights: Optional[Dict[str, Fraction]]) -> Weights:
+        """Per-service *weights* in this tier, or ``None`` without any."""
+        if not weights:
+            return None
+        return [
+            None if w is None or w == 1 else self.arrays.num(w)
+            for w in map(weights.get, self.arrays.names)
+        ]
+
+    def ccomp_of(self, i: int, server: Sequence[str]) -> Num:
+        """``Ccomp`` of service *i*: its work volume over its host's speed."""
+        if not self.scaled:
+            return self.arrays.work[i]
+        speed = self._speed.get(server[i])
+        if speed is None:
+            speed = self._speed[server[i]] = self.arrays.num(
+                self.platform.speed(server[i])
+            )
+        return self.arrays.work[i] / speed
+
+    def contention(
+        self, server: Sequence[str], servers: Optional[FrozenSet[str]] = None
+    ) -> Contended:
+        """``max_l k_l / cap_l`` of each cross-server pair under *server*.
+
+        Each graph edge crossing servers is one concurrent flow, and ``k``
+        flows on a link of capacity ``c`` each see ``c / k``.  Only pairs
+        touching *servers* when given; empty off contended topologies, and
+        pairs with an empty route keep their platform bandwidth.
+        """
+        platform, a = self.platform, self.arrays
+        if not self.scaled or not platform.has_contention:
+            return {}
+        flows = [
+            (server[i], server[j])
+            for i in range(a.n)
+            for j in a.succs[i]
+            if server[i] != server[j]
+        ]
+        counts = link_flow_counts(platform, flows)
+        invcap = self._memo.get("inverse capacities")
+        if invcap is None:
+            invcap = self._memo["inverse capacities"] = [
+                a.one / a.num(c) for c in platform.link_capacities()
+            ]
+        out: Contended = {}
+        for pair in set(flows):
+            if servers is None or pair[0] in servers or pair[1] in servers:
+                route = platform.route(*pair)
+                if route:
+                    out[pair] = max(a.num(counts[l]) * invcap[l] for l in route)
+        return out
+
+    def coef(
+        self, src: str, dst: str, contended: Optional[Contended] = None
+    ) -> Num:
+        """Transfer coefficient of a message from server *src* to *dst*
+        (either may be INPUT/OUTPUT): ``0`` between co-located services,
+        ``1`` on a unit platform, the :meth:`contention` bottleneck of a
+        contended pair, ``1/b`` otherwise."""
+        if src == dst:
+            return self.arrays.zero
+        if not self.scaled:
+            return self.arrays.one
+        found = contended.get((src, dst)) if contended else None
+        if found is None:
+            found = self._inv_bw.get((src, dst))
+        if found is None:
+            bandwidth = self.arrays.num(self.platform.bandwidth(src, dst))
+            found = self._inv_bw[(src, dst)] = self.arrays.one / bandwidth
+        return found
+
+    def transfer(
+        self,
+        size: Num,
+        src: str,
+        dst: str,
+        contended: Optional[Contended] = None,
+    ) -> Optional[Num]:
+        """Time of a message of *size* from *src* to *dst*; ``None`` if free."""
+        c = self.coef(src, dst, contended)
+        if c is self.arrays.zero:
+            return None
+        return size if c is self.arrays.one else size * c
+
+    def terms(
+        self, i: int, server: Sequence[str], contended: Optional[Contended] = None
+    ) -> Terms:
+        """``(Cin, Ccomp, Cout)`` of service *i* under *server*.
+
+        ``Cin`` sums the messages in from the predecessors (one unit input
+        message for an entry node) and ``Cout`` those out to the successors
+        (the output message for an exit node), in stored edge order; free
+        messages are skipped and each sum starts at its first term, which
+        in floats is bit-for-bit the batched kernels' zero-started sum.
+        """
+        a, transfer, zero = self.arrays, self.transfer, self.arrays.zero
+        here = server[i]
+        if a.preds[i]:
+            cin = zero
+            for p in a.preds[i]:
+                t = transfer(a.outsize[p], server[p], here, contended)
+                if t is not None:
+                    cin = t if cin is zero else cin + t
+        else:
+            cin = self.coef(INPUT, here)
+        size = a.outsize[i]
+        if a.succs[i]:
+            cout = zero
+            for s in a.succs[i]:
+                t = transfer(size, here, server[s], contended)
+                if t is not None:
+                    cout = t if cout is zero else cout + t
+        else:
+            cout = transfer(size, here, OUTPUT)
+        return cin, self.ccomp_of(i, server), cout
+
+    @staticmethod
+    def weighted(terms: Terms, w: Optional[Num]) -> Terms:
+        """*terms* scaled by the weight *w* (``None`` = 1)."""
+        if w is None:
+            return terms
+        return (w * terms[0], w * terms[1], w * terms[2])
+
+    def server_sums(
+        self,
+        server: Sequence[str],
+        terms: Iterable[Tuple[int, Terms]],
+        weights: Weights = None,
+    ) -> Dict[str, List[Num]]:
+        """``[Cin, Ccomp, Cout]`` summed per server over ``(i, terms)``
+        pairs in the order given, service ``i`` weighted by ``weights[i]``."""
+        sums: Dict[str, List[Num]] = {}
+        for i, t in terms:
+            if weights is not None:
+                t = self.weighted(t, weights[i])
+            acc = sums.get(server[i])
+            if acc is None:
+                sums[server[i]] = list(t)
+            else:
+                acc[0] += t[0]
+                acc[1] += t[1]
+                acc[2] += t[2]
+        return sums
+
+    def server_loads(
+        self,
+        server: Sequence[str],
+        terms: Iterable[Tuple[int, Terms]],
+        model: CommModel,
+        weights: Weights = None,
+    ) -> Dict[str, Num]:
+        """Each server's :meth:`server_sums` under :func:`combine`."""
+        sums = self.server_sums(server, terms, weights)
+        return {u: combine(acc, model) for u, acc in sums.items()}
+
+    def assignment_loads(
+        self,
+        server: Sequence[str],
+        model: CommModel,
+        weights: Weights = None,
+        servers: Optional[FrozenSet[str]] = None,
+    ) -> Dict[str, Num]:
+        """Weighted load of every server *server* uses, folded in full —
+        only of those in *servers* when given."""
+        contended = self.contention(server, servers)
+        nodes: Iterable[int] = range(self.arrays.n)
+        if servers is not None:
+            nodes = [i for i in nodes if server[i] in servers]
+        terms = ((i, self.terms(i, server, contended)) for i in nodes)
+        return self.server_loads(server, terms, model, weights)
+
+    def latency(
+        self, server: Sequence[str], contended: Optional[Contended] = None
+    ) -> Num:
+        """Critical-path latency bound, valid for every model.
+
+        A service starts once every predecessor has finished and sent it
+        its message (an entry node after the input message) and finishes
+        ``Ccomp`` later; exit nodes add their output message.  Port
+        contention is ignored, hence a lower bound for one-port *and*
+        multi-port schedules (a transfer at ratio ``r <= 1`` takes at least
+        its full-bandwidth time).
+        """
+        a, transfer = self.arrays, self.transfer
+        finish: List[Num] = [a.zero] * a.n
+        for i in a.topo:
+            start = None if a.preds[i] else self.coef(INPUT, server[i])
+            for p in a.preds[i]:
+                t = transfer(a.outsize[p], server[p], server[i], contended)
+                t = finish[p] if t is None else finish[p] + t
+                if start is None or t > start:
+                    start = t
+            finish[i] = start + self.ccomp_of(i, server)
+        return max(
+            finish[i] + transfer(a.outsize[i], server[i], OUTPUT)
+            for i in range(a.n)
+            if not a.succs[i]
+        )
+
+
+class MappedCosts(CostAlgebra):
+    """The algebra bound to one ``(graph, platform, mapping)``.
+
+    A mapping needs a platform, and a platform without one gets the
+    positional :meth:`Mapping.default <repro.core.platform.Mapping.default>`.
+    Every service's terms are folded once, on the first query that needs
+    them.  :class:`CostModel` (exact) and
+    :class:`~repro.core.numeric.FloatCosts` (float) are the two
+    instantiations; *weights* (the concurrent planner's
+    ``1 / period_target``) weigh the period's per-server sums.
+    """
+
+    __slots__ = (
+        "graph", "mapping", "server", "shared", "weights", "contended", "_terms",
+    )
+
+    def __init__(
+        self,
+        graph: ExecutionGraph,
+        platform: Optional[Platform],
+        mapping: Optional[Mapping],
+        arrays: GraphArrays,
+        weights: Optional[Dict[str, Fraction]] = None,
+    ) -> None:
+        if platform is None:
+            mapping = None
+        elif mapping is None:
+            mapping = Mapping.default(graph.nodes, platform)
+        else:
+            mapping.validate_on(graph.nodes, platform)
+        super().__init__(arrays, platform)
+        self.graph = graph
+        self.mapping = mapping
+        self.server = (
+            list(arrays.names)
+            if mapping is None
+            else [mapping.server(name) for name in arrays.names]
+        )
+        # Weighted queries always aggregate per server: a shared-space
+        # candidate that happens to be injective is still priced as the
+        # weighted per-server load the concurrent searches certify against.
+        self.shared = mapping is not None and (
+            not mapping.is_injective or bool(weights)
+        )
+        self.weights = self.weight_list(weights)
+        self.contended = self.contention(self.server)
+        self._terms: Optional[List[Terms]] = None
+
+    def all_terms(self) -> List[Terms]:
+        """``(Cin, Ccomp, Cout)`` of every service, by array index."""
+        if self._terms is None:
+            self._terms = [
+                self.terms(i, self.server, self.contended)
+                for i in range(self.arrays.n)
+            ]
+        return self._terms
+
+    def ancestor_selectivity(self, node: str) -> Num:
+        """``prod_{j in Ancest(node)} sigma_j`` — input data-set size of *node*."""
+        return self.arrays.anc[self.arrays.index[node]]
+
+    def outsize(self, node: str) -> Num:
+        """Size of the data emitted by *node* (its input size times ``sigma``)."""
+        return self.arrays.outsize[self.arrays.index[node]]
+
+    def cin(self, node: str) -> Num:
+        """Total incoming communication time ``Cin(node)`` (lower bound)."""
+        return self.all_terms()[self.arrays.index[node]][0]
+
+    def ccomp(self, node: str) -> Num:
+        """Computation time ``Ccomp(node) = P_k * c_k / s_u``."""
+        return self.ccomp_of(self.arrays.index[node], self.server)
+
+    def cout(self, node: str) -> Num:
+        """Total outgoing communication time ``Cout(node)`` (lower bound)."""
+        return self.all_terms()[self.arrays.index[node]][2]
+
+    def cexec(self, node: str, model: CommModel) -> Num:
+        """Per-service execution time bound under *model* (Section 2.2)."""
+        return combine(self.all_terms()[self.arrays.index[node]], model)
+
+    def used_servers(self) -> Tuple[str, ...]:
+        """Servers hosting a service of the graph (sorted); without a
+        mapping every service is its own server."""
+        return tuple(sorted(set(self.server)))
+
+    def loads(
+        self,
+        model: CommModel,
+        nodes: Optional[Iterable[int]] = None,
+        weights: Weights = None,
+    ) -> Dict[str, Num]:
+        """Combined load of each server over *nodes* (array indices,
+        default all), weighted by *weights* when given."""
+        terms = self.all_terms()
+        items = (
+            enumerate(terms) if nodes is None else ((i, terms[i]) for i in nodes)
+        )
+        return self.server_loads(self.server, items, model, weights)
+
+    def _server_sum(self, server: str) -> Terms:
+        zero = self.arrays.zero
+        sums = self.server_sums(self.server, enumerate(self.all_terms()))
+        return sums.get(server, (zero, zero, zero))
+
+    def server_cin(self, server: str) -> Num:
+        """Aggregated incoming communication time of *server* per data set
+        (intra-server edges contribute zero)."""
+        return self._server_sum(server)[0]
+
+    def server_ccomp(self, server: str) -> Num:
+        """Aggregated computation time of *server* per data set."""
+        return self._server_sum(server)[1]
+
+    def server_cout(self, server: str) -> Num:
+        """Aggregated outgoing communication time of *server* per data set."""
+        return self._server_sum(server)[2]
+
+    def server_cexec(self, server: str, model: CommModel) -> Num:
+        """Execution-time bound of *server* over its co-located services;
+        for an injective mapping, :meth:`cexec` of the hosted service."""
+        return combine(self._server_sum(server), model)
+
+    def _period(self, model: CommModel) -> Num:
+        if self.shared:
+            return max(self.loads(model, weights=self.weights).values())
+        return max(combine(t, model) for t in self.all_terms())
+
+
+class CostModel(MappedCosts):
+    """Exact evaluation of all Section-2.1 quantities for one graph.
+
+    The exact (``Fraction``) instantiation of :class:`MappedCosts`, plus
+    the per-message API the schedulers read.
 
     Parameters
     ----------
@@ -108,10 +520,7 @@ class CostModel:
         (and ignored) without a platform.
     """
 
-    __slots__ = (
-        "graph", "platform", "mapping", "_anc_sel", "_outsize", "_scaled",
-        "_shared", "_eff_bw",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -119,63 +528,13 @@ class CostModel:
         platform: Optional[Platform] = None,
         mapping: Optional[Mapping] = None,
     ) -> None:
-        self.graph = graph
-        if platform is not None:
-            if mapping is None:
-                mapping = Mapping.default(graph.nodes, platform)
-            else:
-                mapping.validate_on(graph.nodes, platform)
-        else:
-            mapping = None
-        self.platform = platform
-        self.mapping = mapping
-        # Unit platforms take the exact code path of the normalised paper
-        # model: no divisions, identical Fractions.  Shared (non-injective)
-        # mappings always take the platform-aware path: co-location zeroes
-        # intra-server communications even when every speed is 1.
-        self._scaled = platform is not None and not platform.is_unit
-        self._shared = mapping is not None and not mapping.is_injective
-        app = graph.application
-        anc_sel: Dict[str, Fraction] = {}
-        outsize: Dict[str, Fraction] = {}
-        for node in graph.topological_order:
-            prod = ONE
-            for j in graph.ancestors(node):
-                prod *= app.selectivity(j)
-            anc_sel[node] = prod
-            outsize[node] = prod * app.selectivity(node)
-        self._anc_sel = anc_sel
-        self._outsize = outsize
-        # Contended topologies: price every cross-server edge at the
-        # bottleneck of its route with concurrent flows sharing capacity.
-        # Input/output-world edges ride dedicated links and never appear.
-        self._eff_bw: Dict[Tuple[str, str], Fraction] = {}
-        if (
-            platform is not None
-            and mapping is not None
-            and platform.has_contention
-        ):
-            self._eff_bw = effective_bandwidths(
-                platform,
-                [
-                    (mapping.server(u), mapping.server(v))
-                    for u, v in graph.edges
-                    if mapping.server(u) != mapping.server(v)
-                ],
-            )
-
-    # -- platform lookups ------------------------------------------------------
-    def server_of(self, node: str) -> str:
-        """The server hosting *node* (the node itself on the unit platform)."""
-        if self.mapping is None:
-            return node
-        return self.mapping.server(node)
+        super().__init__(graph, platform, mapping, GraphArrays(graph, exact_num))
 
     def _endpoint(self, node: str) -> str:
-        """Map a service (or INPUT/OUTPUT) to its platform endpoint."""
-        if node in (INPUT, OUTPUT) or self.mapping is None:
+        """The platform endpoint of a service (or INPUT/OUTPUT)."""
+        if node in (INPUT, OUTPUT):
             return node
-        return self.mapping.server(node)
+        return self.server[self.arrays.index[node]]
 
     def link_bandwidth(self, src: str, dst: str) -> Fraction:
         """``b_{u,v}`` of the link carrying the communication ``src -> dst``.
@@ -185,34 +544,13 @@ class CostModel:
         route bottleneck with concurrent flows dividing each shared
         link's capacity.
         """
-        if not self._scaled:
+        if not self.scaled:
             return ONE
-        assert self.platform is not None
         a, b = self._endpoint(src), self._endpoint(dst)
-        eff = self._eff_bw.get((a, b))
-        if eff is not None:
-            return eff
-        return self.platform.bandwidth(a, b)
-
-    def server_speed(self, node: str) -> Fraction:
-        """``s_u`` of the server hosting *node*."""
-        if not self._scaled:
-            return ONE
-        assert self.platform is not None
-        return self.platform.speed(self.server_of(node))
-
-    # -- sizes ---------------------------------------------------------------
-    def ancestor_selectivity(self, node: str) -> Fraction:
-        """``prod_{j in Ancest(node)} sigma_j`` — input data-set size of *node*."""
-        return self._anc_sel[node]
-
-    def input_size(self, node: str) -> Fraction:
-        """Alias of :meth:`ancestor_selectivity` (size the service processes)."""
-        return self._anc_sel[node]
-
-    def outsize(self, node: str) -> Fraction:
-        """Size of the data emitted by *node* (its input size times ``sigma``)."""
-        return self._outsize[node]
+        found = self.contended.get((a, b))
+        if found is None:
+            return self.platform.bandwidth(a, b)
+        return ONE / found
 
     def message_size(self, src: str, dst: str) -> Fraction:
         """Size of the message carried by communication ``src -> dst``.
@@ -223,10 +561,9 @@ class CostModel:
         """
         if src == INPUT:
             return ONE
-        size = self._outsize[src]
         if dst != OUTPUT and (src, dst) not in self.graph.edges:
             raise KeyError(f"({src!r}, {dst!r}) is not an edge of the execution graph")
-        return size
+        return self.outsize(src)
 
     def comm_time(self, src: str, dst: str) -> Fraction:
         """Full-bandwidth transfer time of ``src -> dst``: size / ``b_{u,v}``.
@@ -237,112 +574,19 @@ class CostModel:
         edge between two services hosted by the *same* server crosses no
         link and costs zero time — the data never leaves the server.
         """
-        size = self.message_size(src, dst)
-        if (
-            self._shared
-            and src not in (INPUT, OUTPUT)
-            and dst not in (INPUT, OUTPUT)
-            and self.mapping.server(src) == self.mapping.server(dst)
-        ):
-            return Fraction(0)
-        if not self._scaled:
-            return size
-        return size / self.link_bandwidth(src, dst)
-
-    # -- the three Section-2.1 quantities -------------------------------------
-    def cin(self, node: str) -> Fraction:
-        """Total incoming communication time ``Cin(node)`` (lower bound)."""
-        preds = self.graph.predecessors(node)
-        if not preds:
-            return self.comm_time(INPUT, node)
-        if not self._scaled and not self._shared:
-            return sum((self._outsize[p] for p in preds), Fraction(0))
-        return sum((self.comm_time(p, node) for p in preds), Fraction(0))
-
-    def ccomp(self, node: str) -> Fraction:
-        """Computation time ``Ccomp(node) = P_k * c_k / s_u``."""
-        work = self._anc_sel[node] * self.graph.application.cost(node)
-        if not self._scaled:
-            return work
-        return work / self.server_speed(node)
-
-    def cout(self, node: str) -> Fraction:
-        """Total outgoing communication time ``Cout(node)`` (lower bound)."""
-        succs = self.graph.successors(node)
-        if not succs:
-            return self.comm_time(node, OUTPUT)
-        if not self._scaled and not self._shared:
-            return len(succs) * self._outsize[node]
-        return sum((self.comm_time(node, s) for s in succs), Fraction(0))
-
-    def cexec(self, node: str, model: CommModel) -> Fraction:
-        """Per-service execution time bound under *model* (Section 2.2)."""
-        cin, ccomp, cout = self.cin(node), self.ccomp(node), self.cout(node)
-        if model.overlaps_compute:
-            return max(cin, ccomp, cout)
-        return cin + ccomp + cout
-
-    # -- per-server aggregation (shared mappings) ------------------------------
-    def used_servers(self) -> Tuple[str, ...]:
-        """Servers hosting at least one service of the graph (sorted).
-
-        Without a mapping every service is its own server (the paper's
-        regime), so the services themselves are returned.
-        """
-        if self.mapping is None:
-            return tuple(sorted(self.graph.nodes))
-        return tuple(
-            sorted({self.mapping.server(n) for n in self.graph.nodes})
+        time = self.transfer(
+            self.message_size(src, dst),
+            self._endpoint(src),
+            self._endpoint(dst),
+            self.contended,
         )
+        return ZERO if time is None else time
 
     def server_services(self, server: str) -> Tuple[str, ...]:
         """The graph's services hosted by *server* (sorted)."""
-        if self.mapping is None:
-            return (server,) if server in self.graph.nodes else ()
-        nodes = set(self.graph.nodes)
-        return tuple(
-            s for s in self.mapping.services_on(server) if s in nodes
-        )
+        names = self.arrays.names
+        return tuple(sorted(n for n, u in zip(names, self.server) if u == server))
 
-    def server_cin(self, server: str) -> Fraction:
-        """Aggregated incoming communication time of *server* per data set.
-
-        Sum of ``Cin`` over all co-located services; intra-server edges
-        contribute zero (see :meth:`comm_time`), so only data actually
-        crossing a link is counted.
-        """
-        return sum(
-            (self.cin(n) for n in self.server_services(server)), Fraction(0)
-        )
-
-    def server_ccomp(self, server: str) -> Fraction:
-        """Aggregated computation time of *server* per data set."""
-        return sum(
-            (self.ccomp(n) for n in self.server_services(server)), Fraction(0)
-        )
-
-    def server_cout(self, server: str) -> Fraction:
-        """Aggregated outgoing communication time of *server* per data set."""
-        return sum(
-            (self.cout(n) for n in self.server_services(server)), Fraction(0)
-        )
-
-    def server_cexec(self, server: str, model: CommModel) -> Fraction:
-        """Execution-time bound of *server* over all co-located services.
-
-        Under OVERLAP the three aggregated quantities overlap each other
-        (``max``); under the one-port models the server serialises
-        everything (``sum``).  For an injective mapping this equals
-        :meth:`cexec` of the single hosted service.
-        """
-        cin = self.server_cin(server)
-        ccomp = self.server_ccomp(server)
-        cout = self.server_cout(server)
-        if model.overlaps_compute:
-            return max(cin, ccomp, cout)
-        return cin + ccomp + cout
-
-    # -- global lower bounds ---------------------------------------------------
     def period_lower_bound(self, model: CommModel) -> Fraction:
         """``max_u Cexec(u)`` — a period lower bound valid for *model*.
 
@@ -354,59 +598,40 @@ class CostModel:
         the multi-application sequels; for injective mappings the two
         formulations coincide service by service.
         """
-        if self._shared:
-            return max(
-                self.server_cexec(u, model) for u in self.used_servers()
-            )
-        return max(self.cexec(node, model) for node in self.graph.nodes)
+        return self._period(model)
 
     def communication_period_bound(self) -> Fraction:
-        """``max_k max(Cin(k), Cout(k))`` — the communication-only bound.
-
-        This is the quantity the paper calls "the maximum time needed for
-        communications" in counter-example B.3.
-        """
-        return max(max(self.cin(n), self.cout(n)) for n in self.graph.nodes)
+        """``max_k max(Cin(k), Cout(k))`` — the communication-only bound
+        the paper calls "the maximum time needed for communications" in
+        counter-example B.3."""
+        return max(max(t[0], t[2]) for t in self.all_terms())
 
     def latency_lower_bound(self) -> Fraction:
-        """Critical-path latency bound, valid for every model.
+        """Critical-path latency bound, valid for every model
+        (:meth:`CostAlgebra.latency`)."""
+        return self.latency(self.server, self.contended)
 
-        Each service starts no earlier than every predecessor's finish time
-        plus the corresponding (full-bandwidth) message time; exit nodes add
-        their output message.  Port contention is ignored, hence a lower
-        bound for one-port *and* multi-port schedules (a multi-port transfer
-        at ratio ``r <= 1`` takes at least its full-bandwidth time).
-        """
-        graph = self.graph
-        finish: Dict[str, Fraction] = {}
-        for node in graph.topological_order:
-            preds = graph.predecessors(node)
-            if preds:
-                start = max(finish[p] + self.comm_time(p, node) for p in preds)
-            else:
-                start = self.comm_time(INPUT, node)
-            finish[node] = start + self.ccomp(node)
-        return max(finish[x] + self.comm_time(x, OUTPUT) for x in graph.exit_nodes)
-
-    # -- convenience -----------------------------------------------------------
     def comm_edges(self) -> List[CommEdge]:
         return comm_edges(self.graph)
 
     def total_work(self) -> Fraction:
         """Sum of all computation times (a utilisation statistic)."""
-        return sum((self.ccomp(n) for n in self.graph.nodes), Fraction(0))
+        return sum((t[1] for t in self.all_terms()), ZERO)
 
     def total_communication(self) -> Fraction:
         """Sum of all message sizes (input and output messages included)."""
         return sum(
-            (self.message_size(a, b) for a, b in self.comm_edges()), Fraction(0)
-        )
-
-    def total_communication_time(self) -> Fraction:
-        """Sum of all full-bandwidth transfer times on this platform."""
-        return sum(
-            (self.comm_time(a, b) for a, b in self.comm_edges()), Fraction(0)
+            (self.message_size(a, b) for a, b in self.comm_edges()), ZERO
         )
 
 
-__all__ = ["CostModel", "CommEdge", "comm_edges", "effective_bandwidths"]
+__all__ = [
+    "CommEdge",
+    "CostAlgebra",
+    "CostModel",
+    "GraphArrays",
+    "MappedCosts",
+    "combine",
+    "comm_edges",
+    "exact_num",
+]

@@ -7,15 +7,10 @@ node scoring, reparenting and placement local search, exhaustive scans) one
 to two orders of magnitude slower than native floats.  This module is the
 **fast tier** of a two-tier numeric engine:
 
-* :class:`GraphArrays` compiles one execution graph into integer-indexed
-  flat arrays — ancestor-selectivity products, output sizes, work volumes,
-  predecessor/successor index lists — with no dict lookups or
-  ``Fraction`` allocation past construction;
-* :class:`FloatCosts` mirrors the :class:`~repro.core.CostModel` bound
-  algebra (``Cin``/``Ccomp``/``Cout``, per-server aggregates,
-  ``period_lower_bound``, ``latency_lower_bound``) in float arithmetic on
-  those arrays, for any platform/mapping configuration (shared mappings
-  included);
+* :class:`FloatCosts` is the float instantiation of the one Section-2.1
+  algebra (:class:`~repro.core.costs.CostAlgebra`, on float
+  :class:`GraphArrays`) whose exact instantiation is
+  :class:`~repro.core.CostModel`;
 * :class:`Exactness` names the certification contract a caller picks, and
   :data:`CERT_EPS` is the conservative relative slack every *certified*
   float comparison must leave.
@@ -46,12 +41,12 @@ See ``docs/performance.md`` for the full argument and measurements.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from .constants import INPUT, OUTPUT
+from .costs import GraphArrays, MappedCosts
 from .graph import ExecutionGraph
 from .models import CommModel
-from .platform import Mapping, Platform, link_flow_counts
+from .platform import Mapping, Platform
 
 #: Relative slack of every certified float comparison.  Float evaluation
 #: of the cost algebra keeps ~1e-13 relative accuracy (a few hundred ulps
@@ -113,77 +108,17 @@ class Exactness(enum.Enum):
         return "fast" if self is Exactness.FAST else "exact"
 
 
-class GraphArrays:
-    """Mapping-independent flat arrays of one execution graph.
+class FloatCosts(MappedCosts):
+    """Float instantiation of the Section-2.1 algebra (the fast tier).
 
-    Node order is the application's canonical name order; every array is
-    indexed by that integer position.  Platform-independent quantities —
-    selectivities, costs, ancestor products, output sizes, work volumes —
-    are computed once here so several :class:`FloatCosts` (one per
-    candidate mapping, say) can share them.
+    Same configurations and queries as the exact
+    :class:`~repro.core.CostModel`, answered in native floats (agreement
+    property-tested to 1e-9).  Pass *arrays* (float :class:`GraphArrays`
+    of the same graph) to share them across many mappings; *weights* as
+    in :class:`~repro.core.costs.MappedCosts`.
     """
 
-    __slots__ = (
-        "graph", "names", "index", "n", "sigma", "cost",
-        "preds", "succs", "topo", "anc", "outsize", "work",
-    )
-
-    def __init__(self, graph: ExecutionGraph) -> None:
-        self.graph = graph
-        names = list(graph.nodes)
-        self.names = names
-        index = {name: i for i, name in enumerate(names)}
-        self.index = index
-        self.n = len(names)
-        app = graph.application
-        self.sigma = [float(app.selectivity(name)) for name in names]
-        self.cost = [float(app.cost(name)) for name in names]
-        self.preds = [
-            [index[p] for p in graph.predecessors(name)] for name in names
-        ]
-        self.succs = [
-            [index[s] for s in graph.successors(name)] for name in names
-        ]
-        self.topo = [index[name] for name in graph.topological_order]
-        anc = [1.0] * self.n
-        for name in names:
-            i = index[name]
-            ancestors = graph.ancestors(name)
-            prod = 1.0
-            # Fold in canonical name order, not set-iteration order: the
-            # product is then a deterministic float expression any batched
-            # kernel can replay operation-for-operation (bit-for-bit).
-            for j, other in enumerate(names):
-                if other in ancestors:
-                    prod *= self.sigma[j]
-            anc[i] = prod
-        self.anc = anc
-        self.outsize = [anc[i] * self.sigma[i] for i in range(self.n)]
-        self.work = [anc[i] * self.cost[i] for i in range(self.n)]
-
-
-class FloatCosts:
-    """Float mirror of :class:`~repro.core.CostModel` on flat arrays.
-
-    Accepts the same ``(graph, platform, mapping)`` configurations as the
-    exact model — unit platforms collapse to the paper's normalised
-    arithmetic, shared (non-injective) mappings zero intra-server edges
-    and aggregate per server.  Every query answers in native floats;
-    relative agreement with the exact model is property-tested to 1e-9.
-
-    Pass *arrays* (a :class:`GraphArrays` built from the same graph) to
-    amortise the mapping-independent compilation across many mappings.
-    *weights* (per-service scale factors, the concurrent planner's
-    ``1 / period_target``) scale each service's three quantities in the
-    shared per-server aggregation, mirroring
-    :class:`repro.optimize.incremental.IncrementalSharedCosts`.
-    """
-
-    __slots__ = (
-        "arrays", "platform", "mapping", "_shared",
-        "_speed_div", "_in_coef", "_input_coef", "_out_coef", "_output_coef",
-        "_server", "_cin", "_ccomp", "_cout", "_weight",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -194,233 +129,19 @@ class FloatCosts:
         arrays: Optional[GraphArrays] = None,
         weights: Optional[Dict[str, object]] = None,
     ) -> None:
-        a = arrays if arrays is not None else GraphArrays(graph)
-        self.arrays = a
-        if platform is None:
-            mapping = None  # mirror CostModel: a mapping needs a platform
-        elif mapping is None:
-            mapping = Mapping.default(graph.nodes, platform)
-        self.platform = platform
-        self.mapping = mapping
-        scaled = platform is not None and not platform.is_unit
-        # Weighted queries always aggregate per server: a shared-space
-        # candidate that happens to be injective must still be priced as
-        # the weighted per-server load (the exact objective the concurrent
-        # searches certify against), not the unweighted per-node maximum.
-        shared = mapping is not None and (
-            not mapping.is_injective or bool(weights)
+        super().__init__(
+            graph, platform, mapping,
+            arrays if arrays is not None else GraphArrays(graph),
+            weights,
         )
-        self._shared = shared
 
-        n = a.n
-        if mapping is not None:
-            server: List[Optional[str]] = [mapping.server(name) for name in a.names]
-        else:
-            server = [None] * n
-        self._server = server
-
-        if scaled:
-            assert platform is not None
-            speed_cache: Dict[str, float] = {}
-            bw_cache: Dict[tuple, float] = {}
-
-            def speed(u: str) -> float:
-                found = speed_cache.get(u)
-                if found is None:
-                    found = speed_cache[u] = float(platform.speed(u))
-                return found
-
-            def coef(u: str, v: str) -> float:
-                found = bw_cache.get((u, v))
-                if found is None:
-                    found = bw_cache[(u, v)] = 1.0 / float(platform.bandwidth(u, v))
-                return found
-
-            speed_div = [speed(server[i] or a.names[i]) for i in range(n)]
-            # Contended topologies: the coefficient of a cross-server pair
-            # is the route bottleneck with flow counts folded in —
-            # ``max_l k_l / cap_l``.  Computed as ``float(k) * (1/float(cap))``
-            # so the batched kernel can replay the expression bit-for-bit
-            # (counts are small exact integers; the max is order-free).
-            contended: Dict[tuple, float] = {}
-            if platform.has_contention and mapping is not None:
-                flows = [
-                    (server[i], server[j])
-                    for i in range(n)
-                    for j in a.succs[i]
-                    if server[i] != server[j]
-                ]
-                counts = link_flow_counts(platform, flows)
-                invcap = [1.0 / float(c) for c in platform.link_capacities()]
-                for pair in set(flows):
-                    route = platform.route(*pair)
-                    if route:
-                        contended[pair] = max(
-                            float(counts[l]) * invcap[l] for l in route
-                        )
-        else:
-            def coef(u: str, v: str) -> float:  # noqa: ARG001 - unit platform
-                return 1.0
-
-            speed_div = [1.0] * n
-            contended = {}
-
-        def edge_coef(i: int, j: int) -> float:
-            """Transfer-time coefficient of the edge ``i -> j`` (0 = free)."""
-            if shared and server[i] == server[j]:
-                return 0.0
-            if not scaled:
-                return 1.0
-            eff = contended.get((server[i], server[j]))
-            if eff is not None:
-                return eff
-            return coef(server[i] or a.names[i], server[j] or a.names[j])
-
-        self._in_coef = [[edge_coef(p, i) for p in a.preds[i]] for i in range(n)]
-        self._input_coef = [
-            coef(INPUT, server[i] or a.names[i]) if scaled else 1.0
-            for i in range(n)
-        ]
-        self._out_coef = [[edge_coef(i, s) for s in a.succs[i]] for i in range(n)]
-        self._output_coef = [
-            coef(server[i] or a.names[i], OUTPUT) if scaled else 1.0
-            for i in range(n)
-        ]
-
-        outsize = a.outsize
-        cin = [0.0] * n
-        cout = [0.0] * n
-        for i in range(n):
-            preds = a.preds[i]
-            if preds:
-                acc = 0.0
-                row = self._in_coef[i]
-                for k, p in enumerate(preds):
-                    acc += outsize[p] * row[k]
-                cin[i] = acc
-            else:
-                cin[i] = self._input_coef[i]
-            succs = a.succs[i]
-            if succs:
-                acc = 0.0
-                row = self._out_coef[i]
-                for k in range(len(succs)):
-                    acc += outsize[i] * row[k]
-                cout[i] = acc
-            else:
-                cout[i] = outsize[i] * self._output_coef[i]
-        self._cin = cin
-        self._ccomp = [a.work[i] / speed_div[i] for i in range(n)]
-        self._cout = cout
-        self._speed_div = speed_div
-        if weights:
-            self._weight: Optional[List[float]] = [
-                float(weights.get(name, 1)) for name in a.names  # type: ignore[arg-type]
-            ]
-        else:
-            self._weight = None
-
-    # -- per-service queries (float mirrors of CostModel) -------------------
-    def ancestor_selectivity(self, node: str) -> float:
-        return self.arrays.anc[self.arrays.index[node]]
-
-    def outsize(self, node: str) -> float:
-        return self.arrays.outsize[self.arrays.index[node]]
-
-    def cin(self, node: str) -> float:
-        return self._cin[self.arrays.index[node]]
-
-    def ccomp(self, node: str) -> float:
-        return self._ccomp[self.arrays.index[node]]
-
-    def cout(self, node: str) -> float:
-        return self._cout[self.arrays.index[node]]
-
-    def cexec(self, node: str, model: CommModel) -> float:
-        i = self.arrays.index[node]
-        if model.overlaps_compute:
-            return max(self._cin[i], self._ccomp[i], self._cout[i])
-        return self._cin[i] + self._ccomp[i] + self._cout[i]
-
-    # -- global bounds -------------------------------------------------------
     def period_lower_bound(self, model: CommModel) -> float:
         """Float ``max_u Cexec(u)`` — per server when the mapping shares."""
-        cin, ccomp, cout = self._cin, self._ccomp, self._cout
-        overlap = model.overlaps_compute
-        if self._shared:
-            weight = self._weight
-            sums: Dict[str, List[float]] = {}
-            for i in range(self.arrays.n):
-                acc = sums.get(self._server[i])  # type: ignore[arg-type]
-                if acc is None:
-                    acc = sums[self._server[i]] = [0.0, 0.0, 0.0]  # type: ignore[index]
-                w = 1.0 if weight is None else weight[i]
-                acc[0] += w * cin[i]
-                acc[1] += w * ccomp[i]
-                acc[2] += w * cout[i]
-            if overlap:
-                return max(max(acc) for acc in sums.values())
-            return max(acc[0] + acc[1] + acc[2] for acc in sums.values())
-        if overlap:
-            best = 0.0
-            for i in range(self.arrays.n):
-                v = cin[i]
-                if ccomp[i] > v:
-                    v = ccomp[i]
-                if cout[i] > v:
-                    v = cout[i]
-                if v > best:
-                    best = v
-            return best
-        return max(
-            cin[i] + ccomp[i] + cout[i] for i in range(self.arrays.n)
-        )
+        return self._period(model)
 
     def latency_lower_bound(self) -> float:
         """Float critical-path latency bound (mirrors the exact model)."""
-        a = self.arrays
-        finish = [0.0] * a.n
-        for i in a.topo:
-            preds = a.preds[i]
-            if preds:
-                row = self._in_coef[i]
-                start = 0.0
-                for k, p in enumerate(preds):
-                    t = finish[p] + a.outsize[p] * row[k]
-                    if t > start:
-                        start = t
-            else:
-                start = self._input_coef[i]
-            finish[i] = start + self._ccomp[i]
-        return max(
-            finish[i] + a.outsize[i] * self._output_coef[i]
-            for i in range(a.n)
-            if not a.succs[i]
-        )
-
-    # -- per-server aggregation (shared mappings) ---------------------------
-    def server_cin(self, server: str) -> float:
-        return sum(
-            self._cin[i] for i in range(self.arrays.n) if self._server[i] == server
-        )
-
-    def server_ccomp(self, server: str) -> float:
-        return sum(
-            self._ccomp[i] for i in range(self.arrays.n) if self._server[i] == server
-        )
-
-    def server_cout(self, server: str) -> float:
-        return sum(
-            self._cout[i] for i in range(self.arrays.n) if self._server[i] == server
-        )
-
-    def server_cexec(self, server: str, model: CommModel) -> float:
-        cin = self.server_cin(server)
-        ccomp = self.server_ccomp(server)
-        cout = self.server_cout(server)
-        if model.overlaps_compute:
-            return max(cin, ccomp, cout)
-        return cin + ccomp + cout
+        return self.latency(self.server, self.contended)
 
 
 def certified_threshold(incumbent: float, eps: float = CERT_EPS) -> float:

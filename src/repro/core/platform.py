@@ -139,7 +139,7 @@ class Platform:
 
     __slots__ = (
         "servers", "default_bandwidth", "_links", "_by_name", "_key",
-        "_unit", "_topology",
+        "_unit", "_topology", "_tiers",
     )
 
     def __init__(
@@ -217,6 +217,7 @@ class Platform:
             and all(bw == ONE for bw in directed.values())
             and not self._topology.contended
         )
+        self._tiers: Dict[object, Dict[str, dict]] = {}
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -369,6 +370,11 @@ class Platform:
     def link_capacities(self) -> Tuple[Fraction, ...]:
         """Capacity per physical link, indexed by the ids :meth:`route` yields."""
         return self._topology.link_capacities()
+
+    def tier_cache(self, num: object) -> Dict[str, dict]:
+        """Tables the cost algebra derives from this platform in the tier
+        of the numeric hook *num* (outside equality, hashing and keys)."""
+        return self._tiers.setdefault(num, {})
 
     def key(self) -> Tuple:
         """Canonical hashable content key (used by the evaluation cache)."""

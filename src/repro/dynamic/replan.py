@@ -45,7 +45,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..concurrent import ConcurrentApp, ConcurrentCosts, MultiApplication
-from ..core import CommModel, CostModel, Exactness, Mapping, Platform
+from ..core import CommModel, Exactness, Mapping, Platform
+from ..core.costs import GraphArrays, exact_num
 from ..optimize.incremental import placement_evaluator
 from ..optimize.placement import greedy_shared_mapping, optimize_shared_mapping
 from .events import Event
@@ -187,11 +188,8 @@ def migration_sizes(graph) -> Dict[str, Fraction]:
     service's in-flight buffers and operator state scale with the work it
     performs per data set).
     """
-    sizes = CostModel(graph)
-    return {
-        n: sizes.ancestor_selectivity(n) * graph.application.cost(n)
-        for n in graph.nodes
-    }
+    sizes = GraphArrays(graph, exact_num)
+    return dict(zip(sizes.names, sizes.work))
 
 
 def _migration_cost(

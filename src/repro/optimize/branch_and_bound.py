@@ -291,7 +291,6 @@ def bb_minperiod(
     incumbent: Optional[Tuple[Fraction, ExecutionGraph]] = None,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
-    leaf_batch=None,
     exactness: Exactness = Exactness.EXACT,
     eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
@@ -309,16 +308,6 @@ def bb_minperiod(
     (seconds of wall clock) stops the search the same way — the anytime
     contract: the incumbent is always a valid plan, ``stats.limit_hit``
     records whether optimality was proved.
-
-    *leaf_batch* (a :class:`~repro.core.ForestBatch` covering the searched
-    objective, see
-    :func:`~repro.optimize.evaluation.make_forest_period_batch`; only
-    consulted under the ``CERTIFIED`` tier) defers each expansion's
-    complete-forest children into one batched float pricing and
-    exact-scores only those inside the running incumbent's certified band.
-    The returned optimum is bit-for-bit unchanged; ``stats`` counters may
-    differ from the default path (fewer evaluations), which is why the
-    gate is opt-in.
 
     *exactness* picks the numeric tier for the bound arithmetic (the
     module docstring spells out the certification contract): under
@@ -397,7 +386,6 @@ def bb_minperiod(
     # FAST (uncertified by contract) ties prune aggressively at
     # ``low_cut``, with no exact arithmetic anywhere.
     certified = exactness is Exactness.CERTIFIED
-    use_leaf_batch = certified and leaf_batch is not None
     if use_float:
         cut, low_cut = _float_cuts(best_value, eps)
     else:
@@ -525,7 +513,6 @@ def bb_minperiod(
         # forces their own pop-time re-arbitration (the inherited bound
         # component was only verified against the pre-improvement value).
         verified_gen = gen
-        leaf_keys: List[Tuple[int, ...]] = []
 
         for u in unplaced:
             for p in [-1] + placed:
@@ -586,12 +573,6 @@ def bb_minperiod(
                         stats.duplicates += 1
                         continue
                     seen.add(child_key)
-                    if use_leaf_batch:
-                        # Defer: the whole layer is priced in one batched
-                        # call after this expansion (same acceptance order,
-                        # so the incumbent sequence is unchanged).
-                        leaf_keys.append(child_key)
-                        continue
                     graph = graph_of(child_key)
                     value = scored(graph)
                     if value < best_value:
@@ -612,27 +593,6 @@ def bb_minperiod(
                     (child_bound, n - len(placed) - 1, next(counter), child_key,
                      verified_gen),
                 )
-
-        if leaf_keys:
-            # Certified batched leaf gate: complete rows are already valid
-            # forests, so only the float prices matter.  Survivors are
-            # exact-scored in generation order under the *running* cut —
-            # the acceptance predicate (exact value < running best) is the
-            # scalar path's, so the final optimum is bit-for-bit identical.
-            import numpy as np
-
-            rows = np.array(leaf_keys, dtype=np.int64)
-            _valid, fast = leaf_batch.periods(rows)
-            for k_i, child_key in enumerate(leaf_keys):
-                if fast[k_i] > cut:
-                    continue  # provably no better than the incumbent
-                graph = graph_of(child_key)
-                value = scored(graph)
-                if value < best_value:
-                    best_value, best_graph = value, graph
-                    gen += 1
-                    cut, low_cut = _float_cuts(best_value, eps)
-                    stats.incumbent_updates += 1
 
     return best_value, best_graph, stats
 

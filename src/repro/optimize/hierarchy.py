@@ -37,7 +37,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from ..core import CostModel, ExecutionGraph, Mapping, Platform
+from ..core import ExecutionGraph, Mapping, Platform
+from ..core.costs import GraphArrays, exact_num
 
 ZERO = Fraction(0)
 
@@ -54,16 +55,13 @@ def _partition(
     already in the group — breaking ties toward the group with the most
     remaining speed capacity, then the earliest group.
     """
-    sizes = CostModel(graph)  # unit model: platform-independent volumes
-    app = graph.application
-    work: Dict[str, Fraction] = {
-        n: sizes.ancestor_selectivity(n) * app.cost(n) for n in graph.nodes
-    }
+    sizes = GraphArrays(graph, exact_num)  # platform-independent volumes
+    work: Dict[str, Fraction] = dict(zip(sizes.names, sizes.work))
     # Undirected communication weight per service pair (message sizes).
     edge_w: Dict[Tuple[str, str], Fraction] = {}
     volume: Dict[str, Fraction] = {n: ZERO for n in graph.nodes}
     for u, v in graph.edges:
-        w = sizes.outsize(u)
+        w = sizes.outsize[sizes.index[u]]
         key = (u, v) if u < v else (v, u)
         edge_w[key] = edge_w.get(key, ZERO) + w
         volume[u] += w
@@ -116,15 +114,12 @@ def hierarchical_seed(graph: ExecutionGraph, platform: Platform) -> Mapping:
         from .placement import greedy_mapping
 
         return greedy_mapping(graph, platform)
-    sizes = CostModel(graph)
-    app = graph.application
+    sizes = GraphArrays(graph, exact_num)
+    work = dict(zip(sizes.names, sizes.work))
     order = {name: i for i, name in enumerate(platform.names)}
     assignment: Dict[str, str] = {}
     for services, servers in _partition(graph, platform):
-        ranked = sorted(
-            services,
-            key=lambda n: (-(sizes.ancestor_selectivity(n) * app.cost(n)), n),
-        )
+        ranked = sorted(services, key=lambda n: (-work[n], n))
         hosts = sorted(servers, key=lambda s: (-platform.speed(s), order[s]))
         for svc, host in zip(ranked, hosts):
             assignment[svc] = host

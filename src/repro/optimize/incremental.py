@@ -65,7 +65,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from ..core import (
@@ -83,13 +82,10 @@ from ..core import (
     Platform,
     certified_threshold,
 )
-from ..core.costs import effective_bandwidths
+from ..core.costs import CostAlgebra, Num, combine, exact_num
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
-
-#: A quantity in either numeric tier.
-Num = Union[Fraction, float]
 
 
 def _require_supported(
@@ -495,163 +491,7 @@ def period_delta(
     )
 
 
-class _SharedLoads:
-    """Weighted per-server ``(Cin, Ccomp, Cout)`` loads of shared placements.
-
-    The concurrent regime's cost terms, numeric-generic through the
-    ``_num`` hook.  The graph-only quantities — each service's out-size
-    and work volume, its ancestor product folded once — are computed at
-    construction and reused for every assignment priced afterwards.
-    :meth:`server_loads` folds the weighted per-server loads of any
-    assignment: :func:`exact_placement_value` maximises them over every
-    server, :class:`FullPlacementCosts`' bottleneck certificate reads
-    them on the incumbent's bottleneck servers only, and
-    :class:`IncrementalSharedCosts` maintains their sums under deltas.
-    """
-
-    #: Numeric-tier hook (see :class:`IncrementalForestPeriod`).
-    _num = staticmethod(lambda value: value)
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        platform: Platform,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-        weights: Optional[Dict[str, Fraction]] = None,
-    ) -> None:
-        self.graph = graph
-        self.platform = platform
-        self.model = model
-        num = self._num
-        self._one: Num = num(ONE)
-        self._zero: Num = num(Fraction(0))
-        self.weights: Dict[str, Num] = (
-            {k: num(v) for k, v in weights.items()} if weights else {}
-        )
-        self._bw_cache: Dict[Tuple[str, str], Num] = {}
-        self._speed_cache: Dict[str, Num] = {}
-        app = graph.application
-        self._outsize: Dict[str, Num] = {}
-        self._work: Dict[str, Num] = {}
-        sigma = {n: num(app.selectivity(n)) for n in app.names}
-        costv = {n: num(app.cost(n)) for n in app.names}
-        for node in graph.topological_order:
-            prod = self._one
-            for j in graph.ancestors(node):
-                prod *= sigma[j]
-            self._outsize[node] = prod * sigma[node]
-            self._work[node] = prod * costv[node]
-
-    def _bw(self, src: str, dst: str) -> Num:
-        found = self._bw_cache.get((src, dst))
-        if found is None:
-            found = self._bw_cache[(src, dst)] = self._num(
-                self.platform.bandwidth(src, dst)
-            )
-        return found
-
-    def _sp(self, server: str) -> Num:
-        found = self._speed_cache.get(server)
-        if found is None:
-            found = self._speed_cache[server] = self._num(
-                self.platform.speed(server)
-            )
-        return found
-
-    def _node_triple(
-        self,
-        node: str,
-        assignment: Dict[str, str],
-        eff: Optional[Dict[Tuple[str, str], Num]] = None,
-    ) -> Tuple[Num, Num, Num]:
-        """Weighted (Cin, Ccomp, Cout) of *node* under *assignment*.
-
-        *eff* overrides the bandwidth of contended server pairs (see
-        :func:`~repro.core.costs.effective_bandwidths`); every other pair
-        is priced at its platform bandwidth.
-        """
-        bw = self._bw
-        if eff:
-            static = bw
-
-            def bw(src: str, dst: str) -> Num:
-                found = eff.get((src, dst))
-                return static(src, dst) if found is None else found
-
-        graph = self.graph
-        server = assignment[node]
-        preds = graph.predecessors(node)
-        if preds:
-            cin = sum(
-                (
-                    self._outsize[p] / bw(assignment[p], server)
-                    for p in preds
-                    if assignment[p] != server
-                ),
-                self._zero,
-            )
-        else:
-            cin = self._one / bw(INPUT, server)
-        ccomp = self._work[node] / self._sp(server)
-        succs = graph.successors(node)
-        if succs:
-            cout = sum(
-                (
-                    self._outsize[node] / bw(server, assignment[s])
-                    for s in succs
-                    if assignment[s] != server
-                ),
-                self._zero,
-            )
-        else:
-            cout = self._outsize[node] / bw(server, OUTPUT)
-        w = self.weights.get(node)
-        if w is not None and w != 1:
-            return (cin * w, ccomp * w, cout * w)
-        return (cin, ccomp, cout)
-
-    def _combine(self, sums: Sequence[Num]) -> Num:
-        if self.model.overlaps_compute:
-            return max(sums)
-        return sums[0] + sums[1] + sums[2]
-
-    def server_loads(
-        self,
-        assignment: Dict[str, str],
-        servers: Optional[FrozenSet[str]] = None,
-    ) -> Dict[str, Num]:
-        """Combined weighted load of each server under *assignment*.
-
-        Sums each server's weighted ``Cin``/``Ccomp``/``Cout`` and combines
-        them like :meth:`CostModel.server_cexec
-        <repro.core.CostModel.server_cexec>`.  Only the servers in
-        *servers* when given; a server hosting no service has no entry.
-        On contended topologies every cross-server edge is priced at the
-        effective bandwidth of *assignment*'s own flows (exact tier).
-        """
-        eff = None
-        if self.platform.has_contention:
-            flows = _flows(self.graph.edges, assignment)
-            pairs = None
-            if servers is not None:
-                pairs = {p for p in flows if p[0] in servers or p[1] in servers}
-            eff = effective_bandwidths(self.platform, flows, pairs)
-        zero = self._zero
-        sums: Dict[str, List[Num]] = {}
-        for node in self.graph.nodes:
-            server = assignment[node]
-            if servers is not None and server not in servers:
-                continue
-            cin, ccomp, cout = self._node_triple(node, assignment, eff)
-            acc = sums.setdefault(server, [zero, zero, zero])
-            acc[0] += cin
-            acc[1] += ccomp
-            acc[2] += cout
-        return {u: self._combine(acc) for u, acc in sums.items()}
-
-
-class IncrementalSharedCosts(_SharedLoads):
+class IncrementalSharedCosts:
     """Delta evaluation of shared-server (non-injective) mappings.
 
     The concurrent-applications regime maps several services — possibly
@@ -668,10 +508,12 @@ class IncrementalSharedCosts(_SharedLoads):
     concurrent planner passes ``1 / period_target`` of the owning
     application, turning the value into the max per-server *utilisation*).
 
-    Moving one service touches only that service's triple, its graph
-    neighbours' triples (their links to it change), and the per-server sums
-    of the affected servers — so a reassign/swap is priced in
-    ``O(degree)`` instead of a full recompute (exact-Fraction parity,
+    Every service's terms come from the one
+    :class:`~repro.core.costs.CostAlgebra`, in the tier of the class's
+    ``_num`` hook.  Moving one service touches only that service's terms,
+    its graph neighbours' terms (their links to it change), and the
+    per-server sums of the affected servers — so a reassign/swap is priced
+    in ``O(degree)`` instead of a full recompute (exact-Fraction parity,
     property-tested).
 
         >>> from repro import ExecutionGraph, Mapping, Platform, make_application
@@ -683,6 +525,9 @@ class IncrementalSharedCosts(_SharedLoads):
         >>> inc.value(), inc.score_reassign("B", "S2")
         (Fraction(5, 1), Fraction(3, 1))
     """
+
+    #: Numeric-tier hook (see :class:`IncrementalForestPeriod`).
+    _num = staticmethod(exact_num)
 
     def __init__(
         self,
@@ -700,105 +545,89 @@ class IncrementalSharedCosts(_SharedLoads):
                 "contended topologies need FullPlacementCosts (one move "
                 "changes every co-routed edge's effective bandwidth)"
             )
-        super().__init__(graph, platform, model=model, weights=weights)
-        self.assignment: Dict[str, str] = {
-            svc: mapping.server(svc) for svc in graph.nodes
-        }
-        self._triple: Dict[str, Tuple[Num, Num, Num]] = {}
-        self._sums: Dict[str, List[Num]] = {}
-        for node in graph.nodes:
-            self._triple[node] = self._node_triple(node, self.assignment)
-        self._rebuild_sums()
+        self.graph = graph
+        self.platform = platform
+        self.model = model
+        self._algebra = CostAlgebra(GraphArrays(graph, self._num), platform)
+        self._weights = self._algebra.weight_list(weights)
+        names = self._algebra.arrays.names
+        self._server = [mapping.server(svc) for svc in names]
+        self.assignment = dict(zip(names, self._server))
+        self._terms = [self._load(i, self._server) for i in range(len(names))]
+        self._sums = self._algebra.server_sums(self._server, enumerate(self._terms))
 
-    # -- internals ---------------------------------------------------------
-    def _rebuild_sums(self) -> None:
-        sums: Dict[str, List[Num]] = {}
-        for node, (cin, ccomp, cout) in self._triple.items():
-            acc = sums.setdefault(
-                self.assignment[node], [self._zero, self._zero, self._zero]
-            )
-            acc[0] += cin
-            acc[1] += ccomp
-            acc[2] += cout
-        self._sums = sums
+    def _load(self, i: int, server: Sequence[str]) -> Sequence[Num]:
+        """Weighted ``(Cin, Ccomp, Cout)`` of service *i* under *server*."""
+        w = None if self._weights is None else self._weights[i]
+        return self._algebra.weighted(self._algebra.terms(i, server), w)
 
-    def _affected(self, moved: Iterable[str]) -> Set[str]:
-        out: Set[str] = set()
-        for svc in moved:
-            out.add(svc)
-            out.update(self.graph.predecessors(svc))
-            out.update(self.graph.successors(svc))
-        return out
-
-    def _trial_sums(
-        self, trial: Dict[str, str], moved: Iterable[str]
-    ) -> Dict[str, List[Num]]:
-        """Per-server sums after the move (only affected servers copied)."""
+    def _trial(self, kind: str, move: Tuple[str, str]):
+        """``(assignment, per-server sums, new terms)`` after one
+        ``reassign``/``swap`` *move*: each affected service — a moved one
+        or a graph neighbour — leaves its old server's sums and joins its
+        new server's (only those servers' sums are copied)."""
+        arrays = self._algebra.arrays
+        trial = list(self._server)
+        if kind == "reassign":
+            moved = [arrays.index[move[0]]]
+            trial[moved[0]] = move[1]
+        else:
+            moved = [arrays.index[move[0]], arrays.index[move[1]]]
+            a, b = moved
+            trial[a], trial[b] = trial[b], trial[a]
+        affected = set(moved)
+        for i in moved:
+            affected.update(arrays.preds[i])
+            affected.update(arrays.succs[i])
+        zero = arrays.zero
         sums = dict(self._sums)
-        affected = self._affected(moved)
-        touched = {self.assignment[m] for m in affected}
-        touched |= {trial[m] for m in affected}
-        for server in touched:
-            sums[server] = list(
-                sums.get(server, (self._zero, self._zero, self._zero))
-            )
+        for u in {self._server[m] for m in affected} | {trial[m] for m in affected}:
+            sums[u] = list(sums.get(u, (zero, zero, zero)))
+        terms = {}
         for m in affected:
-            old = self._triple[m]
-            acc = sums[self.assignment[m]]
-            acc[0] -= old[0]
-            acc[1] -= old[1]
-            acc[2] -= old[2]
-        for m in affected:
-            new = self._node_triple(m, trial)
-            acc = sums[trial[m]]
-            acc[0] += new[0]
-            acc[1] += new[1]
-            acc[2] += new[2]
-        return sums
+            old, new = self._terms[m], self._load(m, trial)
+            terms[m] = new
+            out, into = sums[self._server[m]], sums[trial[m]]
+            for k in range(3):
+                out[k] -= old[k]
+                into[k] += new[k]
+        return trial, sums, terms
 
-    def _value_of(self, sums: Dict[str, List[Num]], trial: Dict[str, str]) -> Num:
-        used = set(trial.values())
-        return max(self._combine(sums[u]) for u in used)
+    def _score(self, kind: str, move: Tuple[str, str]) -> Num:
+        trial, sums, _ = self._trial(kind, move)
+        return max(combine(sums[u], self.model) for u in set(trial))
+
+    def _commit(self, kind: str, move: Tuple[str, str]) -> None:
+        trial, sums, terms = self._trial(kind, move)
+        for m, t in terms.items():
+            self._terms[m] = t
+        self._server = trial
+        self.assignment = dict(zip(self._algebra.arrays.names, trial))
+        # Drop emptied servers so value() never reads a stale zero row.
+        used = set(trial)
+        self._sums = {u: acc for u, acc in sums.items() if u in used}
 
     # -- public API --------------------------------------------------------
     def value(self) -> Num:
         """``max_u Cexec(u)`` (weighted) of the current shared mapping."""
-        return max(self._combine(acc) for acc in self._sums.values())
+        return max(combine(acc, self.model) for acc in self._sums.values())
 
     def mapping(self) -> Mapping:
         return Mapping.shared(self.assignment)
 
     def score_reassign(self, service: str, server: str) -> Num:
         """Price moving *service* onto *server* (shared — any server)."""
-        trial = dict(self.assignment)
-        trial[service] = server
-        return self._value_of(self._trial_sums(trial, [service]), trial)
+        return self._score("reassign", (service, server))
 
     def apply_reassign(self, service: str, server: str) -> None:
-        trial = dict(self.assignment)
-        trial[service] = server
-        self._commit(trial, [service])
+        self._commit("reassign", (service, server))
 
     def score_swap(self, a: str, b: str) -> Num:
         """Price exchanging the servers of services *a* and *b*."""
-        trial = dict(self.assignment)
-        trial[a], trial[b] = trial[b], trial[a]
-        return self._value_of(self._trial_sums(trial, [a, b]), trial)
+        return self._score("swap", (a, b))
 
     def apply_swap(self, a: str, b: str) -> None:
-        trial = dict(self.assignment)
-        trial[a], trial[b] = trial[b], trial[a]
-        self._commit(trial, [a, b])
-
-    def _commit(self, trial: Dict[str, str], moved: Iterable[str]) -> None:
-        affected = self._affected(moved)
-        sums = self._trial_sums(trial, moved)
-        for m in affected:
-            self._triple[m] = self._node_triple(m, trial)
-        self.assignment = trial
-        # Drop emptied servers so value() never reads a stale zero row.
-        used = set(trial.values())
-        self._sums = {u: acc for u, acc in sums.items() if u in used}
+        self._commit("swap", (a, b))
 
 
 class IncrementalMappingCosts(IncrementalSharedCosts):
@@ -932,17 +761,6 @@ class CertifiedPlacementCosts:
         self._refresh()
 
 
-def _flows(
-    edges: Sequence[Tuple[str, str]], assignment: Dict[str, str]
-) -> List[Tuple[str, str]]:
-    """One ``(src_server, dst_server)`` flow per edge crossing servers."""
-    return [
-        (assignment[u], assignment[v])
-        for u, v in edges
-        if assignment[u] != assignment[v]
-    ]
-
-
 def exact_placement_value(
     graph: ExecutionGraph,
     platform: Platform,
@@ -958,15 +776,17 @@ def exact_placement_value(
     — with contended topologies priced correctly (effective bandwidths
     under the mapping's flow pattern).  ``shared``/*weights* switch to the
     max over servers of the weighted per-server loads
-    (:meth:`_SharedLoads.server_loads`, the concurrent regime's
-    objective); otherwise this is ``CostModel(...).period_lower_bound(model)``
-    verbatim.
+    (:meth:`CostAlgebra.assignment_loads
+    <repro.core.costs.CostAlgebra.assignment_loads>`, the concurrent
+    regime's objective); otherwise this is
+    ``CostModel(...).period_lower_bound(model)`` verbatim.
     """
     if not shared and not weights:
         return CostModel(graph, platform, mapping).period_lower_bound(model)
-    loads = _SharedLoads(graph, platform, model=model, weights=weights)
-    assignment = {node: mapping.server(node) for node in graph.nodes}
-    return max(loads.server_loads(assignment).values())
+    algebra = CostAlgebra(GraphArrays(graph, exact_num), platform)
+    server = [mapping.server(svc) for svc in algebra.arrays.names]
+    loads = algebra.assignment_loads(server, model, algebra.weight_list(weights))
+    return max(loads.values())
 
 
 class FullPlacementCosts:
@@ -978,9 +798,10 @@ class FullPlacementCosts:
     :class:`IncrementalSharedCosts` are invalid.  This evaluator speaks
     the same protocol (``value``/``score_*``/``apply_*``/``assignment``/
     ``mapping``) but prices each candidate mapping from scratch.  Exact
-    values come from one :class:`_SharedLoads` per evaluator, so every
-    trial reuses the graph-only exact quantities and re-derives only the
-    effective bandwidths of its own flows.
+    values come from one exact :class:`~repro.core.costs.CostAlgebra` per
+    evaluator, so every trial reuses the graph-only exact quantities and
+    the platform coefficients, and re-derives only the contended
+    coefficients of its own flows.
 
     * :meth:`score_moves` prices a whole neighbourhood in one
       :class:`~repro.core.MappingBatch` call (rows bit-for-bit the
@@ -1005,7 +826,7 @@ class FullPlacementCosts:
     __slots__ = (
         "graph", "platform", "model", "weights", "shared", "exactness",
         "eps", "assignment", "_arrays", "_allow_shared", "_value", "_cut",
-        "_loads", "_batch", "_bottleneck",
+        "_exact", "_weights", "_batch", "_bottleneck",
     )
 
     def __init__(
@@ -1030,7 +851,8 @@ class FullPlacementCosts:
         self.exactness = Exactness.coerce(exactness)
         self.eps = eps
         self._arrays = GraphArrays(graph)
-        self._loads = _SharedLoads(graph, platform, model=model, weights=weights)
+        self._exact = CostAlgebra(GraphArrays(graph, exact_num), platform)
+        self._weights = self._exact.weight_list(weights)
         self._batch = None
         self._bottleneck: FrozenSet[str] = frozenset()
         self.assignment: Dict[str, str] = {
@@ -1059,13 +881,23 @@ class FullPlacementCosts:
         )
         return fast.period_lower_bound(self.model)
 
+    def _exact_loads(
+        self,
+        assignment: Dict[str, str],
+        servers: Optional[FrozenSet[str]] = None,
+    ) -> Dict[str, Fraction]:
+        server = [assignment[svc] for svc in self._exact.arrays.names]
+        return self._exact.assignment_loads(
+            server, self.model, self._weights, servers
+        )
+
     def _exact_value(self, assignment: Dict[str, str]) -> Fraction:
-        return max(self._loads.server_loads(assignment).values())
+        return max(self._exact_loads(assignment).values())
 
     def _bottleneck_bound(self, assignment: Dict[str, str]) -> Fraction:
         """Exact lower bound on *assignment*'s value: its largest load on
         one of the incumbent's bottleneck servers (0 if they host none)."""
-        loads = self._loads.server_loads(assignment, self._bottleneck)
+        loads = self._exact_loads(assignment, self._bottleneck)
         return max(loads.values(), default=ZERO)
 
     def _settle(self, trial: Dict[str, str], *, ties: bool) -> Fraction:
@@ -1129,7 +961,7 @@ class FullPlacementCosts:
             except OverflowError:
                 self._value = self._exact_value(self.assignment)
         else:
-            loads = self._loads.server_loads(self.assignment)
+            loads = self._exact_loads(self.assignment)
             self._value = max(loads.values())
             self._bottleneck = frozenset(
                 u for u, load in loads.items() if load == self._value

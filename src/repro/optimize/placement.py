@@ -30,13 +30,13 @@ import numpy as np
 
 from ..core import (
     CommModel,
-    CostModel,
     Exactness,
     ExecutionGraph,
     Mapping,
     MappingBatch,
     Platform,
 )
+from ..core.costs import CostAlgebra, GraphArrays, exact_num
 from ..core.ttlcache import TTLCache
 
 #: Enumerate all assignments when the space is at most this large.
@@ -97,11 +97,9 @@ def greedy_mapping(graph: ExecutionGraph, platform: Platform) -> Mapping:
     ties broken by platform order so the result is deterministic.
     """
     platform.require_capacity(len(graph.nodes))
-    sizes = CostModel(graph)  # unit platform: exposes the raw work volumes
-    services = sorted(
-        graph.nodes,
-        key=lambda n: (-(sizes.ancestor_selectivity(n) * graph.application.cost(n)), n),
-    )
+    sizes = GraphArrays(graph, exact_num)
+    work = dict(zip(sizes.names, sizes.work))
+    services = sorted(graph.nodes, key=lambda n: (-work[n], n))
     servers = sorted(
         platform.servers, key=lambda s: (-s.speed, platform.names.index(s.name))
     )
@@ -364,13 +362,10 @@ def greedy_shared_mapping(
     *allowed* restricts the candidate servers (the dynamic layer's
     drained-server maintenance scenarios); ``None`` means every server.
     """
-    sizes = CostModel(graph)  # unit platform: raw work volumes
+    sizes = GraphArrays(graph, exact_num)
     weights = weights or {}
     work = {
-        n: sizes.ancestor_selectivity(n)
-        * graph.application.cost(n)
-        * weights.get(n, ONE_WEIGHT)
-        for n in graph.nodes
+        n: w * weights.get(n, ONE_WEIGHT) for n, w in zip(sizes.names, sizes.work)
     }
     services = sorted(graph.nodes, key=lambda n: (-work[n], n))
     order = {name: i for i, name in enumerate(platform.names)}
@@ -430,7 +425,7 @@ def optimize_shared_mapping(
         >>> value, mapping.services_on(mapping.server("A"))
         (Fraction(6, 1), ('A',))
     """
-    from .incremental import _SharedLoads, placement_evaluator
+    from .incremental import placement_evaluator
     from .local_search import shared_placement_local_search
 
     exactness = Exactness.coerce(exactness)
@@ -454,14 +449,16 @@ def optimize_shared_mapping(
         return outcome
     method = shared_search_method(len(services), len(platform), exhaustive_limit)
     if method == "shared-exhaustive":
-        # One set of graph-only exact quantities serves every candidate;
-        # contended topologies re-derive each candidate's own effective
-        # bandwidths inside server_loads.
-        loads = _SharedLoads(graph, platform, model=model, weights=weights)
+        # One exact algebra serves every candidate; contended topologies
+        # re-derive each candidate's own contended coefficients.
+        algebra = CostAlgebra(GraphArrays(graph, exact_num), platform)
+        exact_weights = algebra.weight_list(weights)
 
         def exact_value(mapping: Mapping) -> Fraction:
-            assignment = {svc: mapping.server(svc) for svc in services}
-            return max(loads.server_loads(assignment).values())
+            server = [mapping.server(svc) for svc in services]
+            return max(
+                algebra.assignment_loads(server, model, exact_weights).values()
+            )
 
         batch = (
             _make_mapping_batch(

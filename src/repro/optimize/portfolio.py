@@ -203,13 +203,10 @@ def _bb_run(
     if remaining is None and node_limit is None:
         node_limit = DEFAULT_BB_NODE_LIMIT
     if objective == "period":
-        fb = None
-        if exactness is Exactness.CERTIFIED:
-            fb = make_forest_period_batch(app, model, effort, platform, mapping)
         value, graph, stats = bb_minperiod(
             app, objective_fn, model=model, platform=platform, mapping=mapping,
             incumbent=incumbent, node_limit=node_limit, deadline=remaining,
-            leaf_batch=fb, exactness=exactness,
+            exactness=exactness,
         )
     else:
         value, graph, stats = bb_minlatency(

@@ -399,7 +399,6 @@ def _solve_branch_and_bound(
     objective_fn,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
-    leaf_batch: bool = False,
 ) -> SolverOutcome:
     """Exact best-first branch and bound (see
     :mod:`repro.optimize.branch_and_bound`).
@@ -412,22 +411,15 @@ def _solve_branch_and_bound(
     expanded states; when hit, the incumbent is returned as an upper bound
     and ``extras["certified"]`` is ``False``.  *deadline* (seconds) stops
     the search the same way on wall clock — the anytime knob the portfolio
-    solver leans on.  ``leaf_batch=True`` routes the certified search's
-    complete-forest layer through one batched float pricing per expansion
-    (same optimum bit-for-bit; ``evaluated``/``pruned`` counters may
-    shrink, hence opt-in).
+    solver leans on.
     """
     platform = getattr(objective_fn, "platform", None)
     mapping = getattr(objective_fn, "mapping", None)
     exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
     if objective == "period":
-        fb = None
-        if leaf_batch and exactness is Exactness.CERTIFIED:
-            fb = make_forest_period_batch(app, model, effort, platform, mapping)
         value, graph, stats = bb_minperiod(
             app, objective_fn, model=model, platform=platform, mapping=mapping,
-            node_limit=node_limit, deadline=deadline, leaf_batch=fb,
-            exactness=exactness,
+            node_limit=node_limit, deadline=deadline, exactness=exactness,
         )
     else:
         value, graph, stats = bb_minlatency(

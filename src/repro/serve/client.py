@@ -120,8 +120,8 @@ class StdioServeClient(_LineClient):
         return self.process.stdout.readline()
 
     def close(self, timeout: float = 30.0) -> int:
-        """Close stdin (EOF => graceful exit) and reap; returns the exit
-        code."""
+        """Close stdin (EOF => graceful exit), reap the daemon and close its
+        stdout pipe; returns the exit code."""
         if self.process.stdin and not self.process.stdin.closed:
             self.process.stdin.close()
         try:
@@ -129,6 +129,9 @@ class StdioServeClient(_LineClient):
         except subprocess.TimeoutExpired:  # pragma: no cover - safety net
             self.process.kill()
             return self.process.wait()
+        finally:
+            if self.process.stdout is not None:
+                self.process.stdout.close()
 
 
 class TcpServeClient(_LineClient):

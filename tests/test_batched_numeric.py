@@ -247,17 +247,16 @@ class TestCertifiedBatchedSearchBitForBit:
 
     def test_planner_solves_match_exact(self):
         # The full stack (facade -> registry -> batched scan / gated LS /
-        # leaf-batched B&B) under certified == exact, values and graphs.
+        # B&B) under certified == exact, values and graphs.
         for seed in range(12):
             app = random_application(5, seed=seed + 50)
             for method in ("exhaustive", "local-search", "branch-and-bound"):
-                options = {"leaf_batch": True} if method == "branch-and-bound" else {}
                 results = {}
                 for exactness in ("exact", "certified"):
                     clear_placement_memo()
                     results[exactness] = solve(
                         app, method=method, schedule=False,
-                        cache=EvaluationCache(), exactness=exactness, **options,
+                        cache=EvaluationCache(), exactness=exactness,
                     )
                 assert results["certified"].value == results["exact"].value, (
                     seed, method,

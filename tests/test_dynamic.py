@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import Mapping, Platform
+from repro import Mapping, Platform, make_application
 from repro.__main__ import main as cli_main
 from repro.concurrent import ConcurrentApp, ConcurrentCosts, MultiApplication
 from repro.core import Application, CommModel, ExecutionGraph
@@ -52,7 +52,7 @@ from repro.optimize.incremental import (
     exact_placement_value,
     placement_evaluator,
 )
-from repro.planner import load_concurrent_workload, load_platform
+from repro.planner import load_concurrent_workload, load_platform, solve_concurrent
 
 F = Fraction
 
@@ -87,6 +87,20 @@ class TestEmptySystem:
         assert costs.max_utilisation() == 0
         assert costs.system_period() == 0
         assert costs.is_feasible()
+
+    def test_solve_concurrent_with_a_member_without_services(self):
+        # app_period()/app_latency() of a member with no services used to
+        # raise ValueError from ``max()`` over nothing; it demands 0.
+        app = make_application([("A", 2, "1/2"), ("B", 3, 1)])
+        multi = MultiApplication([
+            ("left", ExecutionGraph.chain(app, ["A", "B"])),
+            ("none", ExecutionGraph.empty(Application(()))),
+        ])
+        result = solve_concurrent(multi, platform=Platform.homogeneous(2))
+        assert result.app_periods["none"] == 0
+        assert result.app_latencies["none"] == 0
+        assert result.app_periods["left"] > 0
+        assert result.app_latencies["left"] > 0
 
     def test_zero_member_multi_application(self):
         multi = MultiApplication([])

@@ -9,7 +9,9 @@ runs just those.
 """
 
 import asyncio
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -599,6 +601,20 @@ def test_stdio_smoke_eof_is_a_clean_exit():
     client = StdioServeClient()
     assert client.request({"op": "ping", "id": 0})["result"] == "pong"
     assert client.close() == 0  # EOF without shutdown: drain and leave
+
+
+@pytest.mark.smoke
+def test_stdio_smoke_close_releases_the_pipes():
+    # close() reaps the daemon and closes both of its pipes, so dropping
+    # the client leaves no unclosed file for the collector to warn about.
+    client = StdioServeClient()
+    assert client.request({"op": "ping", "id": 0})["result"] == "pong"
+    assert client.close() == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del client
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.smoke
