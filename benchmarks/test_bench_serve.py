@@ -49,9 +49,11 @@ DISTINCT = 16
 DUP_REQUESTS = 144
 DUP_SHAPES = 4
 
-#: Workload size: n=7 keeps one cold B&B solve ~10 ms, so the whole
-#: benchmark stays a few seconds while the mix contrast stays >10x.
-SPEC = "random:n=7,seed={seed}"
+#: Workload size: n=8 keeps one cold B&B solve ~10 ms, so the whole
+#: benchmark stays a few seconds while the mix contrast stays >10x.  (At
+#: n=7, with seeding and expansion priced on per-node terms, a cold solve
+#: takes ~5 ms and per-request overhead narrows the contrast to 5-13x.)
+SPEC = "random:n=8,seed={seed}"
 
 #: The ISSUE's floor: duplicate-heavy (and warm) rps >= 5x cold rps.
 MIN_MIX_SPEEDUP = 5.0

@@ -19,14 +19,16 @@ exposes the quantities the sequels optimise:
 
 All values are exact :class:`~fractions.Fraction` arithmetic: one
 shared-mapping :class:`~repro.core.CostModel` of the combined graph folds
-every service's terms once, and each readout is its weighted per-server
-sum over the services (and weights) it needs.
+every service's terms once for the system-wide readouts, each its
+weighted per-server sum; the per-application readouts price the
+application alone on its servers, so on a contended topology only its
+own flows share links.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional
 
 from ..core import CommModel, CostModel, Mapping, Platform
 from .multiapp import MultiApplication
@@ -82,31 +84,35 @@ class ConcurrentCosts:
         return {u: loads[u] for u in sorted(loads)}
 
     # -- per-application -------------------------------------------------------
+    def _alone(self, name: str) -> Optional[CostModel]:
+        """Application *name* alone on its servers under this placement
+        (``None`` for an application with no services)."""
+        services = self.multi.app_services(name)
+        if not services:
+            return None
+        sub_mapping = Mapping.shared(
+            {svc: self.mapping.server(svc) for svc in services}
+        )
+        return CostModel(self.multi.app_graph(name), self.platform, sub_mapping)
+
     def app_period(self, name: str) -> Fraction:
         """The period application *name* demands under this placement.
 
-        ``max_u`` of the application's own aggregated per-server load —
-        the Theorem-1 bound of the application run alone with the same
-        placement (other applications' services excluded, intra-server
-        edges of the application itself still free).  An application with
-        no services demands nothing: ``0``.
+        The Theorem-1 bound of the application run alone with the same
+        placement: ``max_u`` of its own aggregated per-server load, other
+        applications' services and flows excluded (its own intra-server
+        edges still free, and on a contended topology only its own flows
+        share links).  An application with no services demands nothing:
+        ``0``.
         """
-        index = self.costs.arrays.index
-        nodes = [index[svc] for svc in self.multi.app_services(name)]
-        loads = self.costs.loads(self.model, nodes)
-        return max(loads.values(), default=ZERO)
+        alone = self._alone(name)
+        return ZERO if alone is None else alone.period_lower_bound(self.model)
 
     def app_latency(self, name: str) -> Fraction:
         """Contention-free critical-path latency of application *name*
         (``0`` for an application with no services)."""
-        services = self.multi.app_services(name)
-        if not services:
-            return ZERO
-        sub_mapping = Mapping.shared(
-            {svc: self.mapping.server(svc) for svc in services}
-        )
-        sub = CostModel(self.multi.app_graph(name), self.platform, sub_mapping)
-        return sub.latency_lower_bound()
+        alone = self._alone(name)
+        return ZERO if alone is None else alone.latency_lower_bound()
 
     def app_periods(self) -> Dict[str, Fraction]:
         return {name: self.app_period(name) for name in self.multi.names}

@@ -55,7 +55,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -87,7 +87,12 @@ class BBStats:
 
     ``evaluated`` counts every graph scored through the objective —
     incumbent seeding included — so it compares honestly against the
-    enumeration baseline's graph count.  ``expanded`` is the number of
+    enumeration baseline's graph count.  Where the seed is priced on
+    per-node terms and deltas (MinPeriod under OVERLAP on a unit
+    platform), it scores only its final graph, so ``evaluated`` is one
+    plus the complete forests the search reaches; elsewhere it also
+    counts greedy's insertion candidates and the local search's trial
+    graphs.  ``expanded`` is the number of
     partial states popped and branched; ``pruned`` the number of generated
     states discarded because their lower bound already reached the
     incumbent.  ``limit_hit`` records that the search stopped on
@@ -195,23 +200,72 @@ def _min_products(app: Application) -> Dict[str, Fraction]:
     return out
 
 
-def _period_floors(
-    app: Application,
-    model: CommModel,
-    scaling: _Scaling,
-    minprod: Dict[str, Fraction],
-) -> Dict[str, Fraction]:
-    """Static per-service lower bound on ``Cexec`` over *all* plans."""
-    floors: Dict[str, Fraction] = {}
-    for s in app.services:
-        cin = min(ONE, minprod[s.name]) / scaling.comm_div
-        ccomp = minprod[s.name] * s.cost / scaling.speed(s.name)
-        cout = minprod[s.name] * s.selectivity / scaling.comm_div
-        if model.overlaps_compute:
-            floors[s.name] = max(cin, ccomp, cout)
-        else:
-            floors[s.name] = cin + ccomp + cout
-    return floors
+class ForestTerms:
+    """Theorem-1 per-node terms of a partial forest, in one numeric tier.
+
+    A placed node ``i`` with ancestor product ``a`` and ``m`` children
+    pays ``Cin = a·ci``, ``Ccomp = a·cc_i`` and ``Cout = max(m, 1)·a·co_i``
+    (a root has ``a = 1``, so its input message is ``ci`` too), combined
+    by max under OVERLAP and summed under the one-port models.  A partial
+    forest's period bound is the max of its placed nodes' terms, and
+    attaching a node changes only its own term and its parent's.
+
+    ``ci = 1/b``, ``cc_i = c_i/s_i`` and ``co_i = σ_i/b`` take ``b`` and
+    ``s`` from *scaling* (the unit platform without one).  They are
+    computed exactly and converted once by *num* (``float`` for the float
+    tiers; ``None`` keeps them exact), and so is ``k_i``, their max
+    (their sum under one-port): a new leaf under a parent of out-size
+    ``A`` costs ``A·k_i``, one multiply.  On a unit platform that float
+    product is bit-for-bit the max of the three rounded products, because
+    rounding is monotone; float one-port leaves keep the three products,
+    in order, so their sums round as before.
+    """
+
+    __slots__ = ("one", "ci", "sigma", "cc", "co", "k", "overlap", "fused")
+
+    def __init__(
+        self,
+        app: Application,
+        model: CommModel,
+        scaling: Optional[_Scaling] = None,
+        num=None,
+    ) -> None:
+        names = list(app.names)
+        scaling = scaling or _Scaling(app, None, None)
+        b = scaling.comm_div
+        ci = ONE / b
+        cc = [app.cost(x) / scaling.speed(x) for x in names]
+        co = [app.selectivity(x) / b for x in names]
+        self.overlap = model.overlaps_compute
+        k = [
+            max(ci, c, o) if self.overlap else ci + c + o
+            for c, o in zip(cc, co)
+        ]
+        conv = num or (lambda value: value)
+        self.one = conv(ONE)
+        self.ci = conv(ci)
+        self.sigma = [conv(app.selectivity(x)) for x in names]
+        self.cc = [conv(c) for c in cc]
+        self.co = [conv(o) for o in co]
+        self.k = [conv(x) for x in k]
+        self.fused = self.overlap or num is None
+
+    def leaf(self, size, i: int):
+        """Term of node *i* as a leaf whose parent emits *size*."""
+        if self.fused:
+            return size * self.k[i]
+        return size * self.ci + size * self.cc[i] + size * self.co[i]
+
+    def term(self, anc, children: int, i: int):
+        """Term of node *i* with ancestor product *anc* and *children*."""
+        if children <= 1:
+            return self.leaf(anc, i)
+        cin = anc * self.ci
+        ccomp = anc * self.cc[i]
+        cout = children * anc * self.co[i]
+        if self.overlap:
+            return max(cin, ccomp, cout)
+        return cin + ccomp + cout
 
 
 def _latency_floors(
@@ -230,25 +284,57 @@ def _latency_floors(
     return floors
 
 
+class _Counted:
+    """*objective* counting its calls in ``stats.evaluated``.
+
+    It carries the configuration the search scores (``kind``, ``model``,
+    ``effort``, ``platform``, ``mapping``: a planner objective's
+    attributes), which is how :func:`~repro.optimize.greedy.greedy_forest`
+    knows when the seed's insertions can be priced on per-node terms.
+    """
+
+    __slots__ = (
+        "objective", "stats", "kind", "model", "effort", "platform", "mapping",
+    )
+
+    def __init__(
+        self,
+        objective: Objective,
+        stats: "BBStats",
+        kind: str,
+        model: CommModel,
+        platform: Optional[Platform],
+        mapping: Optional[Mapping],
+    ) -> None:
+        self.objective = objective
+        self.stats = stats
+        self.kind = kind
+        self.model = model
+        self.effort = getattr(objective, "effort", Effort.HEURISTIC)
+        self.platform = platform
+        self.mapping = mapping
+
+    def __call__(self, graph: ExecutionGraph) -> Fraction:
+        self.stats.evaluated += 1
+        return self.objective(graph)
+
+
 def _seed_incumbent(
     app: Application,
-    objective: Objective,
+    objective: _Counted,
     *,
-    kind: str,
-    model: CommModel,
-    platform: Optional[Platform],
-    mapping: Optional[Mapping],
     exactness: Exactness = Exactness.EXACT,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Greedy + reparenting local search: the starting incumbent.
 
     The closer the incumbent sits to the optimum, the harder the bound
     prunes — in the common case local search already *is* optimal and the
-    search reduces to a proof of optimality.  Under OVERLAP the local
-    search scores candidates through incremental deltas (the bound is the
-    objective at every effort there); the final graph is always re-scored
-    through *objective* so the incumbent value matches the search's own
-    scoring exactly.
+    search reduces to a proof of optimality.  Under OVERLAP greedy prices
+    its insertions on the per-node terms and the local search scores
+    candidates through incremental deltas (the bound is the objective at
+    every effort there); the final graph is always re-scored through
+    *objective* so the incumbent value matches the search's own scoring
+    exactly.
     """
     from .greedy import greedy_forest
     from .incremental import period_delta
@@ -256,10 +342,10 @@ def _seed_incumbent(
 
     _, seed_graph = greedy_forest(app, objective)
     delta = None
-    if kind == "period" and model.overlaps_compute:
+    if objective.kind == "period" and objective.model.overlaps_compute:
         delta = period_delta(
-            seed_graph, model, Effort.HEURISTIC, platform, mapping,
-            exactness=exactness,
+            seed_graph, objective.model, Effort.HEURISTIC,
+            objective.platform, objective.mapping, exactness=exactness,
         )
     _, graph = local_search_forest(seed_graph, objective, delta=delta)
     return objective(graph), graph
@@ -302,6 +388,14 @@ def bb_minperiod(
     effort.  Proposition 4 guarantees the forest space suffices for
     MinPeriod without precedence constraints.
 
+    Every bound is priced on the :class:`ForestTerms` of the partial
+    forest: an expanded state computes each parent's out-size and its
+    term with one more child once, and a new leaf's term is one multiply.
+    The greedy seed prices its insertions on the same terms under OVERLAP
+    (and at the bound effort) on a unit platform, so there only the
+    seed's final graph is scored through *objective*; under ``FAST`` that
+    seed is the exact greedy's.
+
     *node_limit* caps the number of expanded states; when hit, the current
     incumbent is returned (still an upper bound, no longer certified
     optimal — ``stats.expanded`` reaching the limit flags it).  *deadline*
@@ -331,32 +425,29 @@ def bb_minperiod(
     exactness = Exactness.coerce(exactness)
     names = list(app.names)
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}
     scaling = _Scaling(app, platform, mapping)
     minprod = _min_products(app)
-    floors = _period_floors(app, model, scaling, minprod)
+    # Exact terms price the static floors (a service's floor is a leaf
+    # fed its smallest possible data set) and the near-tie arbitration.
+    terms_x = ForestTerms(app, model, scaling)
+    floors_x = [minprod[name] * k for name, k in zip(names, terms_x.k)]
     while True:
         use_float = exactness.uses_float
-        conv = float if use_float else (lambda value: value)
         try:
-            one = conv(ONE)
-            sigma = [conv(app.selectivity(name)) for name in names]
-            cost = [conv(app.cost(name)) for name in names]
-            speed = [conv(scaling.speed(name)) for name in names]
-            b_div = conv(scaling.comm_div)
-            floor_list = [conv(floors[name]) for name in names]
+            if use_float:
+                terms = ForestTerms(app, model, scaling, float)
+                floor_list = [float(f) for f in floors_x]
+            else:
+                terms, floor_list = terms_x, floors_x
             break
         except OverflowError:
             # Instance quantities beyond float range: the fast tier cannot
             # represent them — degrade to the (always-correct) exact tier.
             exactness = Exactness.EXACT
-    overlap = model.overlaps_compute
+    one, sigma, k, fused = terms.one, terms.sigma, terms.k, terms.fused
     stats = BBStats()
     deadline_at = None if deadline is None else time.monotonic() + deadline
-
-    def scored(graph: ExecutionGraph) -> Fraction:
-        stats.evaluated += 1
-        return objective(graph)
+    scored = _Counted(objective, stats, "period", model, platform, mapping)
 
     def graph_of(parents: Tuple[int, ...]) -> ExecutionGraph:
         return ExecutionGraph.from_parents(
@@ -369,10 +460,7 @@ def bb_minperiod(
         )
 
     if incumbent is None:
-        incumbent = _seed_incumbent(
-            app, scored, kind="period", model=model,
-            platform=platform, mapping=mapping, exactness=exactness,
-        )
+        incumbent = _seed_incumbent(app, scored, exactness=exactness)
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
@@ -390,31 +478,8 @@ def bb_minperiod(
         cut, low_cut = _float_cuts(best_value, eps)
     else:
         cut = low_cut = best_value
-
-    # Per-node partial term: cin is the parent's out-size (== the node's
-    # ancestor product) or the unit input message for roots; cout counts
-    # the current children plus the one unavoidable output message.
-    def make_term(sig, cst, spd, bdv, unit):
-        def term(anc, is_root: bool, children: int, i: int):
-            cin = (unit if is_root else anc) / bdv
-            ccomp = anc * cst[i] / spd[i]
-            cout = max(children, 1) * anc * sig[i] / bdv
-            if overlap:
-                return max(cin, ccomp, cout)
-            return cin + ccomp + cout
-        return term
-
-    term = make_term(sigma, cost, speed, b_div, one)
-    if certified:
-        # Exact twins of every converted array, for near-tie arbitration.
-        sigma_x = [app.selectivity(name) for name in names]
-        cost_x = [app.cost(name) for name in names]
-        speed_x = [scaling.speed(name) for name in names]
-        term_x = make_term(sigma_x, cost_x, speed_x, scaling.comm_div, ONE)
-        floors_x = [floors[name] for name in names]
-        root_bound_x = max(floors_x) if floors_x else Fraction(0)
-
-    root_bound = max(floor_list) if floor_list else conv(Fraction(0))
+    root_bound_x = max(floors_x, default=Fraction(0))
+    root_bound = max(floor_list, default=one * 0)
     start: Tuple[int, ...] = tuple([_ForestState.UNPLACED] * n)
     heap: List[Tuple] = []
     counter = itertools.count()
@@ -424,15 +489,14 @@ def bb_minperiod(
     heapq.heappush(heap, (root_bound, 0, next(counter), start, -1))
     seen = {start}
 
+    # Under EXACT ``low_cut == cut``, so one test serves every tier: a
+    # bound at or above ``low_cut`` is no better than the incumbent,
+    # except inside CERTIFIED's ``[low_cut, cut]`` band, where a
+    # generated child is pruned only on exact arbitration.
+    pruned = duplicates = 0
     while heap:
         bound, placed_rank, _, parents, state_gen = heapq.heappop(heap)
-        if certified:
-            worse = bound > cut
-        elif use_float:
-            worse = bound >= low_cut  # FAST: ties prune uncertified
-        else:
-            worse = bound >= cut
-        if worse:
+        if bound >= low_cut and (not certified or bound > cut):
             break  # every remaining state is at least as bad — optimal
         if node_limit is not None and stats.expanded >= node_limit:
             stats.limit_hit = True
@@ -441,24 +505,30 @@ def bb_minperiod(
             stats.limit_hit = True
             break
 
-        placed = [i for i, p in enumerate(parents) if p != _ForestState.UNPLACED]
-        unplaced = [i for i, p in enumerate(parents) if p == _ForestState.UNPLACED]
-        # Revive the ancestor products and child counts of the partial forest.
-        anc: Dict[int, object] = {}
-        children: Dict[int, int] = {i: 0 for i in placed}
-
-        def anc_of(i: int):
-            found = anc.get(i)
-            if found is None:
-                p = parents[i]
-                found = one if p == _ForestState.ROOT else anc_of(p) * sigma[p]
-                anc[i] = found
-            return found
-
-        for i in placed:
-            anc_of(i)
-            if parents[i] >= 0:
-                children[parents[i]] += 1
+        # Revive the ancestor products and child counts of the partial
+        # forest: each unrevived chain is walked up to a revived node or a
+        # root, then folded root-down (the same float order every time).
+        placed: List[int] = []
+        unplaced: List[int] = []
+        anc: List[object] = [None] * n
+        children = [0] * n
+        for i, p in enumerate(parents):
+            if p == _ForestState.UNPLACED:
+                unplaced.append(i)
+                continue
+            placed.append(i)
+            if p >= 0:
+                children[p] += 1
+            if anc[i] is None:
+                chain, top = [i], p
+                while top >= 0 and anc[top] is None:
+                    chain.append(top)
+                    top = parents[top]
+                prod = one if top < 0 else anc[top] * sigma[top]
+                for j in reversed(chain[1:]):
+                    anc[j] = prod
+                    prod = prod * sigma[j]
+                anc[i] = prod
 
         if certified:
             # Lazy exact revival of this state's bound — only touched when
@@ -469,6 +539,8 @@ def bb_minperiod(
             # current one.
             exact_state: List[Optional[Fraction]] = [None]
             exact_anc: Dict[int, Fraction] = {}
+            exact_size: Dict[int, Fraction] = {}
+            exact_grown: Dict[int, Fraction] = {}
 
             def exact_anc_of(i: int) -> Fraction:
                 found = exact_anc.get(i)
@@ -476,7 +548,7 @@ def bb_minperiod(
                     p = parents[i]
                     found = (
                         ONE if p == _ForestState.ROOT
-                        else exact_anc_of(p) * sigma_x[p]
+                        else exact_anc_of(p) * terms_x.sigma[p]
                     )
                     exact_anc[i] = found
                 return found
@@ -486,15 +558,28 @@ def bb_minperiod(
                 if found is None:
                     found = root_bound_x
                     for i in placed:
-                        t = term_x(
-                            exact_anc_of(i),
-                            parents[i] == _ForestState.ROOT,
-                            children[i],
-                            i,
-                        )
+                        t = terms_x.term(exact_anc_of(i), children[i], i)
                         if t > found:
                             found = t
                     exact_state[0] = found
+                return found
+
+            def exact_leaf(p: int, u: int) -> Fraction:
+                # Exact term of *u* as a new leaf under *p*.
+                if p == _ForestState.ROOT:
+                    return terms_x.k[u]
+                size = exact_size.get(p)
+                if size is None:
+                    size = exact_size[p] = exact_anc_of(p) * terms_x.sigma[p]
+                return size * terms_x.k[u]
+
+            def exact_grown_of(p: int) -> Fraction:
+                # Exact term of parent *p* with one more child.
+                found = exact_grown.get(p)
+                if found is None:
+                    found = exact_grown[p] = terms_x.term(
+                        exact_anc_of(p), children[p] + 1, p
+                    )
                 return found
 
             # A state pushed under the current incumbent was already exactly
@@ -505,7 +590,7 @@ def bb_minperiod(
                 and bound >= low_cut
                 and exact_bound() >= best_value
             ):
-                stats.pruned += 1  # exact arbitration: a true (near-)tie
+                pruned += 1  # exact arbitration: a true (near-)tie
                 continue
         stats.expanded += 1
         # The incumbent generation this state's bound was screened under;
@@ -514,86 +599,68 @@ def bb_minperiod(
         # component was only verified against the pre-improvement value).
         verified_gen = gen
 
+        # Once per state, not per (unplaced, parent) pair: each candidate
+        # parent's out-size (a new child's ancestor product), its term with
+        # one more child, and the floor that puts under every such child,
+        # max(bound, grown term).  A root slot has out-size 1 and floor
+        # ``bound``.  A parent whose floor alone is no better than the
+        # incumbent prunes its whole column (the cut only ever falls).
+        slots = [(_ForestState.ROOT, one, bound, None)]
+        for p in placed:
+            grown = terms.term(anc[p], children[p] + 1, p)
+            floor = grown if grown > bound else bound
+            if floor >= low_cut and (not certified or floor > cut):
+                pruned += len(unplaced)
+            else:
+                slots.append((p, anc[p] * sigma[p], floor, grown))
+        rank = n - len(placed) - 1
         for u in unplaced:
-            for p in [-1] + placed:
-                if p == _ForestState.ROOT:
-                    anc_u = one
-                    new_term = term(anc_u, True, 0, u)
-                    parent_term = None
-                else:
-                    anc_u = anc[p] * sigma[p]
-                    new_term = term(anc_u, False, 0, u)
-                    parent_term = term(
-                        anc[p], parents[p] == _ForestState.ROOT, children[p] + 1, p
-                    )
-                child_bound = bound if new_term <= bound else new_term
-                if parent_term is not None and parent_term > child_bound:
-                    child_bound = parent_term
-                if use_float and not certified:
-                    if child_bound >= low_cut:  # FAST: uncertified pruning
-                        stats.pruned += 1
-                        continue
-                elif certified:
-                    if child_bound > cut:
-                        stats.pruned += 1
-                        continue
-                    if child_bound >= low_cut:
-                        # Near-tie band: arbitrate in exact arithmetic so the
-                        # prune set matches the exact tier bit-for-bit.  The
-                        # expanded state's own exact bound is already known
-                        # to be below the incumbent, so only the two terms
-                        # the move changes need exact evaluation.
-                        if p == _ForestState.ROOT:
-                            if term_x(ONE, True, 0, u) >= best_value:
-                                stats.pruned += 1
-                                continue
-                        else:
-                            anc_px = exact_anc_of(p)
-                            if (
-                                term_x(anc_px * sigma_x[p], False, 0, u)
-                                >= best_value
-                                or term_x(
-                                    anc_px, parents[p] == _ForestState.ROOT,
-                                    children[p] + 1, p,
-                                )
-                                >= best_value
-                            ):
-                                stats.pruned += 1
-                                continue
-                elif child_bound >= cut:
-                    stats.pruned += 1
+            k_u = k[u]
+            for p, size, floor, grown in slots:
+                new_term = size * k_u if fused else terms.leaf(size, u)
+                child_bound = floor if new_term <= floor else new_term
+                if child_bound >= low_cut and (
+                    not certified
+                    or child_bound > cut
+                    # Near-tie band: arbitrate in exact arithmetic so the
+                    # prune set matches the exact tier bit-for-bit.  The
+                    # expanded state's own exact bound is known to be below
+                    # the incumbent, so only the two terms the move changes
+                    # can reach it, and only one whose float is in the band
+                    # (below ``low_cut`` it is provably below the incumbent).
+                    or new_term >= low_cut and exact_leaf(p, u) >= best_value
+                    or grown is not None and grown >= low_cut
+                    and exact_grown_of(p) >= best_value
+                ):
+                    pruned += 1
                     continue
                 child = list(parents)
-                child[u] = p if p >= 0 else _ForestState.ROOT
+                child[u] = p
                 child_key = tuple(child)
-                if len(placed) + 1 == n:
-                    # Complete forest: score it for real (exact tier under
-                    # EXACT/CERTIFIED — only float-safe survivors reach here).
-                    if child_key in seen:
-                        stats.duplicates += 1
-                        continue
-                    seen.add(child_key)
-                    graph = graph_of(child_key)
-                    value = scored(graph)
-                    if value < best_value:
-                        best_value, best_graph = value, graph
-                        gen += 1
-                        if use_float:
-                            cut, low_cut = _float_cuts(best_value, eps)
-                        else:
-                            cut = low_cut = best_value
-                        stats.incumbent_updates += 1
-                    continue
                 if child_key in seen:
-                    stats.duplicates += 1
+                    duplicates += 1
                     continue
                 seen.add(child_key)
-                heapq.heappush(
-                    heap,
-                    (child_bound, n - len(placed) - 1, next(counter), child_key,
-                     verified_gen),
-                )
+                if rank:
+                    heapq.heappush(
+                        heap,
+                        (child_bound, rank, next(counter), child_key, verified_gen),
+                    )
+                    continue
+                # Complete forest: score it for real (exact tier under
+                # EXACT/CERTIFIED — only float-safe survivors reach here).
+                graph = graph_of(child_key)
+                value = scored(graph)
+                if value < best_value:
+                    best_value, best_graph = value, graph
+                    gen += 1
+                    if use_float:
+                        cut, low_cut = _float_cuts(best_value, eps)
+                    else:
+                        cut = low_cut = best_value
+                    stats.incumbent_updates += 1
 
+    stats.pruned, stats.duplicates = pruned, duplicates
     return best_value, best_graph, stats
 
 
@@ -667,15 +734,9 @@ def bb_minlatency(
     stats = BBStats()
     deadline_at = None if deadline is None else time.monotonic() + deadline
 
-    def scored(graph: ExecutionGraph) -> Fraction:
-        stats.evaluated += 1
-        return objective(graph)
-
+    scored = _Counted(objective, stats, "latency", model, platform, mapping)
     if incumbent is None:
-        incumbent = _seed_incumbent(
-            app, scored, kind="latency", model=model,
-            platform=platform, mapping=mapping, exactness=exactness,
-        )
+        incumbent = _seed_incumbent(app, scored, exactness=exactness)
     best_value, best_graph = incumbent
 
     # Near-tie band thresholds — see bb_minperiod for the contract.

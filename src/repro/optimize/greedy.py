@@ -6,6 +6,14 @@ root — that minimises the objective of the partial forest.  This is the
 natural incremental generalisation of the paper's chain greedy (Prop 8) to
 forest-shaped plans, which Proposition 4 shows are sufficient for
 MinPeriod.
+
+Where the period objective is the Section-2.1 bound on a unit platform
+(Theorem 1 under OVERLAP, or the bound effort), a partial forest's value
+is the max of its placed nodes' per-node terms
+(:class:`~repro.optimize.branch_and_bound.ForestTerms`), and an insertion
+changes only the new node's term and its parent's.  There every candidate
+is priced from those terms in exact ``Fraction`` arithmetic, without
+building a graph or calling the objective.
 """
 
 from __future__ import annotations
@@ -14,7 +22,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Application, CommModel, ExecutionGraph
-from .evaluation import Effort, latency_objective, period_objective
+from .branch_and_bound import ForestTerms
+from .evaluation import (
+    Effort,
+    _normalise,
+    kernel_covers,
+    latency_objective,
+    period_objective,
+)
 
 
 def _insertion_order(app: Application) -> List[str]:
@@ -29,6 +44,68 @@ def _insertion_order(app: Application) -> List[str]:
     return filters + expanders
 
 
+def _term_priced(app: Application, objective) -> Optional[ForestTerms]:
+    """Exact per-node terms when they price *objective*, else ``None``.
+
+    Read from the objective's ``kind``/``model``/``effort``/``platform``/
+    ``mapping`` attributes (those of a planner objective): the period
+    where the float kernels' coverage rule holds, on a configuration that
+    normalises to the unit platform.
+    """
+    model = getattr(objective, "model", None)
+    if getattr(objective, "kind", None) != "period" or model is None:
+        return None
+    effort = getattr(objective, "effort", Effort.HEURISTIC)
+    if not kernel_covers("period", model, effort):
+        return None
+    platform, mapping = _normalise(
+        getattr(objective, "platform", None), getattr(objective, "mapping", None)
+    )
+    if platform is not None or mapping is not None:
+        return None
+    return ForestTerms(app, model)
+
+
+def _greedy_on_terms(
+    app: Application, terms: ForestTerms
+) -> Tuple[Fraction, ExecutionGraph]:
+    """:func:`greedy_forest` with each insertion priced on *terms*.
+
+    Putting ``u`` under placed ``p`` costs ``max(current, A_p·k_u, p's
+    term with one more child)``, where ``A_p`` is ``p``'s out-size; as a
+    root it costs ``max(current, k_u)``.  Same order, same tie-break.
+    """
+    index = {name: i for i, name in enumerate(app.names)}
+    parents: Dict[str, Optional[str]] = {}
+    anc: Dict[str, Fraction] = {}
+    children: Dict[str, int] = {}
+    # Per placed node: its out-size and its term with one more child.
+    size: Dict[str, Fraction] = {}
+    grown: Dict[str, Fraction] = {}
+    value = Fraction(0)
+    for name in _insertion_order(app):
+        u = index[name]
+        best_val = max(value, terms.k[u])
+        best_parent: Optional[str] = None
+        for parent in parents:
+            val = max(value, terms.leaf(size[parent], u), grown[parent])
+            if val < best_val:
+                best_val, best_parent = val, parent
+        parents[name] = best_parent
+        anc[name] = terms.one if best_parent is None else size[best_parent]
+        children[name] = 0
+        size[name] = anc[name] * terms.sigma[u]
+        grown[name] = terms.term(anc[name], 1, u)
+        if best_parent is not None:
+            children[best_parent] += 1
+            p = index[best_parent]
+            grown[best_parent] = terms.term(
+                anc[best_parent], children[best_parent] + 1, p
+            )
+        value = best_val
+    return value, ExecutionGraph.from_parents(app, parents)
+
+
 def greedy_forest(
     app: Application,
     objective,
@@ -39,7 +116,17 @@ def greedy_forest(
     produced by :meth:`repro.planner.EvaluationCache.objective` so partial
     evaluations are memoized.  Services are inserted in the
     :func:`_insertion_order`; each attaches wherever the partial forest's
-    objective is smallest.  Returns ``(value, graph)``.
+    objective is smallest (the first strict minimum over ``[None] +
+    placed``).  Returns ``(value, graph)``.
+
+    A planner objective for the period under OVERLAP, or at the bound
+    effort, on a unit platform is priced on the per-node terms instead
+    (see the module docstring): the result is the same, and *objective* is
+    never called.  The terms are exact on every tier, so under ``FAST``
+    the forest and value are the exact greedy's, not those of greedy on
+    the float images.  Heterogeneous and placement objectives, other
+    one-port efforts and latency score each candidate graph through
+    *objective*.
 
     Example::
 
@@ -54,6 +141,9 @@ def greedy_forest(
     """
     if app.precedence:
         raise ValueError("greedy forest construction assumes no precedence")
+    terms = _term_priced(app, objective)
+    if terms is not None:
+        return _greedy_on_terms(app, terms)
     order = _insertion_order(app)
     parents: Dict[str, Optional[str]] = {}
     placed: List[str] = []

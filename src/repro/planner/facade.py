@@ -425,6 +425,9 @@ def solve(
     exact = _coerce_exactness(exactness)
     cache = cache if cache is not None else default_cache()
     spec = _coerce_robust(robust)
+    app = problem.application if isinstance(problem, ExecutionGraph) else problem
+    if isinstance(app, Application) and not len(app):
+        raise ValueError("the application has no services: nothing to plan")
 
     if spec is not None:
         from ..robust.scoring import solve_robust

@@ -265,9 +265,12 @@ def _solve_local_search(
     """Greedy seed plus reparenting local search.
 
     Where the objective equals the Section-2.1 bound (period under
-    OVERLAP, or the bound effort) candidate moves are priced by
-    :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas
-    instead of full objective evaluations.
+    OVERLAP, or the bound effort) the greedy seed's insertions are priced
+    on per-node terms (on a unit platform, see
+    :func:`~repro.optimize.greedy.greedy_forest`) and candidate moves by
+    :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas,
+    instead of full objective evaluations: under OVERLAP on a unit
+    platform the solve scores only its final graph.
     """
     seed_value, seed_graph = greedy_forest(app, objective_fn)
     delta = None

@@ -178,6 +178,14 @@ class TestAutoSelection:
         with pytest.raises(ValueError):
             solve(fig1.graph, method="no-such-solver")
 
+    def test_empty_application_is_rejected_with_its_cause(self):
+        empty = make_application([])
+        for method in ("auto", "greedy", "exhaustive"):
+            with pytest.raises(ValueError, match="no services"):
+                solve(empty, method=method, cache=EvaluationCache())
+        with pytest.raises(ValueError, match="no services"):
+            solve(ExecutionGraph.empty(empty), cache=EvaluationCache())
+
     def test_explicit_effort_on_graph_is_honoured(self, fig1):
         # effort must not be silently ignored under the default method.
         result = solve(fig1.graph, model="inorder", effort="bound")
@@ -209,12 +217,19 @@ class TestCache:
 
     def test_local_search_hits_cache_within_one_solve(self):
         app = random_application(5, seed=7)
-        result = solve(app, method="local-search", cache=EvaluationCache(),
-                       schedule=False)
+        # INORDER has no delta evaluator, so greedy and the local search
+        # score graphs through the memo.
+        result = solve(app, method="local-search", model="inorder",
+                       cache=EvaluationCache(), schedule=False)
         # Local search re-scores the incumbent and revisits neighbours, so
         # the memo must save work even within a single solve.
         assert result.stats.cache_hits > 0
         assert result.stats.evaluations > 0
+        # Under OVERLAP greedy prices insertions on per-node terms and the
+        # local search prices moves on deltas: only the winner is scored.
+        overlap = solve(app, method="local-search", cache=EvaluationCache(),
+                        schedule=False)
+        assert (overlap.stats.evaluations, overlap.stats.cache_hits) == (1, 0)
 
     def test_cache_is_content_keyed(self):
         cache = EvaluationCache()

@@ -1,0 +1,146 @@
+"""Greedy seeding and branch-and-bound expansion on the per-node terms.
+
+Under OVERLAP (Theorem 1), or at the bound effort, a partial forest's
+period on a unit platform is the max of its placed nodes' terms, so the
+greedy seed and every branch-and-bound child are priced from those terms
+without building a graph.  These tests pin that this changes nothing but
+the cost:
+
+1. term-priced greedy equals objective-priced greedy, value and edge set,
+   on seeded random instances, equal-cost ties and 2^-60 near-ties;
+2. the term path is taken exactly where the terms are the objective;
+3. a leaf's one-multiply float term is bit-for-bit the max (or ordered
+   sum) of the three rounded products it replaces;
+4. the search explores the same states: expanded/pruned/duplicates are
+   pinned to their values from before the term pricing, under every tier.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from repro.core import CommModel, Exactness, make_application
+from repro.optimize import Effort, greedy_forest, make_period_objective
+from repro.optimize.branch_and_bound import ForestTerms
+from repro.planner import EvaluationCache, solve
+from repro.workloads.generators import random_application, random_platform
+
+F = Fraction
+TINY = F(1, 2 ** 60)
+
+#: (model, effort) pairs whose period objective is the Section-2.1 bound.
+COVERED = [
+    (CommModel.OVERLAP, Effort.HEURISTIC),
+    (CommModel.OVERLAP, Effort.EXACT),
+    (CommModel.INORDER, Effort.BOUND),
+    (CommModel.OUTORDER, Effort.BOUND),
+]
+
+
+def _instances():
+    """Seeded random mixes, equal-cost ties and 2^-60 near-ties, n = 1-15."""
+    for seed in range(45):
+        n = 1 + seed % 15
+        fraction = (0.0, 0.3, 0.6, 1.0)[seed % 4]  # all expanders ... all filters
+        yield f"random-{seed}", random_application(
+            n, seed=seed, filter_fraction=fraction
+        )
+    for seed in range(15):
+        rng = random.Random(seed)
+        n = 2 + seed % 9
+        yield f"ties-{seed}", make_application([
+            (f"S{i}", 4, rng.choice((F(1, 2), F(1, 2), 1, 2))) for i in range(n)
+        ])
+    for seed in range(15):
+        rng = random.Random(100 + seed)
+        n = 2 + seed % 9
+        yield f"near-ties-{seed}", make_application([
+            (f"S{i}", rng.choice((2, 4, 8)) + rng.randrange(3) * TINY,
+             rng.choice((F(1, 4), F(1, 2), 1, 2)) + rng.randrange(2) * TINY)
+            for i in range(n)
+        ])
+
+
+INSTANCES = list(_instances())
+
+
+class TestGreedyOnTerms:
+    @pytest.mark.parametrize("label,app", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_equals_objective_priced_greedy(self, label, app):
+        for model, effort in COVERED:
+            objective = EvaluationCache().objective("period", model, effort)
+            value, graph = greedy_forest(app, objective)
+            assert objective.evaluations == 0  # priced on terms only
+            # A plain callable carries no configuration: it scores graphs.
+            expected_value, expected = greedy_forest(
+                app, make_period_objective(model, effort)
+            )
+            assert value == expected_value, (label, model, effort)
+            assert graph.edges == expected.edges, (label, model, effort)
+
+    def test_uncovered_objectives_score_graphs(self):
+        app = random_application(6, seed=3)
+        platform = random_platform(6, seed=1)
+        cache = EvaluationCache()
+        for objective in (
+            cache.objective("period", CommModel.INORDER, Effort.HEURISTIC),
+            cache.objective("latency", CommModel.OVERLAP),
+            cache.objective("period", CommModel.OVERLAP, platform=platform),
+        ):
+            value, graph = greedy_forest(app, objective)
+            assert objective.evaluations > 0
+            assert value == objective(graph)
+
+    def test_fast_seed_is_the_exact_greedy(self):
+        for seed in range(10):
+            app = random_application(9, seed=seed, filter_fraction=0.6)
+            exact = greedy_forest(
+                app, EvaluationCache().objective("period", CommModel.OVERLAP)
+            )
+            fast = greedy_forest(app, EvaluationCache().objective(
+                "period", CommModel.OVERLAP, exactness=Exactness.FAST
+            ))
+            assert fast[0] == exact[0] and fast[1].edges == exact[1].edges
+
+
+class TestFloatLeafTerm:
+    """A leaf's float term rounds exactly as its three products did."""
+
+    def test_one_multiply_matches_three_products(self):
+        rng = random.Random(7)
+        for seed in range(40):
+            app = random_application(6, seed=seed, filter_fraction=0.5)
+            overlap = ForestTerms(app, CommModel.OVERLAP, num=float)
+            oneport = ForestTerms(app, CommModel.INORDER, num=float)
+            for _ in range(20):
+                size = rng.uniform(1e-3, 4.0)
+                for i, service in enumerate(app.services):
+                    c, s = float(service.cost), float(service.selectivity)
+                    assert overlap.leaf(size, i) == max(size, size * c, size * s)
+                    assert oneport.leaf(size, i) == size + size * c + size * s
+
+
+class TestSearchCountsPinned:
+    """Expansion on the terms explores exactly the states it did before."""
+
+    #: (n, seed) -> (value, expanded, pruned, duplicates), identical on
+    #: every tier (the near-tie band makes certified match exact).
+    PINNED = {
+        (8, 2): (F(59829, 16384), 161, 2444, 150),
+        (9, 4): (F(75, 2), 1940, 39218, 3943),
+    }
+
+    @pytest.mark.parametrize("exactness", ["certified", "exact", "fast"])
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_counts(self, case, exactness):
+        n, seed = case
+        app = random_application(n, seed=seed, filter_fraction=0.6)
+        result = solve(app, method="branch-and-bound", schedule=False,
+                       cache=EvaluationCache(), exactness=exactness)
+        extras = result.stats.extras
+        assert (result.value, extras["expanded"], extras["pruned"],
+                extras["duplicates"]) == self.PINNED[case]
+        # Only the seed's final graph is scored: greedy and the local
+        # search price on terms and deltas, and no leaf beats the seed.
+        assert extras["evaluated"] == 1

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import make_application
+from repro.concurrent import ConcurrentCosts, MultiApplication
 from repro.core import (
     CommModel,
     CostModel,
@@ -247,6 +248,27 @@ class TestExactContention:
         costs = CostModel(graph, platform, shared_map)
         # Only A->C crosses servers; it rides alone at full route bottleneck.
         assert costs.link_bandwidth("A", "C") == 1
+
+    def test_app_period_prices_a_member_alone(self):
+        # Two chains, each split across the racks: together their flows
+        # share both uplinks, but a member's own period is that of the
+        # member alone on its servers, its one flow riding the uplink.
+        app = make_application([("A", 1, 1), ("B", 1, 1)])
+        chain = ExecutionGraph.chain(app, ["A", "B"])
+        multi = MultiApplication([("x", chain), ("y", chain)])
+        platform = Platform(
+            topology=TreeTopology(racks=2, servers_per_rack=2, up_bw=F(1, 4))
+        )
+        placement = {"x.A": "R0N0", "x.B": "R1N0", "y.A": "R0N1", "y.B": "R1N1"}
+        readout = ConcurrentCosts(multi, platform, Mapping.shared(placement))
+        alone = CostModel(
+            multi.app_graph("x"), platform,
+            Mapping.shared({s: placement[s] for s in ("x.A", "x.B")}),
+        )
+        assert readout.app_period("x") == alone.period_lower_bound(
+            CommModel.OVERLAP
+        ) == 4
+        assert readout.system_period() == 8  # the shared uplinks still count
 
     def test_unshared_topology_matches_static_quotes(self):
         graph, _, mapping = self._two_cross_flows()
