@@ -23,14 +23,11 @@ from fractions import Fraction
 from repro.analysis import text_table
 from repro.core import CommModel, Exactness
 from repro.optimize import (
-    IncrementalForestPeriod,
     greedy_forest,
     iter_forests,
     local_search_forest,
     make_period_objective,
-    period_delta,
 )
-from repro.optimize.evaluation import Effort
 from repro.planner import EvaluationCache, solve
 from repro.workloads.generators import random_application
 
@@ -113,18 +110,17 @@ def _local_search_rows(n=12, seeds=(1, 2, 3)):
         base_val, _ = local_search_forest(seed_graph, baseline_obj)
         baseline_wall = time.perf_counter() - started
 
-        delta = IncrementalForestPeriod(seed_graph, model=CommModel.OVERLAP)
-        delta_obj, delta_calls = _count_calls(objective)
+        # An Objective prices moves on the delta of its tier.
+        delta_obj = make_period_objective(CommModel.OVERLAP)
         started = time.perf_counter()
-        fast_val, _ = local_search_forest(seed_graph, delta_obj, delta=delta)
+        fast_val, _ = local_search_forest(seed_graph, delta_obj)
         delta_wall = time.perf_counter() - started
 
-        certified = period_delta(
-            seed_graph, CommModel.OVERLAP, Effort.HEURISTIC, None, None,
-            exactness=Exactness.CERTIFIED,
+        certified = make_period_objective(
+            CommModel.OVERLAP, exactness=Exactness.CERTIFIED
         )
         started = time.perf_counter()
-        cert_val, _ = local_search_forest(seed_graph, objective, delta=certified)
+        cert_val, _ = local_search_forest(seed_graph, certified)
         certified_wall = time.perf_counter() - started
 
         assert fast_val == base_val
@@ -134,7 +130,7 @@ def _local_search_rows(n=12, seeds=(1, 2, 3)):
             "seed": seed,
             "value": str(base_val),
             "evaluations_full": baseline_calls["n"],
-            "evaluations_delta": delta_calls["n"],
+            "evaluations_delta": delta_obj.evaluations,
             "wall_full_s": round(baseline_wall, 4),
             "wall_delta_s": round(delta_wall, 4),
             "wall_certified_s": round(certified_wall, 4),

@@ -71,7 +71,7 @@ from ..core import (
     Platform,
     certified_threshold,
 )
-from .evaluation import Effort, Objective
+from .evaluation import Objective
 
 ONE = Fraction(1)
 
@@ -85,14 +85,15 @@ MAX_BB_LATENCY_SERVICES = 7
 class BBStats:
     """Search counters reported in ``PlanResult.stats.extras``.
 
-    ``evaluated`` counts every graph scored through the objective —
-    incumbent seeding included — so it compares honestly against the
-    enumeration baseline's graph count.  Where the seed is priced on
-    per-node terms and deltas (MinPeriod under OVERLAP on a unit
+    ``evaluated`` is the growth of the objective's ``evaluations``
+    counter over the search: every graph scored through it, incumbent
+    seeding included, so it compares honestly against the enumeration
+    baseline's graph count.  Where the seed is priced on per-node terms
+    and deltas (MinPeriod under OVERLAP, or at the bound effort, on a unit
     platform), it scores only its final graph, so ``evaluated`` is one
-    plus the complete forests the search reaches; elsewhere it also
-    counts greedy's insertion candidates and the local search's trial
-    graphs.  ``expanded`` is the number of
+    plus the complete graphs the search reaches; elsewhere it also counts
+    greedy's insertion candidates and the local search's trial graphs.
+    ``expanded`` is the number of
     partial states popped and branched; ``pruned`` the number of generated
     states discarded because their lower bound already reached the
     incumbent.  ``limit_hit`` records that the search stopped on
@@ -284,70 +285,24 @@ def _latency_floors(
     return floors
 
 
-class _Counted:
-    """*objective* counting its calls in ``stats.evaluated``.
-
-    It carries the configuration the search scores (``kind``, ``model``,
-    ``effort``, ``platform``, ``mapping``: a planner objective's
-    attributes), which is how :func:`~repro.optimize.greedy.greedy_forest`
-    knows when the seed's insertions can be priced on per-node terms.
-    """
-
-    __slots__ = (
-        "objective", "stats", "kind", "model", "effort", "platform", "mapping",
-    )
-
-    def __init__(
-        self,
-        objective: Objective,
-        stats: "BBStats",
-        kind: str,
-        model: CommModel,
-        platform: Optional[Platform],
-        mapping: Optional[Mapping],
-    ) -> None:
-        self.objective = objective
-        self.stats = stats
-        self.kind = kind
-        self.model = model
-        self.effort = getattr(objective, "effort", Effort.HEURISTIC)
-        self.platform = platform
-        self.mapping = mapping
-
-    def __call__(self, graph: ExecutionGraph) -> Fraction:
-        self.stats.evaluated += 1
-        return self.objective(graph)
-
-
 def _seed_incumbent(
-    app: Application,
-    objective: _Counted,
-    *,
-    exactness: Exactness = Exactness.EXACT,
+    app: Application, objective: Objective
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Greedy + reparenting local search: the starting incumbent.
 
     The closer the incumbent sits to the optimum, the harder the bound
     prunes — in the common case local search already *is* optimal and the
-    search reduces to a proof of optimality.  Under OVERLAP greedy prices
-    its insertions on the per-node terms and the local search scores
-    candidates through incremental deltas (the bound is the objective at
-    every effort there); the final graph is always re-scored through
-    *objective* so the incumbent value matches the search's own scoring
-    exactly.
+    search reduces to a proof of optimality.  Where the period is the
+    Section-2.1 bound greedy prices its insertions on the per-node terms
+    and the local search prices its moves on incremental deltas; the final
+    graph is always re-scored through *objective* so the incumbent value
+    matches the search's own scoring exactly.
     """
     from .greedy import greedy_forest
-    from .incremental import period_delta
     from .local_search import local_search_forest
 
     _, seed_graph = greedy_forest(app, objective)
-    delta = None
-    if objective.kind == "period" and objective.model.overlaps_compute:
-        delta = period_delta(
-            seed_graph, objective.model, Effort.HEURISTIC,
-            objective.platform, objective.mapping, exactness=exactness,
-        )
-    _, graph = local_search_forest(seed_graph, objective, delta=delta)
+    _, graph = local_search_forest(seed_graph, objective)
     return objective(graph), graph
 
 
@@ -371,22 +326,20 @@ def bb_minperiod(
     app: Application,
     objective: Objective,
     *,
-    model: CommModel = CommModel.OVERLAP,
-    platform: Optional[Platform] = None,
-    mapping: Optional[Mapping] = None,
     incumbent: Optional[Tuple[Fraction, ExecutionGraph]] = None,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
-    exactness: Exactness = Exactness.EXACT,
     eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinPeriod over forests by best-first branch and bound.
 
-    *objective* scores complete forests (route it through the planner's
-    memo cache); the result optimises exactly the same quantity as
-    ``exhaustive_minperiod`` / the ``"exhaustive"`` solver at the matching
-    effort.  Proposition 4 guarantees the forest space suffices for
-    MinPeriod without precedence constraints.
+    *objective* (an :class:`~repro.optimize.evaluation.Objective`; pass
+    the planner's memoized one to share its cache) scores complete
+    forests, and the search reads its model, platform, mapping and
+    numeric tier from it; the result optimises exactly the same quantity
+    as ``exhaustive_minperiod`` / the ``"exhaustive"`` solver at the
+    matching effort.  Proposition 4 guarantees the forest space suffices
+    for MinPeriod without precedence constraints.
 
     Every bound is priced on the :class:`ForestTerms` of the partial
     forest: an expanded state computes each parent's out-size and its
@@ -403,12 +356,12 @@ def bb_minperiod(
     contract: the incumbent is always a valid plan, ``stats.limit_hit``
     records whether optimality was proved.
 
-    *exactness* picks the numeric tier for the bound arithmetic (the
-    module docstring spells out the certification contract): under
-    ``CERTIFIED`` the bounds run in floats, states are pruned only beyond
-    the *eps* relative guard, and the returned optimum is bit-for-bit the
-    ``EXACT`` tier's as long as *objective* evaluates exactly; ``FAST``
-    expects a float-tier objective and returns an uncertified incumbent.
+    The objective's ``exactness`` picks the numeric tier for the bound
+    arithmetic (the module docstring spells out the certification
+    contract): under ``CERTIFIED`` the bounds run in floats, states are
+    pruned only beyond the *eps* relative guard, and the returned optimum
+    is bit-for-bit the ``EXACT`` tier's; under ``FAST`` the objective
+    scores on the float tier and the incumbent returned is uncertified.
 
     Example::
 
@@ -422,10 +375,10 @@ def bb_minperiod(
     """
     if app.precedence:
         raise ValueError("forest branch and bound assumes no precedence constraints")
-    exactness = Exactness.coerce(exactness)
+    model, exactness = objective.model, objective.exactness
     names = list(app.names)
     n = len(names)
-    scaling = _Scaling(app, platform, mapping)
+    scaling = _Scaling(app, objective.platform, objective.mapping)
     minprod = _min_products(app)
     # Exact terms price the static floors (a service's floor is a leaf
     # fed its smallest possible data set) and the near-tie arbitration.
@@ -446,8 +399,8 @@ def bb_minperiod(
             exactness = Exactness.EXACT
     one, sigma, k, fused = terms.one, terms.sigma, terms.k, terms.fused
     stats = BBStats()
+    evaluations = objective.evaluations
     deadline_at = None if deadline is None else time.monotonic() + deadline
-    scored = _Counted(objective, stats, "period", model, platform, mapping)
 
     def graph_of(parents: Tuple[int, ...]) -> ExecutionGraph:
         return ExecutionGraph.from_parents(
@@ -460,7 +413,7 @@ def bb_minperiod(
         )
 
     if incumbent is None:
-        incumbent = _seed_incumbent(app, scored, exactness=exactness)
+        incumbent = _seed_incumbent(app, objective)
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
@@ -650,7 +603,7 @@ def bb_minperiod(
                 # Complete forest: score it for real (exact tier under
                 # EXACT/CERTIFIED — only float-safe survivors reach here).
                 graph = graph_of(child_key)
-                value = scored(graph)
+                value = objective(graph)
                 if value < best_value:
                     best_value, best_graph = value, graph
                     gen += 1
@@ -661,6 +614,7 @@ def bb_minperiod(
                     stats.incumbent_updates += 1
 
     stats.pruned, stats.duplicates = pruned, duplicates
+    stats.evaluated = objective.evaluations - evaluations
     return best_value, best_graph, stats
 
 
@@ -672,14 +626,10 @@ def bb_minlatency(
     app: Application,
     objective: Objective,
     *,
-    model: CommModel = CommModel.OVERLAP,
-    platform: Optional[Platform] = None,
-    mapping: Optional[Mapping] = None,
     incumbent: Optional[Tuple[Fraction, ExecutionGraph]] = None,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
     max_services: int = MAX_BB_LATENCY_SERVICES,
-    exactness: Exactness = Exactness.EXACT,
     eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinLatency over DAGs by best-first branch and bound.
@@ -690,10 +640,12 @@ def bb_minlatency(
     and the static floors of the unplaced services.  Optimal latency plans
     need not be forests (Proposition 13), hence the DAG space.
 
-    *exactness*/*eps* pick the numeric tier of the bound arithmetic with
-    the same certification contract as :func:`bb_minperiod`; *deadline*
-    (wall-clock seconds) stops the search like *node_limit*, leaving the
-    incumbent as an anytime upper bound with ``stats.limit_hit`` set.
+    *objective* is read as in :func:`bb_minperiod`: it scores complete
+    DAGs, and its platform, mapping and ``exactness`` (with *eps*) set the
+    bound's divisors and numeric tier under the same certification
+    contract; *deadline* (wall-clock seconds) stops the search like
+    *node_limit*, leaving the incumbent as an anytime upper bound with
+    ``stats.limit_hit`` set.
 
     Example::
 
@@ -714,8 +666,8 @@ def bb_minlatency(
             f"DAG branch and bound is unreasonable for n={n} > {max_services}; "
             f"use the forest-restricted search or a heuristic"
         )
-    exactness = Exactness.coerce(exactness)
-    scaling = _Scaling(app, platform, mapping)
+    exactness = objective.exactness
+    scaling = _Scaling(app, objective.platform, objective.mapping)
     minprod = _min_products(app)
     floors = _latency_floors(app, scaling, minprod)
     while True:
@@ -732,11 +684,11 @@ def bb_minlatency(
         except OverflowError:
             exactness = Exactness.EXACT  # beyond float range (see bb_minperiod)
     stats = BBStats()
+    evaluations = objective.evaluations
     deadline_at = None if deadline is None else time.monotonic() + deadline
 
-    scored = _Counted(objective, stats, "latency", model, platform, mapping)
     if incumbent is None:
-        incumbent = _seed_incumbent(app, scored, exactness=exactness)
+        incumbent = _seed_incumbent(app, objective)
     best_value, best_graph = incumbent
 
     # Near-tie band thresholds — see bb_minperiod for the contract.
@@ -939,7 +891,7 @@ def bb_minlatency(
                         [(names[a], names[b]) for a, b in child[1]],
                         check_precedence=False,
                     )
-                    value = scored(graph)
+                    value = objective(graph)
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1
@@ -955,6 +907,7 @@ def bb_minlatency(
                      verified_gen),
                 )
 
+    stats.evaluated = objective.evaluations - evaluations
     return best_value, best_graph, stats
 
 

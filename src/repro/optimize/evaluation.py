@@ -271,7 +271,64 @@ def latency_objective(
     return value
 
 
-Objective = Callable[[ExecutionGraph], Fraction]
+#: Objective kinds understood by the searches and the planner.
+OBJECTIVES = ("period", "latency")
+
+
+class Objective:
+    """A period or latency objective bound to one search configuration.
+
+    Called like a ``graph -> Fraction`` function, it returns
+    :func:`period_objective` or :func:`latency_objective` (*kind*) of the
+    graph under its ``model``, ``effort``, ``platform``, ``mapping`` and
+    ``exactness``, and counts the call in ``evaluations``.  The searches
+    read their configuration from these attributes: greedy prices its
+    insertions on per-node terms and local search its moves on deltas
+    where the objective is the Section-2.1 bound, and branch and bound
+    takes its model, platform, mapping and numeric tier from them.  A
+    plain ``graph -> Fraction`` callable carries no configuration, so the
+    heuristics score every candidate graph through it.
+
+    :class:`repro.planner.CachedObjective` is the memoizing subclass.
+    """
+
+    __slots__ = (
+        "kind", "model", "effort", "platform", "mapping", "exactness",
+        "evaluations",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        model: CommModel,
+        effort: Effort = Effort.HEURISTIC,
+        platform: Optional[Platform] = None,
+        mapping: Optional[Mapping] = None,
+        exactness: Union[str, Exactness] = Exactness.EXACT,
+    ) -> None:
+        if kind not in OBJECTIVES:
+            raise ValueError(
+                f"unknown objective {kind!r}; expected one of {OBJECTIVES}"
+            )
+        self.kind = kind
+        self.model = model
+        self.effort = effort
+        self.platform = platform
+        self.mapping = mapping
+        self.exactness = Exactness.coerce(exactness)
+        self.evaluations = 0
+
+    def __call__(self, graph: ExecutionGraph) -> Fraction:
+        self.evaluations += 1
+        return self.compute(graph)
+
+    def compute(self, graph: ExecutionGraph) -> Fraction:
+        """The value of *graph*, without counting an evaluation."""
+        evaluate = period_objective if self.kind == "period" else latency_objective
+        return evaluate(
+            graph, self.model, self.effort, self.platform, self.mapping,
+            exactness=self.exactness,
+        )
 
 
 def make_period_objective(
@@ -281,7 +338,7 @@ def make_period_objective(
     mapping: Optional[Mapping] = None,
     exactness: Union[str, Exactness] = Exactness.EXACT,
 ) -> Objective:
-    """Bind :func:`period_objective` to a fixed model/effort/platform.
+    """The period :class:`Objective` for a fixed model/effort/platform.
 
     Example::
 
@@ -290,13 +347,13 @@ def make_period_objective(
         >>> app = make_application([("A", 4, 1), ("B", 4, 1)])
         >>> obj(ExecutionGraph.chain(app, ["A", "B"]))
         Fraction(4, 1)
+        >>> obj.evaluations
+        1
 
     For a memoized equivalent use
     ``repro.planner.EvaluationCache.objective("period", model, effort)``.
     """
-    return lambda graph: period_objective(
-        graph, model, effort, platform, mapping, exactness=exactness
-    )
+    return Objective("period", model, effort, platform, mapping, exactness)
 
 
 def make_latency_objective(
@@ -306,7 +363,7 @@ def make_latency_objective(
     mapping: Optional[Mapping] = None,
     exactness: Union[str, Exactness] = Exactness.EXACT,
 ) -> Objective:
-    """Bind :func:`latency_objective` to a fixed model/effort/platform.
+    """The latency :class:`Objective` for a fixed model/effort/platform.
 
     Example::
 
@@ -316,9 +373,7 @@ def make_latency_objective(
         >>> obj(ExecutionGraph.chain(app, ["A", "B"]))   # 1+4+1+4+1
         Fraction(11, 1)
     """
-    return lambda graph: latency_objective(
-        graph, model, effort, platform, mapping, exactness=exactness
-    )
+    return Objective("latency", model, effort, platform, mapping, exactness)
 
 
 def kernel_covers(
@@ -445,6 +500,7 @@ def make_fast_latency_objective(
 
 __all__ = [
     "Effort",
+    "OBJECTIVES",
     "Objective",
     "fast_latency_value",
     "fast_period_value",

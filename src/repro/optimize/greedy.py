@@ -25,10 +25,11 @@ from ..core import Application, CommModel, ExecutionGraph
 from .branch_and_bound import ForestTerms
 from .evaluation import (
     Effort,
+    Objective,
     _normalise,
     kernel_covers,
-    latency_objective,
-    period_objective,
+    make_latency_objective,
+    make_period_objective,
 )
 
 
@@ -47,23 +48,18 @@ def _insertion_order(app: Application) -> List[str]:
 def _term_priced(app: Application, objective) -> Optional[ForestTerms]:
     """Exact per-node terms when they price *objective*, else ``None``.
 
-    Read from the objective's ``kind``/``model``/``effort``/``platform``/
-    ``mapping`` attributes (those of a planner objective): the period
-    where the float kernels' coverage rule holds, on a configuration that
+    An :class:`~repro.optimize.evaluation.Objective` for the period where
+    the float kernels' coverage rule holds, on a configuration that
     normalises to the unit platform.
     """
-    model = getattr(objective, "model", None)
-    if getattr(objective, "kind", None) != "period" or model is None:
+    if not isinstance(objective, Objective) or objective.kind != "period":
         return None
-    effort = getattr(objective, "effort", Effort.HEURISTIC)
-    if not kernel_covers("period", model, effort):
+    if not kernel_covers("period", objective.model, objective.effort):
         return None
-    platform, mapping = _normalise(
-        getattr(objective, "platform", None), getattr(objective, "mapping", None)
-    )
+    platform, mapping = _normalise(objective.platform, objective.mapping)
     if platform is not None or mapping is not None:
         return None
-    return ForestTerms(app, model)
+    return ForestTerms(app, objective.model)
 
 
 def _greedy_on_terms(
@@ -112,21 +108,21 @@ def greedy_forest(
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Incrementally build a forest minimising *objective* at each insertion.
 
-    *objective* is any ``ExecutionGraph -> Fraction`` callable — e.g. one
-    produced by :meth:`repro.planner.EvaluationCache.objective` so partial
-    evaluations are memoized.  Services are inserted in the
-    :func:`_insertion_order`; each attaches wherever the partial forest's
-    objective is smallest (the first strict minimum over ``[None] +
-    placed``).  Returns ``(value, graph)``.
+    *objective* is any ``ExecutionGraph -> Fraction`` callable — e.g. an
+    :class:`~repro.optimize.evaluation.Objective`, or a memoized one from
+    :meth:`repro.planner.EvaluationCache.objective`.  Services are
+    inserted in the :func:`_insertion_order`; each attaches wherever the
+    partial forest's objective is smallest (the first strict minimum over
+    ``[None] + placed``).  Returns ``(value, graph)``.
 
-    A planner objective for the period under OVERLAP, or at the bound
+    An ``Objective`` for the period under OVERLAP, or at the bound
     effort, on a unit platform is priced on the per-node terms instead
     (see the module docstring): the result is the same, and *objective* is
     never called.  The terms are exact on every tier, so under ``FAST``
     the forest and value are the exact greedy's, not those of greedy on
     the float images.  Heterogeneous and placement objectives, other
-    one-port efforts and latency score each candidate graph through
-    *objective*.
+    one-port efforts, latency and plain callables score each candidate
+    graph through *objective*.
 
     Example::
 
@@ -180,7 +176,7 @@ def greedy_minperiod(
         >>> greedy_minperiod(app, CommModel.OVERLAP)[0]
         Fraction(4, 1)
     """
-    return greedy_forest(app, lambda g: period_objective(g, model, effort))
+    return greedy_forest(app, make_period_objective(model, effort))
 
 
 def greedy_minlatency(
@@ -198,7 +194,7 @@ def greedy_minlatency(
         >>> greedy_minlatency(app, CommModel.OVERLAP)[0]
         Fraction(7, 1)
     """
-    return greedy_forest(app, lambda g: latency_objective(g, model, effort))
+    return greedy_forest(app, make_latency_objective(model, effort))
 
 
 __all__ = ["greedy_forest", "greedy_minlatency", "greedy_minperiod"]

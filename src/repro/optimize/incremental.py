@@ -332,18 +332,6 @@ class IncrementalForestPeriod:
         """The current forest as an :class:`~repro.core.ExecutionGraph`."""
         return ExecutionGraph.from_parents(self.app, self.parents)
 
-    def parent_row(self) -> Tuple[int, ...]:
-        """The current forest as a parent-vector row: one index into
-        ``app.names`` per service, ``-1`` marking a root — the encoding
-        :class:`~repro.core.ForestBatch` rows and the branch-and-bound
-        state keys share."""
-        names = self.app.names
-        index = {name: i for i, name in enumerate(names)}
-        return tuple(
-            -1 if self.parents[name] is None else index[self.parents[name]]
-            for name in names
-        )
-
 
 class FloatForestPeriod(IncrementalForestPeriod):
     """Float twin of :class:`IncrementalForestPeriod` (the fast tier).
@@ -420,19 +408,6 @@ class CertifiedForestPeriod:
         self.fast.apply_reparent(node, new_parent)
         self._refresh()
 
-    @property
-    def parents(self) -> Dict[str, Optional[str]]:
-        return self.exact.parents
-
-    def subtree(self, node: str) -> List[str]:
-        return self.exact.subtree(node)
-
-    def graph(self) -> ExecutionGraph:
-        return self.exact.graph()
-
-    def parent_row(self) -> Tuple[int, ...]:
-        return self.exact.parent_row()
-
 
 def period_delta(
     graph: ExecutionGraph,
@@ -449,9 +424,9 @@ def period_delta(
     objective for OVERLAP (Theorem 1, any platform — at every effort) and
     for the bound effort under the one-port models.  A non-unit platform
     needs a pinned mapping (a free mapping re-runs the placement optimiser
-    per graph, which a structural delta cannot reproduce).  This is the
-    eligibility rule shared by the local-search solver and the
-    branch-and-bound incumbent seeding.
+    per graph, which a structural delta cannot reproduce).
+    :func:`~repro.optimize.local_search.local_search_forest` applies this
+    rule to its objective's configuration.
 
     *exactness* picks the numeric tier: ``EXACT`` returns the classic
     :class:`IncrementalForestPeriod`, ``CERTIFIED`` the

@@ -12,9 +12,9 @@ The scan *resumes* after an accepted move instead of restarting at the
 first service, so one full improvement pass costs one sweep of the
 neighbourhood, not a quadratic number of partial re-sweeps.
 
-Both searches accept a delta evaluator from
-:mod:`repro.optimize.incremental` and then price each candidate move
-without rebuilding a graph or a :class:`~repro.core.CostModel` — the hot
+Both searches price each candidate move with a delta evaluator from
+:mod:`repro.optimize.incremental` where one computes the objective —
+without rebuilding a graph or a :class:`~repro.core.CostModel`, the hot
 path of every heuristic solve.  The evaluators are exact (Fraction-level
 parity with full recomputation), so the result is identical either way.
 """
@@ -24,14 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-from ..core import (
-    Application,
-    CommModel,
-    Exactness,
-    ExecutionGraph,
-    Mapping,
-    Platform,
-)
+from ..core import CommModel, Exactness, ExecutionGraph, Mapping, Platform
 from ..core.graph import CycleError
 from .evaluation import (
     Effort,
@@ -40,7 +33,6 @@ from .evaluation import (
     make_period_objective,
 )
 from .incremental import (
-    IncrementalForestPeriod,
     IncrementalMappingCosts,
     IncrementalSharedCosts,
     period_delta,
@@ -57,78 +49,48 @@ def _parents_of(graph: ExecutionGraph) -> Dict[str, Optional[str]]:
     return parents
 
 
-def _gate_reparents(batch, parents, node, candidates, current):
-    """Which reparent *candidates* of *node* a certified gate can skip.
-
-    Prices the whole candidate column in one batched call and marks every
-    candidate that is provably not an improvement on *current* — cyclic
-    rows (the scalar path's ``CycleError``) and rows whose float bound
-    exceeds ``certified_threshold(current)``.  Skipping only those leaves
-    the accepted-move sequence bit-for-bit the ungated one.  Returns
-    ``None`` when the gate cannot run (float overflow on *current*).
-    """
-    import numpy as np
-
-    from ..core import certified_threshold
-
-    try:
-        cut = certified_threshold(float(current))
-    except OverflowError:
-        return None  # beyond float range: score every candidate exactly
-    names = batch.names
-    index = {name: i for i, name in enumerate(names)}
-    base = np.array(
-        [-1 if parents[name] is None else index[parents[name]] for name in names],
-        dtype=np.int64,
-    )
-    rows = np.repeat(base[None, :], len(candidates), axis=0)
-    rows[:, index[node]] = [
-        -1 if c is None else index[c] for c in candidates
-    ]
-    valid, fast = batch.periods(rows)
-    return ~valid | (fast > cut)
-
-
 def local_search_forest(
     graph: ExecutionGraph,
-    objective: Objective,
+    objective: Callable[[ExecutionGraph], Fraction],
     *,
     max_moves: int = 200,
-    delta: Optional[IncrementalForestPeriod] = None,
-    batch=None,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """First-improvement reparenting search from *graph* (a forest).
 
-    *objective* is any ``ExecutionGraph -> Fraction`` callable; pass a
-    memoized one (``repro.planner.EvaluationCache.objective``) to avoid
-    re-scoring graphs revisited across passes.  Passing *delta* (an
-    :class:`~repro.optimize.incremental.IncrementalForestPeriod` built
-    from *graph* for the matching objective) prices candidates in
-    ``O(subtree)`` deltas instead — the objective is then only consulted
-    by the caller for the final graph.  Passing *batch* (a
-    :class:`~repro.core.ForestBatch` for the matching objective, see
-    :func:`~repro.optimize.evaluation.make_forest_period_batch`) prices
-    each node's whole candidate column in one numpy call and skips the
-    candidates that provably cannot improve — the certified gate of
-    :func:`~repro.optimize.exhaustive.scan_best` applied to the
-    neighbourhood sweep, leaving the move sequence bit-for-bit identical.
-    The scan resumes at the service *after* an accepted move and stops
-    once a whole pass finds no improvement.  Example — starting from the
-    empty forest, the search discovers the filter-first chain::
+    *objective* is any ``ExecutionGraph -> Fraction`` callable.  For an
+    :class:`~repro.optimize.evaluation.Objective` whose period is the
+    Section-2.1 bound (see
+    :func:`~repro.optimize.incremental.period_delta`) the search prices
+    every candidate on an ``O(subtree)`` delta of its tier and never calls
+    *objective*: the returned value is the delta's (a ``FAST`` delta's
+    float as its exact image), and a caller that wants the objective's own
+    value for the final graph scores it once.  Otherwise every candidate
+    graph is scored through *objective* — pass a memoized one
+    (``repro.planner.EvaluationCache.objective``) to avoid re-scoring
+    graphs revisited across passes.  The scan resumes at the service
+    *after* an accepted move and stops once a whole pass finds no
+    improvement.  Example — starting from the empty forest, the search
+    discovers the filter-first chain::
 
         >>> from repro import CommModel, ExecutionGraph, make_application
         >>> from repro.optimize import make_period_objective
         >>> app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
+        >>> objective = make_period_objective(CommModel.OVERLAP)
         >>> value, graph = local_search_forest(
-        ...     ExecutionGraph.empty(app),
-        ...     make_period_objective(CommModel.OVERLAP))
-        >>> value, sorted(graph.edges)
-        (Fraction(4, 1), [('A', 'B')])
+        ...     ExecutionGraph.empty(app), objective)
+        >>> value, sorted(graph.edges), objective.evaluations
+        (Fraction(4, 1), [('A', 'B')], 0)
     """
     app = graph.application
     if app.precedence:
         raise ValueError("local search assumes no precedence constraints")
     parents = _parents_of(graph)
+    delta = None
+    if isinstance(objective, Objective) and objective.kind == "period":
+        delta = period_delta(
+            graph, objective.model, objective.effort, objective.platform,
+            objective.mapping, exactness=objective.exactness,
+        )
     current = delta.value() if delta is not None else objective(graph)
     names = list(app.names)
     n = len(names)
@@ -140,15 +102,9 @@ def local_search_forest(
         position += 1
         original = parents[node]
         accepted = False
-        candidates = [None] + [p for p in names if p != node]
-        skip = None
-        if batch is not None and delta is None:
-            skip = _gate_reparents(batch, parents, node, candidates, current)
-        for k, candidate in enumerate(candidates):
+        for candidate in [None] + [p for p in names if p != node]:
             if candidate == original:
                 continue
-            if skip is not None and skip[k]:
-                continue  # cyclic, or provably no better than current
             if delta is not None:
                 val = delta.score_reparent(node, candidate)
                 if val is None:
@@ -170,6 +126,8 @@ def local_search_forest(
                 accepted = True
                 break
         stale = 0 if accepted else stale + 1
+    if isinstance(current, float):
+        current = Fraction(current)  # the FAST delta prices moves in floats
     return current, ExecutionGraph.from_parents(app, parents)
 
 
@@ -185,8 +143,9 @@ def local_search_minperiod(
 
     Uses delta evaluation automatically where it is exact (OVERLAP, or the
     one-port bound effort — :func:`repro.optimize.incremental.period_delta`);
-    *exactness* picks the delta's numeric tier (``CERTIFIED`` keeps the
-    trajectory and value bit-for-bit, pricing rejected moves in floats).
+    *exactness* picks the objective's numeric tier, hence the delta's
+    (``CERTIFIED`` keeps the trajectory and value bit-for-bit, pricing
+    rejected moves in floats).
     Example::
 
         >>> from repro import CommModel, ExecutionGraph, make_application
@@ -195,14 +154,10 @@ def local_search_minperiod(
         ...     ExecutionGraph.empty(app), CommModel.OVERLAP)[0]
         Fraction(4, 1)
     """
-    delta = period_delta(graph, model, effort, None, None, exactness=exactness)
-    value, best = local_search_forest(
-        graph, make_period_objective(model, effort), max_moves=max_moves,
-        delta=delta,
+    return local_search_forest(
+        graph, make_period_objective(model, effort, exactness=exactness),
+        max_moves=max_moves,
     )
-    if isinstance(value, float):
-        value = Fraction(value)  # the FAST delta prices moves in floats
-    return value, best
 
 
 def local_search_minlatency(
@@ -284,7 +239,6 @@ def placement_local_search(
     *,
     max_moves: int = 200,
     evaluator: Optional[IncrementalMappingCosts] = None,
-    batch=None,
 ) -> Tuple[Fraction, Mapping]:
     """First-improvement search over service-to-server assignments.
 
@@ -297,17 +251,11 @@ def placement_local_search(
     * *swap*: exchange the servers of two services.
 
     *objective* maps a :class:`~repro.core.Mapping` to the value being
-    minimised (wire it to the memoized planner objective for free re-scores
-    of revisited placements).  Passing *evaluator* (an
+    minimised and scores every candidate.  Passing *evaluator* (an
     :class:`~repro.optimize.incremental.IncrementalMappingCosts` built
     from *start* for the matching objective) instead prices each move by
-    recomputing only the touched servers' ``Cin``/``Ccomp``/``Cout``.
-    Passing *batch* (a :class:`~repro.core.MappingBatch` for the matching
-    objective; ignored when *evaluator* is given) bulk-prices each
-    neighbourhood column on the float kernel and skips candidates whose
-    bound exceeds the running value's
-    :func:`~repro.core.certified_threshold` — the moves taken, and the
-    returned pair, stay bit-for-bit the ungated ones.
+    recomputing only the touched servers' ``Cin``/``Ccomp``/``Cout``, and
+    *objective* is never called.
 
     Example (the heavy service walks onto the fast idle server)::
 
@@ -327,102 +275,41 @@ def placement_local_search(
     start.validate_on(graph.nodes, platform)
     services = list(start.services())
     state = {"mapping": start}
-    initial = evaluator.value() if evaluator is not None else objective(start)
-    gate: Optional[dict] = None
-    if batch is not None and evaluator is None:
-        # value: the scan's running best (promoted on apply); skip: the
-        # bulk-priced verdicts of the most recent neighbourhood column.
-        gate = {"value": initial, "last": None, "skip": {}}
-
-    def _bulk_gate(variants) -> None:
-        """Bulk-price candidate moves; record which are provably rejects.
-
-        *variants* is ``[(key, mapping), ...]``.  Between pricing and the
-        scan consuming the verdicts no move can be accepted (every accept
-        restarts the scan), so the running value — and hence the cut — is
-        stable; skipped candidates are exactly those the ungated scan
-        would score and reject.
-        """
-        import numpy as np
-
-        from ..core import certified_threshold
-
-        assert gate is not None
-        gate["skip"] = {}
-        try:
-            cut = certified_threshold(float(gate["value"]))
-        except OverflowError:
-            return  # beyond float range: score every candidate exactly
-        rows = np.stack([batch.encode(m) for _key, m in variants])
-        fast = batch.values(rows)
-        gate["skip"] = {
-            key: bool(fast[k] > cut) for k, (key, _m) in enumerate(variants)
-        }
 
     def idle_servers(service: str):
         used = set(state["mapping"].used_servers())
-        names = [name for name in platform.names if name not in used]
-        if gate is not None and names:
-            _bulk_gate(
-                [
-                    ((service, server), state["mapping"].reassigned(service, server))
-                    for server in names
-                ]
-            )
-        return names
+        return [name for name in platform.names if name not in used]
 
     def score_reassign(service: str, server: str) -> Fraction:
         if evaluator is not None:
             return evaluator.score_reassign(service, server)
-        if gate is not None and gate["skip"].get((service, server)):
-            return gate["value"]  # provably no better: reject without scoring
-        val = objective(state["mapping"].reassigned(service, server))
-        if gate is not None:
-            gate["last"] = val
-        return val
+        return objective(state["mapping"].reassigned(service, server))
 
     def apply_reassign(service: str, server: str) -> None:
         if evaluator is not None:
             evaluator.apply_reassign(service, server)
-        if gate is not None:
-            gate["value"] = gate["last"]  # the accept just scored exactly
         state["mapping"] = state["mapping"].reassigned(service, server)
 
     def score_swap(a: str, b: str) -> Fraction:
         if evaluator is not None:
             return evaluator.score_swap(a, b)
-        if gate is not None and gate["skip"].get(("swap", a, b)):
-            return gate["value"]  # provably no better: reject without scoring
-        val = objective(state["mapping"].swapped(a, b))
-        if gate is not None:
-            gate["last"] = val
-        return val
+        return objective(state["mapping"].swapped(a, b))
 
     def apply_swap(a: str, b: str) -> None:
         if evaluator is not None:
             evaluator.apply_swap(a, b)
-        if gate is not None:
-            gate["value"] = gate["last"]
         state["mapping"] = state["mapping"].swapped(a, b)
 
     def all_pairs():
-        pairs = [
+        return [
             (a, b)
             for i, a in enumerate(services)
             for b in services[i + 1 :]
         ]
-        if gate is not None and pairs:
-            _bulk_gate(
-                [
-                    (("swap", a, b), state["mapping"].swapped(a, b))
-                    for a, b in pairs
-                ]
-            )
-        return pairs
 
     value = _scan_first_improvement(
         services,
-        initial=initial,
+        initial=evaluator.value() if evaluator is not None else objective(start),
         reassign_candidates=idle_servers,
         score_reassign=score_reassign,
         apply_reassign=apply_reassign,

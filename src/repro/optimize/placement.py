@@ -281,11 +281,6 @@ def optimize_mapping(
         use_evaluator = kind == "period" and kernel_covers(
             "period", model, effort
         )
-        batch = (
-            _make_mapping_batch(graph, kind, model, effort, platform)
-            if not use_evaluator and exactness.uses_float
-            else None
-        )
         outcome = None
         for seed in seeds:
             evaluator = None
@@ -299,7 +294,7 @@ def optimize_mapping(
                 )
             value, mapping = placement_local_search(
                 graph, score, seed, platform, max_moves=max_moves,
-                evaluator=evaluator, batch=batch,
+                evaluator=evaluator,
             )
             if exactness is Exactness.FAST and evaluator is not None:
                 value = Fraction(value)

@@ -40,11 +40,9 @@ from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core import Application, CommModel, Exactness, ExecutionGraph
+from ..core import Application, ExecutionGraph
 from .branch_and_bound import MAX_BB_LATENCY_SERVICES, bb_minlatency, bb_minperiod
-from .evaluation import Effort, make_forest_period_batch
 from .greedy import greedy_forest
-from .incremental import period_delta
 from .local_search import local_search_forest
 
 Incumbent = Tuple[Fraction, ExecutionGraph]
@@ -155,65 +153,39 @@ def run_portfolio(
     )
 
 
-def _local_search_run(
+def _local_search_racer(
     app: Application,
     objective_fn,
-    seed_graph: ExecutionGraph,
-    *,
-    objective: str,
-    model: CommModel,
-    effort: Effort,
+    seed: Optional[int],
     max_moves: int,
 ) -> Tuple[Fraction, ExecutionGraph, Dict[str, Any]]:
-    """One local-search racer body (delta / batched gate as the solver)."""
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
-    delta = None
-    if objective == "period":
-        delta = period_delta(
-            seed_graph, model, effort, platform, mapping, exactness=exactness
-        )
-    batch = None
-    if delta is None and objective == "period" and exactness.uses_float:
-        batch = make_forest_period_batch(app, model, effort, platform, mapping)
-    value, graph = local_search_forest(
-        seed_graph, objective_fn, max_moves=max_moves, delta=delta, batch=batch
-    )
-    if delta is not None:
-        value = objective_fn(graph)
-    return value, graph, {}
+    """One local-search racer body: from the greedy forest, or from the
+    :func:`random_forest` of *seed*; the winner is scored once through
+    *objective_fn* (a delta-priced search never called it)."""
+    if seed is None:
+        _, start = greedy_forest(app, objective_fn)
+    else:
+        start = random_forest(app, Random(seed))
+    _, graph = local_search_forest(start, objective_fn, max_moves=max_moves)
+    return objective_fn(graph), graph, {}
 
 
 def _bb_run(
     app: Application,
     objective_fn,
     *,
-    objective: str,
-    model: CommModel,
-    effort: Effort,
     remaining: Optional[float],
     incumbent: Optional[Incumbent],
     node_limit: Optional[int],
 ) -> Tuple[Fraction, ExecutionGraph, Dict[str, Any]]:
     """The branch-and-bound racer body: deadline-aware, incumbent-seeded."""
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
     if remaining is None and node_limit is None:
         node_limit = DEFAULT_BB_NODE_LIMIT
-    if objective == "period":
-        value, graph, stats = bb_minperiod(
-            app, objective_fn, model=model, platform=platform, mapping=mapping,
-            incumbent=incumbent, node_limit=node_limit, deadline=remaining,
-            exactness=exactness,
-        )
-    else:
-        value, graph, stats = bb_minlatency(
-            app, objective_fn, model=model, platform=platform, mapping=mapping,
-            incumbent=incumbent, node_limit=node_limit, deadline=remaining,
-            exactness=exactness,
-        )
+    search = bb_minperiod if objective_fn.kind == "period" else bb_minlatency
+    value, graph, stats = search(
+        app, objective_fn, incumbent=incumbent, node_limit=node_limit,
+        deadline=remaining,
+    )
     return value, graph, {
         "limit_hit": stats.limit_hit,
         "expanded": stats.expanded,
@@ -225,9 +197,6 @@ def build_racers(
     app: Application,
     objective_fn,
     *,
-    objective: str,
-    model: CommModel,
-    effort: Effort,
     primary: str = "auto",
     seeds: int = 2,
     seed_base: int = 17,
@@ -241,61 +210,35 @@ def build_racers(
     the deadline-capable branch and bound (same optimum when it
     completes), which then runs right after greedy; any other name leaves
     local search as the second racer.  *seeds* adds that many
-    pseudo-random restarts (``seed_base + k``).
+    pseudo-random restarts (``seed_base + k``).  *objective_fn* (an
+    :class:`~repro.optimize.evaluation.Objective`) scores every racer and
+    sets what they search.
     """
-    bb_ok = objective == "period" or len(app) <= MAX_BB_LATENCY_SERVICES
+    bb_ok = objective_fn.kind == "period" or len(app) <= MAX_BB_LATENCY_SERVICES
     bb_primary = bb_ok and primary in ("auto", "branch-and-bound", "exhaustive")
 
     def greedy_run(_remaining, _incumbent):
         value, graph = greedy_forest(app, objective_fn)
         return value, graph, {}
 
-    def ls_run_from(seed_graph):
+    def ls_run(seed: Optional[int]):
         def run(_remaining, _incumbent):
-            return _local_search_run(
-                app, objective_fn, seed_graph,
-                objective=objective, model=model, effort=effort,
-                max_moves=max_moves,
-            )
-        return run
-
-    def seeded_ls_run(seed):
-        def run(_remaining, _incumbent):
-            seed_graph = random_forest(app, Random(seed))
-            return _local_search_run(
-                app, objective_fn, seed_graph,
-                objective=objective, model=model, effort=effort,
-                max_moves=max_moves,
-            )
+            return _local_search_racer(app, objective_fn, seed, max_moves)
         return run
 
     def bb_run(remaining, incumbent):
         return _bb_run(
-            app, objective_fn, objective=objective, model=model, effort=effort,
-            remaining=remaining, incumbent=incumbent, node_limit=node_limit,
+            app, objective_fn, remaining=remaining, incumbent=incumbent,
+            node_limit=node_limit,
         )
 
     racers: List[Racer] = [Racer("greedy", greedy_run)]
-
-    def ls_racer() -> Racer:
-        def run(_remaining, _incumbent):
-            _, seed_graph = greedy_forest(app, objective_fn)
-            return _local_search_run(
-                app, objective_fn, seed_graph,
-                objective=objective, model=model, effort=effort,
-                max_moves=max_moves,
-            )
-        return Racer("local-search", run)
-
     if bb_primary:
         racers.append(Racer("branch-and-bound", bb_run))
-        racers.append(ls_racer())
-    else:
-        racers.append(ls_racer())
+    racers.append(Racer("local-search", ls_run(None)))
     for k in range(seeds):
         racers.append(
-            Racer(f"local-search[seed={seed_base + k}]",
-                  seeded_ls_run(seed_base + k))
+            Racer(f"local-search[seed={seed_base + k}]", ls_run(seed_base + k))
         )
     if bb_ok and not bb_primary:
         racers.append(Racer("branch-and-bound", bb_run))
@@ -326,20 +269,13 @@ def _racer_worker(payload):
             objective, model, effort, platform, mapping, exactness
         )
         if spec == "local-search":
-            seed = params.get("seed")
-            if seed is None:
-                _, seed_graph = greedy_forest(app, objective_fn)
-            else:
-                seed_graph = random_forest(app, Random(seed))
-            value, graph, extras = _local_search_run(
-                app, objective_fn, seed_graph,
-                objective=objective, model=model, effort=effort,
-                max_moves=params.get("max_moves", 200),
+            value, graph, extras = _local_search_racer(
+                app, objective_fn, params.get("seed"),
+                params.get("max_moves", 200),
             )
         elif spec == "branch-and-bound":
             value, graph, extras = _bb_run(
-                app, objective_fn, objective=objective, model=model,
-                effort=effort, remaining=params.get("deadline"),
+                app, objective_fn, remaining=params.get("deadline"),
                 incumbent=incumbent, node_limit=params.get("node_limit"),
             )
         else:
@@ -385,9 +321,6 @@ def _run_parallel(
     incumbent: Incumbent,
     specs: List[Tuple[str, str, Dict[str, Any]]],
     *,
-    objective: str,
-    model: CommModel,
-    effort: Effort,
     workers: int,
     deadline_at: Optional[float],
     started: float,
@@ -397,11 +330,9 @@ def _run_parallel(
     exhausted)`` relative to the greedy *incumbent*."""
     import multiprocessing
 
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
     payloads = [
-        (app, objective, model, effort, platform, mapping, exactness,
+        (app, objective_fn.kind, objective_fn.model, objective_fn.effort,
+         objective_fn.platform, objective_fn.mapping, objective_fn.exactness,
          incumbent, name, spec, params)
         for name, spec, params in specs
     ]
@@ -453,9 +384,6 @@ def portfolio_search(
     app: Application,
     objective_fn,
     *,
-    objective: str,
-    model: CommModel,
-    effort: Effort,
     deadline: Optional[float] = None,
     primary: str = "auto",
     seeds: int = 2,
@@ -473,9 +401,8 @@ def portfolio_search(
     """
     if workers <= 0:
         racers = build_racers(
-            app, objective_fn, objective=objective, model=model, effort=effort,
-            primary=primary, seeds=seeds, seed_base=seed_base,
-            max_moves=max_moves, node_limit=node_limit,
+            app, objective_fn, primary=primary, seeds=seeds,
+            seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
         )
         return run_portfolio(racers, deadline=deadline)
 
@@ -492,23 +419,21 @@ def portfolio_search(
         else max(0.0, deadline_at - time.monotonic())
     )
     specs = _parallel_specs(
-        app, objective=objective, primary=primary, seeds=seeds,
+        app, objective=objective_fn.kind, primary=primary, seeds=seeds,
         seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
         remaining=remaining,
     )
     try:
         best2, traj2, ran2, exhausted = _run_parallel(
             app, objective_fn, best, specs,
-            objective=objective, model=model, effort=effort,
             workers=workers, deadline_at=deadline_at, started=started,
         )
     except Exception:
         # Process mode unavailable (sandboxing, pickling, ...): serial
         # fallback minus the greedy leg already run.
         racers = build_racers(
-            app, objective_fn, objective=objective, model=model, effort=effort,
-            primary=primary, seeds=seeds, seed_base=seed_base,
-            max_moves=max_moves, node_limit=node_limit,
+            app, objective_fn, primary=primary, seeds=seeds,
+            seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
         )[1:]
         outcome = run_portfolio(
             [Racer("incumbent", lambda _r, _i: (best[0], best[1], {}))] + racers,

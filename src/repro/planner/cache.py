@@ -49,7 +49,7 @@ Example::
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Callable, Hashable, Optional
 
 from ..core import (
     CommModel,
@@ -60,10 +60,7 @@ from ..core import (
     platform_fingerprint,
 )
 from ..core.ttlcache import DEFAULT_MAX_ENTRIES, CacheStats, TTLCache
-from ..optimize.evaluation import Effort, latency_objective, period_objective
-
-#: Objective kinds understood by the planner.
-OBJECTIVES: Tuple[str, ...] = ("period", "latency")
+from ..optimize.evaluation import OBJECTIVES, Effort, Objective
 
 
 def graph_key(graph: ExecutionGraph) -> Hashable:
@@ -173,35 +170,31 @@ class EvaluationCache(TTLCache):
         mapping: Optional[Mapping] = None,
         exactness: Exactness = Exactness.EXACT,
     ) -> "CachedObjective":
-        """A cached ``graph -> Fraction`` evaluator for *kind* under *model*.
+        """A cached :class:`~repro.optimize.evaluation.Objective` for *kind*
+        under *model*.
 
-        *kind* is ``"period"`` or ``"latency"``; the returned callable is a
-        drop-in :data:`repro.optimize.evaluation.Objective` and keeps its
-        own per-instance hit/miss counters (the cache-wide counters keep
-        counting too).  Binding a non-unit *platform* with ``mapping=None``
-        evaluates the best server assignment per graph (see
-        :mod:`repro.optimize.placement`); binding a *mapping* pins it.
-        Binding an *exactness* routes the evaluation through that numeric
-        tier and keys the memo slot accordingly.
+        *kind* is ``"period"`` or ``"latency"``; the returned callable
+        keeps its own per-instance hit/miss counters (the cache-wide
+        counters keep counting too).  Binding a non-unit *platform* with
+        ``mapping=None`` evaluates the best server assignment per graph
+        (see :mod:`repro.optimize.placement`); binding a *mapping* pins
+        it.  Binding an *exactness* routes the evaluation through that
+        numeric tier and keys the memo slot accordingly.
         """
-        if kind not in OBJECTIVES:
-            raise ValueError(f"unknown objective {kind!r}; expected one of {OBJECTIVES}")
         return CachedObjective(
             self, kind, model, effort, platform, mapping, exactness
         )
 
 
-class CachedObjective:
-    """Callable objective bound to one (kind, model, effort, platform).
+class CachedObjective(Objective):
+    """An :class:`~repro.optimize.evaluation.Objective` memoized in one
+    :class:`EvaluationCache`.
 
     Tracks the hits/misses charged through *this* callable so a solver can
     report per-solve statistics even when the cache is shared.
     """
 
-    __slots__ = (
-        "cache", "kind", "model", "effort", "platform", "mapping",
-        "exactness", "hits", "misses",
-    )
+    __slots__ = ("cache", "hits", "misses")
 
     def __init__(
         self,
@@ -213,29 +206,19 @@ class CachedObjective:
         mapping: Optional[Mapping] = None,
         exactness: Exactness = Exactness.EXACT,
     ) -> None:
+        super().__init__(kind, model, effort, platform, mapping, exactness)
         self.cache = cache
-        self.kind = kind
-        self.model = model
-        self.effort = effort
-        self.platform = platform
-        self.mapping = mapping
-        self.exactness = Exactness.coerce(exactness)
         self.hits = 0
         self.misses = 0
 
-    @property
-    def evaluations(self) -> int:
-        """Total objective queries made through this callable."""
-        return self.hits + self.misses
-
-    def __call__(self, graph: ExecutionGraph) -> Fraction:
+    def compute(self, graph: ExecutionGraph) -> Fraction:
         before = self.cache.misses
         value = self.cache.get_or_compute(
             self.kind,
             graph,
             self.model,
             self.effort,
-            lambda: self._compute(graph),
+            lambda: Objective.compute(self, graph),
             self.platform,
             self.mapping,
             self.exactness,
@@ -245,17 +228,6 @@ class CachedObjective:
         else:
             self.misses += 1
         return value
-
-    def _compute(self, graph: ExecutionGraph) -> Fraction:
-        if self.kind == "period":
-            return period_objective(
-                graph, self.model, self.effort, self.platform, self.mapping,
-                exactness=self.exactness,
-            )
-        return latency_objective(
-            graph, self.model, self.effort, self.platform, self.mapping,
-            exactness=self.exactness,
-        )
 
 
 _default_cache = EvaluationCache()

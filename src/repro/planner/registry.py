@@ -36,10 +36,13 @@ Registering a custom solver::
 A solver callable receives the application plus keyword arguments
 ``objective`` (``"period"``/``"latency"``), ``model``
 (:class:`~repro.core.CommModel`), ``effort``
-(:class:`~repro.optimize.Effort`) and ``objective_fn`` (a memoized
-``graph -> Fraction`` evaluator; route all scoring through it to benefit
-from the shared cache).  It returns ``(value, graph, extras)`` where
-*extras* is a dict merged into :attr:`PlanResult.stats.extras`.
+(:class:`~repro.optimize.Effort`) and ``objective_fn``, a
+:class:`~repro.planner.CachedObjective`: the memoized ``graph ->
+Fraction`` :class:`~repro.optimize.Objective` that also carries the
+platform, mapping and numeric tier the searches read.  Route all scoring
+through it to benefit from the shared cache.  It returns
+``(value, graph, extras)`` where *extras* is a dict merged into
+:attr:`PlanResult.stats.extras`.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ from ..optimize.branch_and_bound import bb_minlatency, bb_minperiod
 from ..optimize.chains import minlatency_chain, minperiod_chain
 from ..optimize.evaluation import (
     Effort,
+    Objective,
     make_fast_latency_objective,
     make_fast_period_objective,
     make_forest_period_batch,
-    make_latency_objective,
-    make_period_objective,
 )
 from ..optimize.exhaustive import (
     FOREST_CHUNK,
@@ -68,7 +70,6 @@ from ..optimize.exhaustive import (
     scan_best_forests_batched,
 )
 from ..optimize.greedy import greedy_forest
-from ..optimize.incremental import period_delta
 from ..optimize.local_search import local_search_forest
 from ..optimize.nocomm import (
     nocomm_optimal_latency_chain,
@@ -208,9 +209,8 @@ def _solve_exhaustive(
                 f"not be forests — Prop 13); pass space='forests' for the "
                 f"forest-restricted problem or use method='local-search'"
             )
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
+    exactness = objective_fn.exactness
+    platform, mapping = objective_fn.platform, objective_fn.mapping
     if space == "forests":
         fb = None
         if exactness.uses_float and objective == "period":
@@ -268,42 +268,16 @@ def _solve_local_search(
     OVERLAP, or the bound effort) the greedy seed's insertions are priced
     on per-node terms (on a unit platform, see
     :func:`~repro.optimize.greedy.greedy_forest`) and candidate moves by
-    :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas,
+    :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas
+    (see :func:`~repro.optimize.local_search.local_search_forest`),
     instead of full objective evaluations: under OVERLAP on a unit
     platform the solve scores only its final graph.
     """
     seed_value, seed_graph = greedy_forest(app, objective_fn)
-    delta = None
-    if objective == "period":
-        delta = period_delta(
-            seed_graph, model, effort,
-            getattr(objective_fn, "platform", None),
-            getattr(objective_fn, "mapping", None),
-            exactness=getattr(objective_fn, "exactness", Exactness.EXACT),
-        )
-    batch = None
-    if delta is None and objective == "period":
-        exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
-        if exactness.uses_float:
-            # No delta evaluator: bulk-gate each node's reparent column on
-            # the batched kernel instead (identical move sequence).
-            batch = make_forest_period_batch(
-                app, model, effort,
-                getattr(objective_fn, "platform", None),
-                getattr(objective_fn, "mapping", None),
-            )
-    value, graph = local_search_forest(
-        seed_graph, objective_fn, max_moves=max_moves, delta=delta, batch=batch
-    )
-    if delta is not None:
-        # One real evaluation pins the memoized value for the winner (and
-        # double-checks the delta arithmetic against the cached objective).
-        value = objective_fn(graph)
-    return value, graph, {
-        "seed_value": seed_value,
-        "incremental": delta is not None,
-        "batched": batch is not None,
-    }
+    _, graph = local_search_forest(seed_graph, objective_fn, max_moves=max_moves)
+    # One real evaluation pins the memoized value for the winner (and
+    # double-checks any delta arithmetic against the cached objective).
+    return objective_fn(graph), graph, {"seed_value": seed_value}
 
 
 def _solve_hierarchical(
@@ -331,12 +305,10 @@ def _solve_hierarchical(
     and the plain local-search solver runs instead
     (``extras["hierarchical"]`` is ``False``).
     """
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
+    platform, exactness = objective_fn.platform, objective_fn.exactness
     structured = (
         platform is not None
-        and mapping is None
+        and objective_fn.mapping is None
         and len(platform.topology.groups()) > 1
     )
     if not structured:
@@ -348,10 +320,7 @@ def _solve_hierarchical(
         return value, graph, extras
 
     # Phase 1: structure on the unit abstraction.
-    if objective == "period":
-        unit_fn = make_period_objective(model, effort, exactness=exactness)
-    else:
-        unit_fn = make_latency_objective(model, effort, exactness=exactness)
+    unit_fn = Objective(objective, model, effort, exactness=exactness)
     _seed_value, seed_graph = greedy_forest(app, unit_fn)
     _unit_value, struct_graph = local_search_forest(
         seed_graph, unit_fn, max_moves=max_moves
@@ -366,22 +335,9 @@ def _solve_hierarchical(
     )
 
     # Phase 3: refine the structure at the pinned placement.
-    if objective == "period":
-        pinned_fn = make_period_objective(
-            model, effort, platform, placed, exactness=exactness
-        )
-    else:
-        pinned_fn = make_latency_objective(
-            model, effort, platform, placed, exactness=exactness
-        )
-    delta = None
-    if objective == "period":
-        delta = period_delta(
-            struct_graph, model, effort, platform, placed,
-            exactness=exactness,
-        )
+    pinned_fn = Objective(objective, model, effort, platform, placed, exactness)
     _pinned_value, graph = local_search_forest(
-        struct_graph, pinned_fn, max_moves=max_moves, delta=delta
+        struct_graph, pinned_fn, max_moves=max_moves
     )
 
     # Phase 4: report through the planner's shared (memoized) objective.
@@ -416,25 +372,18 @@ def _solve_branch_and_bound(
     the search the same way on wall clock — the anytime knob the portfolio
     solver leans on.
     """
-    platform = getattr(objective_fn, "platform", None)
-    mapping = getattr(objective_fn, "mapping", None)
-    exactness = getattr(objective_fn, "exactness", Exactness.EXACT)
-    if objective == "period":
-        value, graph, stats = bb_minperiod(
-            app, objective_fn, model=model, platform=platform, mapping=mapping,
-            node_limit=node_limit, deadline=deadline, exactness=exactness,
-        )
-    else:
-        value, graph, stats = bb_minlatency(
-            app, objective_fn, model=model, platform=platform, mapping=mapping,
-            node_limit=node_limit, deadline=deadline, exactness=exactness,
-        )
+    search = bb_minperiod if objective == "period" else bb_minlatency
+    value, graph, stats = search(
+        app, objective_fn, node_limit=node_limit, deadline=deadline
+    )
     return value, graph, {
         "space": "forests" if objective == "period" else "dags",
         "graphs_considered": stats.evaluated,
         # A FAST search prunes and scores on float images: the incumbent
         # it returns is honest but its optimality is no longer certified.
-        "certified": not stats.limit_hit and exactness is not Exactness.FAST,
+        "certified": (
+            not stats.limit_hit and objective_fn.exactness is not Exactness.FAST
+        ),
         **stats.as_extras(),
     }
 
@@ -463,9 +412,9 @@ def _solve_portfolio(
     from ..optimize.portfolio import portfolio_search
 
     outcome = portfolio_search(
-        app, objective_fn, objective=objective, model=model, effort=effort,
-        deadline=deadline, primary=primary, seeds=seeds, seed_base=seed_base,
-        max_moves=max_moves, node_limit=node_limit, workers=workers,
+        app, objective_fn, deadline=deadline, primary=primary, seeds=seeds,
+        seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
+        workers=workers,
     )
     return outcome.value, outcome.graph, {
         "trajectory": outcome.trajectory,
@@ -486,7 +435,7 @@ def _solve_chain(
         value, graph = minperiod_chain(app, model)
     else:
         value, graph = minlatency_chain(app)
-    platform = getattr(objective_fn, "platform", None)
+    platform = objective_fn.platform
     if platform is not None and not platform.is_unit:
         # The closed forms assume the normalised unit platform; on a real
         # platform the chain structure is kept as a heuristic but its value

@@ -59,14 +59,14 @@ class TestPeriodExactness:
             app = random_application(2 + seed % 3, seed=seed)
             exact, _ = exhaustive_minperiod(app, model, effort=Effort.BOUND)
             value, _, _ = bb_minperiod(
-                app, make_period_objective(model, Effort.BOUND), model=model
+                app, make_period_objective(model, Effort.BOUND)
             )
             assert value == exact, (seed, model)
         for seed in range(3):
             app = random_application(3, seed=seed + 20)
             exact, _ = exhaustive_minperiod(app, model, effort=Effort.HEURISTIC)
             value, _, _ = bb_minperiod(
-                app, make_period_objective(model, Effort.HEURISTIC), model=model
+                app, make_period_objective(model, Effort.HEURISTIC)
             )
             assert value == exact, (seed, model)
 
@@ -136,9 +136,7 @@ class TestHeterogeneousExactness:
                 CommModel.OVERLAP, Effort.EXACT, platform, mapping
             )
             exact = min(objective(g) for g in iter_forests(app))
-            value, _, _ = bb_minperiod(
-                app, objective, platform=platform, mapping=mapping
-            )
+            value, _, _ = bb_minperiod(app, objective)
             assert value == exact, seed
 
     def test_free_mapping_matches_enumeration(self):
@@ -150,9 +148,7 @@ class TestHeterogeneousExactness:
                 CommModel.OVERLAP, Effort.EXACT, platform, None
             )
             exact = min(objective(g) for g in iter_forests(app))
-            value, _, _ = bb_minperiod(
-                app, objective, platform=platform, mapping=None
-            )
+            value, _, _ = bb_minperiod(app, objective)
             assert value == exact, seed
 
 
@@ -236,9 +232,7 @@ class TestCatalogWorkloads:
             CommModel.OVERLAP, Effort.EXACT, platform, mapping
         )
         exact = min(objective(g) for g in iter_forests(sub))
-        value, _, _ = bb_minperiod(
-            sub, objective, platform=platform, mapping=mapping
-        )
+        value, _, _ = bb_minperiod(sub, objective)
         assert value == exact
 
 

@@ -139,17 +139,28 @@ class TestMappingParity:
 class TestSearchEquivalence:
     """The delta paths reach the same answers as the baseline paths."""
 
-    def test_local_search_same_value_with_and_without_delta(self):
+    def test_local_search_same_value_with_and_without_delta(self, monkeypatch):
+        import repro.optimize.local_search as ls
+
+        # The search builds its delta itself; keep a handle on it.
+        deltas = []
+        real_delta = ls.period_delta
+        monkeypatch.setattr(
+            ls, "period_delta",
+            lambda *a, **k: deltas.append(real_delta(*a, **k)) or deltas[-1],
+        )
         for seed in range(15):
             n = 3 + seed % 5
             app = random_application(n, seed=seed + 50)
             start = ExecutionGraph.empty(app)
             objective = make_period_objective(CommModel.OVERLAP)
-            base_val, base_graph = local_search_forest(start, objective)
-            delta = IncrementalForestPeriod(start, model=CommModel.OVERLAP)
-            fast_val, fast_graph = local_search_forest(
-                start, objective, delta=delta
+            # A plain callable scores every candidate graph.
+            base_val, base_graph = local_search_forest(
+                start, lambda g: objective(g)
             )
+            fast_val, fast_graph = local_search_forest(start, objective)
+            delta = deltas[-1]
+            assert isinstance(delta, IncrementalForestPeriod)
             assert fast_val == base_val
             assert fast_graph.edges == base_graph.edges
             # Delta state tracked the committed moves exactly.
@@ -168,9 +179,10 @@ class TestSearchEquivalence:
 
         base_val, _ = local_search_forest(start, counting)
         baseline_calls = calls["n"]
-        calls["n"] = 0
-        delta = IncrementalForestPeriod(start, model=CommModel.OVERLAP)
-        fast_val, _ = local_search_forest(start, counting, delta=delta)
+        # The objective itself carries its configuration: priced on deltas.
+        before = objective.evaluations
+        fast_val, _ = local_search_forest(start, objective)
+        calls["n"] = objective.evaluations - before
         assert fast_val == base_val
         # The whole point: candidates priced by deltas, not evaluations.
         assert calls["n"] == 0

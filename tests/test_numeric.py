@@ -38,7 +38,6 @@ from repro.core import (
     certified_threshold,
 )
 from repro.optimize import (
-    CertifiedForestPeriod,
     FloatForestPeriod,
     FloatMappingCosts,
     FloatSharedCosts,
@@ -241,14 +240,13 @@ class TestFloatTwinParity:
         for seed in range(20):
             app = random_application(6, seed=seed, filter_fraction=0.6)
             start = ExecutionGraph.empty(app)
-            objective = make_period_objective(CommModel.OVERLAP)
             exact_val, exact_graph = local_search_forest(
-                start, objective,
-                delta=IncrementalForestPeriod(start, model=CommModel.OVERLAP),
+                start, make_period_objective(CommModel.OVERLAP),
             )
             cert_val, cert_graph = local_search_forest(
-                start, objective,
-                delta=CertifiedForestPeriod(start, model=CommModel.OVERLAP),
+                start, make_period_objective(
+                    CommModel.OVERLAP, exactness=Exactness.CERTIFIED
+                ),
             )
             assert cert_val == exact_val
             assert cert_graph.edges == exact_graph.edges
@@ -263,10 +261,13 @@ class TestCertifiedSearchBitForBit:
     def test_bb_catalog(self):
         for n, seed in self.CATALOG:
             app = random_application(n, seed=seed, filter_fraction=0.6)
-            objective = make_period_objective(CommModel.OVERLAP)
-            exact_val, _, exact_stats = bb_minperiod(app, objective)
+            exact_val, _, exact_stats = bb_minperiod(
+                app, make_period_objective(CommModel.OVERLAP)
+            )
             cert_val, _, cert_stats = bb_minperiod(
-                app, objective, exactness=Exactness.CERTIFIED
+                app, make_period_objective(
+                    CommModel.OVERLAP, exactness=Exactness.CERTIFIED
+                )
             )
             assert cert_val == exact_val, (n, seed)
             # The near-tie band restores the exact tier's prune set, so

@@ -1,5 +1,6 @@
 """One float gate per candidate shape: the placement scans' exact fallback
-and the solver options the scalar scan copies used to need.
+and the solver options the scalar scan copies used to need, and the
+search keywords that duplicated the objective's configuration.
 
 Placement enumerations gate on a ``MappingBatch``.  An instance beyond
 float range has no batch, so every tier — FAST included — scans exactly
@@ -10,9 +11,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from repro import ExecutionGraph, Platform, make_application
+from repro import ExecutionGraph, Mapping, Platform, make_application
 from repro.core import CommModel, Exactness
-from repro.optimize import exhaustive_minlatency, exhaustive_minperiod
+from repro.optimize import (
+    bb_minlatency,
+    bb_minperiod,
+    exhaustive_minlatency,
+    exhaustive_minperiod,
+    local_search_forest,
+    make_period_objective,
+    placement_local_search,
+)
 from repro.optimize.evaluation import Effort
 from repro.optimize.placement import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -24,6 +33,7 @@ from repro.optimize.placement import (
     optimize_shared_mapping,
     shared_space_size,
 )
+from repro.optimize.portfolio import build_racers, portfolio_search
 from repro.planner import EvaluationCache, solve
 
 HUGE = F(10) ** 400  # float(HUGE) raises OverflowError
@@ -96,6 +106,47 @@ def test_removed_solver_options_are_rejected(method, option):
     with pytest.raises(TypeError):
         solve(app, method=method, schedule=False, cache=EvaluationCache(),
               **{option: False})
+
+
+def _removed_search_keywords():
+    app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
+    graph = ExecutionGraph.empty(app)
+    objective = make_period_objective(CommModel.OVERLAP)
+    platform = Platform.of(speeds=[1, 3])
+    start = Mapping({"A": "S1", "B": "S2"})
+    return [
+        ("local_search_forest:delta",
+         lambda: local_search_forest(graph, objective, delta=None)),
+        ("local_search_forest:batch",
+         lambda: local_search_forest(graph, objective, batch=None)),
+        ("placement_local_search:batch",
+         lambda: placement_local_search(
+             graph, lambda m: F(1), start, platform, batch=None)),
+        *(
+            (f"{search.__name__}:{keyword}",
+             lambda search=search, keyword=keyword: search(
+                 app, objective, **{keyword: None}))
+            for search in (bb_minperiod, bb_minlatency)
+            for keyword in ("model", "platform", "mapping", "exactness")
+        ),
+        *(
+            (f"{search.__name__}:{keyword}",
+             lambda search=search, keyword=keyword: search(
+                 app, objective, **{keyword: None}))
+            for search in (portfolio_search, build_racers)
+            for keyword in ("objective", "model", "effort")
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, call", _removed_search_keywords(),
+    ids=[label for label, _ in _removed_search_keywords()],
+)
+def test_removed_search_keywords_are_rejected(label, call):
+    # The searches read their configuration from the objective.
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("search", [exhaustive_minperiod, exhaustive_minlatency])

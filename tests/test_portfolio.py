@@ -132,10 +132,7 @@ class TestDeterminism:
                     "period", CommModel.OVERLAP,
                     exactness=Exactness.CERTIFIED,
                 )
-                out = portfolio_search(
-                    app, fn, objective="period", model=CommModel.OVERLAP,
-                    effort=Effort.HEURISTIC, seeds=3, seed_base=17,
-                )
+                out = portfolio_search(app, fn, seeds=3, seed_base=17)
                 runs.append(out)
             a, b = runs
             assert a.value == b.value, seed
@@ -172,10 +169,7 @@ class TestDeterminism:
         fn = EvaluationCache().objective("period", CommModel.OVERLAP)
         names = [
             r.name
-            for r in build_racers(
-                app, fn, objective="period", model=CommModel.OVERLAP,
-                effort=Effort.HEURISTIC, primary="auto", seeds=2,
-            )
+            for r in build_racers(app, fn, primary="auto", seeds=2)
         ]
         assert names == [
             "greedy", "branch-and-bound", "local-search",
@@ -183,10 +177,7 @@ class TestDeterminism:
         ]
         names = [
             r.name
-            for r in build_racers(
-                app, fn, objective="period", model=CommModel.OVERLAP,
-                effort=Effort.HEURISTIC, primary="local-search", seeds=1,
-            )
+            for r in build_racers(app, fn, primary="local-search", seeds=1)
         ]
         assert names == [
             "greedy", "local-search", "local-search[seed=17]",
@@ -198,10 +189,7 @@ class TestEngine:
     def test_greedy_always_runs_even_at_zero(self):
         app = random_application(4, seed=11)
         fn = EvaluationCache().objective("period", CommModel.OVERLAP)
-        out = portfolio_search(
-            app, fn, objective="period", model=CommModel.OVERLAP,
-            effort=Effort.HEURISTIC, deadline=0.0,
-        )
+        out = portfolio_search(app, fn, deadline=0.0)
         assert isinstance(out, PortfolioOutcome)
         assert [r["racer"] for r in out.racers] == ["greedy"]
         assert out.budget_exhausted is True
@@ -217,10 +205,7 @@ class TestEngine:
             fn = cache.objective(
                 "period", CommModel.OVERLAP, exactness=Exactness.CERTIFIED
             )
-            out = portfolio_search(
-                app, fn, objective="period", model=CommModel.OVERLAP,
-                effort=Effort.HEURISTIC,
-            )
+            out = portfolio_search(app, fn)
             optimum = solve(
                 app, method="branch-and-bound", schedule=False,
                 cache=EvaluationCache(), effort="heuristic",
@@ -232,14 +217,8 @@ class TestEngine:
         fn = EvaluationCache().objective(
             "period", CommModel.OVERLAP, exactness=Exactness.CERTIFIED
         )
-        serial = portfolio_search(
-            app, fn, objective="period", model=CommModel.OVERLAP,
-            effort=Effort.HEURISTIC,
-        )
-        parallel = portfolio_search(
-            app, fn, objective="period", model=CommModel.OVERLAP,
-            effort=Effort.HEURISTIC, workers=2, deadline=120.0,
-        )
+        serial = portfolio_search(app, fn)
+        parallel = portfolio_search(app, fn, workers=2, deadline=120.0)
         assert parallel.value == serial.value
         assert parallel.budget_exhausted is False
         assert parallel.trajectory[0][2] == "greedy"

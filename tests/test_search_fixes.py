@@ -174,9 +174,10 @@ class TestScanResume:
 class TestNarrowedExceptionGuard:
     def test_cycle_candidates_are_skipped(self):
         app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
+        objective = make_period_objective(CommModel.OVERLAP)
         value, graph = local_search_forest(
             ExecutionGraph.empty(app),
-            make_period_objective(CommModel.OVERLAP),
+            lambda g: objective(g),  # a plain callable: graphs are built
         )
         assert value == F(4) and sorted(graph.edges) == [("A", "B")]
 
@@ -198,10 +199,11 @@ class TestNarrowedExceptionGuard:
         monkeypatch.setattr(
             ls.ExecutionGraph, "from_parents", classmethod(flaky)
         )
+        objective = make_period_objective(CommModel.OVERLAP)
         with pytest.raises(RuntimeError, match="storage layer"):
             local_search_forest(
                 ExecutionGraph.empty(app),
-                make_period_objective(CommModel.OVERLAP),
+                lambda g: objective(g),  # a plain callable: graphs are built
             )
 
 

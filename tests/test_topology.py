@@ -53,7 +53,7 @@ from repro.optimize.placement import (
     optimize_mapping,
     optimize_shared_mapping,
 )
-from repro.planner import solve, solve_key
+from repro.planner import EvaluationCache, solve, solve_key
 from repro.workloads.generators import random_application, random_execution_graph
 
 MODELS = [CommModel.OVERLAP, CommModel.INORDER, CommModel.OUTORDER]
@@ -701,6 +701,34 @@ class TestPlannerIntegration:
         assert hier.stats.extras.get("hierarchical") is True
         ls = solve(app, method="local-search", platform=spec)
         assert hier.value <= ls.value
+
+    def test_hierarchical_structure_phase_scores_no_unit_graphs(self, monkeypatch):
+        # The structure phase runs on the unit abstraction, where greedy
+        # prices insertions on per-node terms and local search prices
+        # moves on deltas, so no unit-platform graph needs scoring.
+        import repro.optimize.evaluation as evaluation
+
+        real = evaluation.period_objective
+        unit_calls = []
+
+        def counting(graph, model, effort=Effort.HEURISTIC, platform=None,
+                     mapping=None, **kwargs):
+            if evaluation._normalise(platform, mapping) == (None, None):
+                unit_calls.append(graph)
+            return real(graph, model, effort, platform, mapping, **kwargs)
+
+        monkeypatch.setattr(evaluation, "period_objective", counting)
+        result = solve(
+            random_application(12, seed=3), method="hierarchical",
+            platform="tree:racks=2,servers=6", cache=EvaluationCache(),
+        )
+        assert len(unit_calls) <= 1
+        assert result.value == F(3645, 2048)
+        assert sorted(result.graph.edges) == [
+            ("C0", "C11"), ("C0", "C8"), ("C0", "C9"), ("C1", "C2"),
+            ("C1", "C5"), ("C10", "C6"), ("C2", "C3"), ("C2", "C7"),
+            ("C4", "C1"), ("C4", "C10"), ("C9", "C4"),
+        ]
 
     def test_solver_falls_back_without_structure(self):
         app = make_application([("A", 1, 2), ("B", 2, 1)])
