@@ -473,46 +473,21 @@ def _seed_assignment(
     platform: Platform,
     allowed: Sequence[str],
     weights,
-    sizes: Dict[str, Fraction],
-) -> Tuple[Dict[str, str], Tuple[str, ...], Tuple[str, ...]]:
+) -> Tuple[Mapping, Tuple[str, ...], Tuple[str, ...]]:
     """Warm seed: keep survivors, LPT-place newcomers and evacuees.
 
-    Returns ``(assignment, forced, admitted)`` where *forced* are the
+    Returns ``(mapping, forced, admitted)`` where *forced* are the
     surviving services whose incumbent server is no longer allowed.
     """
-    allowed = tuple(allowed)
-    order = {name: i for i, name in enumerate(platform.names)}
-    weights = weights or {}
-    load = {name: ZERO for name in allowed}
-    assignment: Dict[str, str] = {}
-    displaced = []
-    for svc in graph.nodes:
-        origin = old_assignment.get(svc)
-        if origin is not None and origin in load:
-            assignment[svc] = origin
-            load[origin] += (
-                sizes[svc] * weights.get(svc, 1) / platform.speed(origin)
-            )
-        else:
-            displaced.append(svc)
-    forced = tuple(s for s in displaced if s in old_assignment)
-    admitted = tuple(s for s in displaced if s not in old_assignment)
-    # Heaviest first onto the least-loaded allowed server (LPT against the
-    # survivors' existing load), exactly the greedy seed's tie-breaks.
-    for svc in sorted(
-        displaced,
-        key=lambda s: (-(sizes[s] * weights.get(s, 1)), s),
-    ):
-        best = min(
-            allowed,
-            key=lambda u: (
-                load[u] + sizes[svc] * weights.get(svc, 1) / platform.speed(u),
-                order[u],
-            ),
-        )
-        assignment[svc] = best
-        load[best] += sizes[svc] * weights.get(svc, 1) / platform.speed(best)
-    return assignment, forced, admitted
+    seed = greedy_shared_mapping(
+        graph, platform, weights=weights, allowed=allowed, keep=old_assignment
+    )
+    forced = tuple(
+        s for s in graph.nodes
+        if s in old_assignment and old_assignment[s] not in allowed
+    )
+    admitted = tuple(s for s in graph.nodes if s not in old_assignment)
+    return seed, forced, admitted
 
 
 def replan(
@@ -568,10 +543,10 @@ def replan(
 
     sizes = migration_sizes(graph)
     seed, forced, admitted = _seed_assignment(
-        baseline, graph, platform, allowed, weights, sizes
+        baseline, graph, platform, allowed, weights
     )
     evaluator = placement_evaluator(
-        graph, platform, Mapping.shared(seed), model=state.model,
+        graph, platform, seed, model=state.model,
         weights=weights, shared=True, exactness=Exactness.coerce(exactness),
     )
     _repair_search(

@@ -166,14 +166,17 @@ class _Scaling:
         return self._speed.get(name, self._default_speed)
 
 
-def _float_cuts(value: Fraction, eps: float) -> Tuple[float, float]:
-    """``(cut, low_cut)`` float thresholds around an exact incumbent.
+def _cuts(value: Fraction, use_float: bool, eps: float) -> Tuple:
+    """``(cut, low_cut)`` pruning thresholds around an exact incumbent.
 
-    An incumbent too large for a float degenerates to ``(inf, -inf)`` —
-    every bound then lands "in the band", so a certified search arbitrates
-    everything exactly (slow but still exact) and a fast search returns
-    its incumbent.
+    The exact tier prunes at the incumbent itself.  The float tiers get
+    the :data:`~repro.core.CERT_EPS` band around it; an incumbent too large
+    for a float degenerates to ``(inf, -inf)`` — every bound then lands
+    "in the band", so a certified search arbitrates everything exactly
+    (slow but still exact) and a fast search returns its incumbent.
     """
+    if not use_float:
+        return value, value
     try:
         f = float(value)
     except OverflowError:
@@ -269,20 +272,81 @@ class ForestTerms:
         return cin + ccomp + cout
 
 
-def _latency_floors(
-    app: Application,
-    scaling: _Scaling,
-    minprod: Dict[str, Fraction],
-) -> Dict[str, Fraction]:
-    """Static per-service latency floor: in-message + compute + out-message."""
-    floors: Dict[str, Fraction] = {}
-    for s in app.services:
-        floors[s.name] = (
-            min(ONE, minprod[s.name]) / scaling.comm_div
-            + minprod[s.name] * s.cost / scaling.speed(s.name)
-            + minprod[s.name] * s.selectivity / scaling.comm_div
+class DagTerms:
+    """Critical-path terms of a partial DAG, in one numeric tier.
+
+    A placed node ``i`` whose ancestor set has selectivity product ``a_i``
+    starts once every predecessor ``p`` has finished and sent it
+    ``a_p·σ_p/b`` (an entry node after the unit input message ``1/b``),
+    and finishes ``a_i·c_i/s_i`` later.  Its term adds its own output
+    message ``a_i·σ_i/b``.  A partial DAG's latency bound is the max of its
+    placed nodes' terms and the unplaced services' static floors; appending
+    a node with predecessors among the placed ones changes no placed
+    node's finish time, so only the new node's term joins the max.
+
+    ``b`` and ``s`` come from *scaling*; every quantity is converted once
+    by *num* (``float`` for the float tiers; ``None`` keeps them exact).
+    """
+
+    __slots__ = ("one", "sigma", "cost", "speed", "b")
+
+    def __init__(self, app: Application, scaling: _Scaling, num=None) -> None:
+        conv = num or (lambda value: value)
+        names = list(app.names)
+        self.one = conv(ONE)
+        self.sigma = [conv(app.selectivity(x)) for x in names]
+        self.cost = [conv(app.cost(x)) for x in names]
+        self.speed = [conv(scaling.speed(x)) for x in names]
+        self.b = conv(scaling.comm_div)
+
+    def floor(self, i: int, least):
+        """Term of node *i* fed its smallest possible data set *least*."""
+        return (
+            min(self.one, least) / self.b
+            + least * self.cost[i] / self.speed[i]
+            + least * self.sigma[i] / self.b
         )
-    return floors
+
+    def _product(self, ancestors):
+        prod = self.one
+        for j in ancestors:
+            prod *= self.sigma[j]
+        return prod
+
+    def _start(self, preds, anc, finish):
+        if not preds:
+            return self.one / self.b
+        return max(finish[p] + anc[p] * self.sigma[p] / self.b for p in preds)
+
+    def revive(self, topo, preds, ancestors):
+        """``(anc, finish)``: ancestor products and finish times of the
+        placed nodes, visited in the topological order *topo*."""
+        anc: Dict[int, object] = {}
+        finish: Dict[int, object] = {}
+        for i in topo:
+            anc[i] = prod = self._product(ancestors[i])
+            finish[i] = (
+                self._start(preds[i], anc, finish)
+                + prod * self.cost[i] / self.speed[i]
+            )
+        return anc, finish
+
+    def bound(self, root, anc, finish):
+        """The state's bound: *root* (the static floors) or a placed
+        node's term, whichever is largest."""
+        return max(
+            [root] + [finish[i] + anc[i] * self.sigma[i] / self.b for i in anc]
+        )
+
+    def term(self, u: int, ancestors, preds, anc, finish):
+        """Term of *u* appended under *preds* (its ancestor set
+        *ancestors*), given the placed nodes' :meth:`revive`."""
+        prod = self._product(ancestors)
+        return (
+            self._start(preds, anc, finish)
+            + prod * self.cost[u] / self.speed[u]
+            + prod * self.sigma[u] / self.b
+        )
 
 
 def _seed_incumbent(
@@ -427,10 +491,7 @@ def bb_minperiod(
     # FAST (uncertified by contract) ties prune aggressively at
     # ``low_cut``, with no exact arithmetic anywhere.
     certified = exactness is Exactness.CERTIFIED
-    if use_float:
-        cut, low_cut = _float_cuts(best_value, eps)
-    else:
-        cut = low_cut = best_value
+    cut, low_cut = _cuts(best_value, use_float, eps)
     root_bound_x = max(floors_x, default=Fraction(0))
     root_bound = max(floor_list, default=one * 0)
     start: Tuple[int, ...] = tuple([_ForestState.UNPLACED] * n)
@@ -607,10 +668,7 @@ def bb_minperiod(
                 if value < best_value:
                     best_value, best_graph = value, graph
                     gen += 1
-                    if use_float:
-                        cut, low_cut = _float_cuts(best_value, eps)
-                    else:
-                        cut = low_cut = best_value
+                    cut, low_cut = _cuts(best_value, use_float, eps)
                     stats.incumbent_updates += 1
 
     stats.pruned, stats.duplicates = pruned, duplicates
@@ -669,17 +727,17 @@ def bb_minlatency(
     exactness = objective.exactness
     scaling = _Scaling(app, objective.platform, objective.mapping)
     minprod = _min_products(app)
-    floors = _latency_floors(app, scaling, minprod)
+    # Exact terms price the static floors and the near-tie arbitration.
+    terms_x = DagTerms(app, scaling)
+    floors_x = [terms_x.floor(i, minprod[name]) for i, name in enumerate(names)]
     while True:
         use_float = exactness.uses_float
-        conv = float if use_float else (lambda value: value)
         try:
-            one = conv(ONE)
-            sigma = [conv(app.selectivity(name)) for name in names]
-            cost = [conv(app.cost(name)) for name in names]
-            speed = [conv(scaling.speed(name)) for name in names]
-            b_div = conv(scaling.comm_div)
-            floor_list = [conv(floors[name]) for name in names]
+            if use_float:
+                terms = DagTerms(app, scaling, float)
+                floor_list = [float(f) for f in floors_x]
+            else:
+                terms, floor_list = terms_x, floors_x
             break
         except OverflowError:
             exactness = Exactness.EXACT  # beyond float range (see bb_minperiod)
@@ -691,23 +749,14 @@ def bb_minlatency(
         incumbent = _seed_incumbent(app, objective)
     best_value, best_graph = incumbent
 
-    # Near-tie band thresholds — see bb_minperiod for the contract.
+    # Near-tie band thresholds and the one prune test — see bb_minperiod.
     certified = exactness is Exactness.CERTIFIED
-    if use_float:
-        cut, low_cut = _float_cuts(best_value, eps)
-    else:
-        cut = low_cut = best_value
-    if certified:
-        sigma_x = [app.selectivity(name) for name in names]
-        cost_x = [app.cost(name) for name in names]
-        speed_x = [scaling.speed(name) for name in names]
-        b_div_x = scaling.comm_div
-        floors_x = [floors[name] for name in names]
-        root_bound_x = max(floors_x) if floors_x else Fraction(0)
+    cut, low_cut = _cuts(best_value, use_float, eps)
+    root_bound_x = max(floors_x, default=Fraction(0))
+    root_bound = max(floor_list, default=terms.one * 0)
 
     # State: (frozenset of placed indices, frozenset of (pred, succ) edges).
     State = Tuple[frozenset, frozenset]
-    root_bound = max(floor_list) if floor_list else conv(Fraction(0))
     start: State = (frozenset(), frozenset())
     heap: List[Tuple] = []
     counter = itertools.count()
@@ -717,13 +766,7 @@ def bb_minlatency(
 
     while heap:
         bound, _, _, (placed, edges), state_gen = heapq.heappop(heap)
-        if certified:
-            worse = bound > cut
-        elif use_float:
-            worse = bound >= low_cut  # FAST: ties prune uncertified
-        else:
-            worse = bound >= cut
-        if worse:
+        if bound >= low_cut and (not certified or bound > cut):
             break
         if node_limit is not None and stats.expanded >= node_limit:
             stats.limit_hit = True
@@ -736,145 +779,57 @@ def bb_minlatency(
         preds: Dict[int, List[int]] = {i: [] for i in order}
         for a, b in edges:
             preds[b].append(a)
-        # Critical-path revival: ancestors of placed nodes are final.
-        anc_set: Dict[int, frozenset] = {}
-        anc_prod: Dict[int, object] = {}
-        finish: Dict[int, object] = {}
-        done: set = set()
-        pending = [i for i in order]
+        # Ancestor sets, in a topological order: ancestors of placed nodes
+        # are final, so the critical path revives in either tier.
+        ancestors: Dict[int, frozenset] = {}
+        topo: List[int] = []
+        pending = list(order)
         while pending:
             i = pending.pop(0)
-            if any(p not in done for p in preds[i]):
+            if any(p not in ancestors for p in preds[i]):
                 pending.append(i)
                 continue
-            acc = frozenset().union(*[anc_set[p] | {p} for p in preds[i]]) \
-                if preds[i] else frozenset()
-            anc_set[i] = acc
-            prod = one
-            for j in acc:
-                prod *= sigma[j]
-            anc_prod[i] = prod
-            if preds[i]:
-                start_t = max(
-                    finish[p] + anc_prod[p] * sigma[p] / b_div for p in preds[i]
-                )
-            else:
-                start_t = one / b_div
-            finish[i] = start_t + prod * cost[i] / speed[i]
-            done.add(i)
+            ancestors[i] = frozenset().union(
+                *[ancestors[p] | {p} for p in preds[i]]
+            )
+            topo.append(i)
+        anc, finish = terms.revive(topo, preds, ancestors)
+        # Exact revival, only for a near-tie arbitration of this state.
+        revived_x: List[Tuple[Dict, Dict]] = []
 
-        if certified:
-            # Lazy exact revival for near-tie arbitration: the state's
-            # bound is max(static root bound, finish + out-message of each
-            # placed node), every component final once the node is placed.
-            exact_cache: Dict[str, object] = {}
+        def exact_revival() -> Tuple[Dict, Dict]:
+            if not revived_x:
+                revived_x.append(terms_x.revive(topo, preds, ancestors))
+            return revived_x[0]
 
-            def exact_revive():
-                found = exact_cache.get("finish")
-                if found is None:
-                    anc_prod_x: Dict[int, Fraction] = {}
-                    finish_x: Dict[int, Fraction] = {}
-                    for i in order:  # anc_set is complete: reuse its sets
-                        prod_x = ONE
-                        for j in anc_set[i]:
-                            prod_x *= sigma_x[j]
-                        anc_prod_x[i] = prod_x
-                    exact_cache["anc"] = anc_prod_x
-                    finish_pending = [i for i in order]
-                    done_x: set = set()
-                    while finish_pending:
-                        i = finish_pending.pop(0)
-                        if any(p not in done_x for p in preds[i]):
-                            finish_pending.append(i)
-                            continue
-                        if preds[i]:
-                            start_x = max(
-                                finish_x[p] + anc_prod_x[p] * sigma_x[p] / b_div_x
-                                for p in preds[i]
-                            )
-                        else:
-                            start_x = ONE / b_div_x
-                        finish_x[i] = start_x + anc_prod_x[i] * cost_x[i] / speed_x[i]
-                        done_x.add(i)
-                    exact_cache["finish"] = finish_x
-                    found = finish_x
-                return exact_cache["anc"], exact_cache["finish"]
-
-            def exact_bound() -> Fraction:
-                found = exact_cache.get("bound")
-                if found is None:
-                    anc_prod_x, finish_x = exact_revive()
-                    found = root_bound_x
-                    for i in order:
-                        t = finish_x[i] + anc_prod_x[i] * sigma_x[i] / b_div_x
-                        if t > found:
-                            found = t
-                    exact_cache["bound"] = found
-                return found
-
-            if (
-                state_gen != gen
-                and bound >= low_cut
-                and exact_bound() >= best_value
-            ):
-                stats.pruned += 1
-                continue
+        if (
+            certified
+            and state_gen != gen
+            and bound >= low_cut
+            and terms_x.bound(root_bound_x, *exact_revival()) >= best_value
+        ):
+            stats.pruned += 1
+            continue
         stats.expanded += 1
         verified_gen = gen  # see bb_minperiod: children re-check if stale
 
         unplaced = [i for i in range(n) if i not in placed]
-        placed_list = list(order)
-        k = len(placed_list)
+        k = len(order)
         for u in unplaced:
             for mask in range(1 << k):
-                chosen = [placed_list[j] for j in range(k) if mask >> j & 1]
-                acc = frozenset().union(
-                    *[anc_set[p] | {p} for p in chosen]
-                ) if chosen else frozenset()
-                prod = one
-                for j in acc:
-                    prod *= sigma[j]
-                if chosen:
-                    start_t = max(
-                        finish[p] + anc_prod[p] * sigma[p] / b_div for p in chosen
-                    )
-                else:
-                    start_t = one / b_div
-                finish_u = start_t + prod * cost[u] / speed[u]
-                new_term = finish_u + prod * sigma[u] / b_div
+                chosen = [order[j] for j in range(k) if mask >> j & 1]
+                acc = frozenset().union(*[ancestors[p] | {p} for p in chosen])
+                new_term = terms.term(u, acc, chosen, anc, finish)
                 child_bound = bound if new_term <= bound else new_term
-                if use_float and not certified:
-                    if child_bound >= low_cut:  # FAST: uncertified pruning
-                        stats.pruned += 1
-                        continue
-                elif certified:
-                    if child_bound > cut:
-                        stats.pruned += 1
-                        continue
-                    if child_bound >= low_cut:
-                        # Near-tie band: exact arbitration (see bb_minperiod).
-                        # The expanded state's exact bound is below the
-                        # incumbent, so only the appended node's term matters.
-                        anc_prod_x, finish_x = exact_revive()
-                        prod_x = ONE
-                        for j in acc:
-                            prod_x *= sigma_x[j]
-                        if chosen:
-                            start_x = max(
-                                finish_x[p] + anc_prod_x[p] * sigma_x[p] / b_div_x
-                                for p in chosen
-                            )
-                        else:
-                            start_x = ONE / b_div_x
-                        new_term_x = (
-                            start_x
-                            + prod_x * cost_x[u] / speed_x[u]
-                            + prod_x * sigma_x[u] / b_div_x
-                        )
-                        if new_term_x >= best_value:
-                            stats.pruned += 1
-                            continue
-                elif child_bound >= cut:
+                if child_bound >= low_cut and (
+                    not certified
+                    or child_bound > cut
+                    # Near-tie band: the expanded state's exact bound is
+                    # below the incumbent, so only the appended node's
+                    # exact term can reach it.
+                    or terms_x.term(u, acc, chosen, *exact_revival())
+                    >= best_value
+                ):
                     stats.pruned += 1
                     continue
                 child: State = (
@@ -895,10 +850,7 @@ def bb_minlatency(
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1
-                        if use_float:
-                            cut, low_cut = _float_cuts(best_value, eps)
-                        else:
-                            cut = low_cut = best_value
+                        cut, low_cut = _cuts(best_value, use_float, eps)
                         stats.incumbent_updates += 1
                     continue
                 heapq.heappush(

@@ -16,7 +16,9 @@ algebra makes that unnecessary:
 * **Reassigning or swapping servers** on a fixed graph leaves every data
   size untouched; only the moved services' ``Ccomp`` (new speed) and the
   communication times of their incident edges (new links) change.
-  :class:`IncrementalMappingCosts` recomputes just the touched services.
+  :class:`IncrementalSharedCosts` recomputes just the touched services,
+  for shared-server mappings and (``shared=False``) the paper's
+  one-service-per-server ones alike.
 
 Both evaluators compute the same value as a fresh
 :meth:`CostModel.period_lower_bound` — bit-for-bit, in exact
@@ -26,18 +28,16 @@ recomputation).  That bound *is* the period objective for OVERLAP
 models, which is when the searches engage the delta path; other
 configurations keep the full evaluation.
 
-**Two numeric tiers.**  The evaluators are numeric-generic: every input
-quantity passes through the class's ``_num`` hook once at construction,
-after which all arithmetic stays in that tier.  The base classes keep the
-identity hook (exact ``Fraction``s); the ``Float*`` twins
-(:class:`FloatForestPeriod`, :class:`FloatMappingCosts`,
-:class:`FloatSharedCosts`) convert to native floats, turning every delta
-into a handful of float multiplies — one to two orders of magnitude
-faster.  The ``Certified*`` wrappers pair an exact evaluator with its
-float twin: candidates are scored on the float tier and only the ones
-within the :data:`~repro.core.CERT_EPS` band of the current value are
-re-scored exactly, so the accept/reject decisions — and hence the whole
-search trajectory — stay **bit-for-bit identical** to the exact tier.
+**Two numeric tiers.**  Each evaluator takes its tier as a ``num``
+argument: every input quantity passes through it once at construction,
+after which all arithmetic stays in that tier.  The default keeps exact
+``Fraction``s; ``num=float`` turns every delta into a handful of float
+multiplies — one to two orders of magnitude faster.  The ``Certified*``
+evaluators pair the two tiers of one evaluator: candidates are scored on
+the float tier and only the ones within the :data:`~repro.core.CERT_EPS`
+band of the current value are re-scored exactly, so the accept/reject
+decisions — and hence the whole search trajectory — stay **bit-for-bit
+identical** to the exact tier.
 
     >>> from repro import CommModel, ExecutionGraph, make_application
     >>> app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -124,12 +125,19 @@ class IncrementalForestPeriod:
 
     ``score_reparent`` prices a candidate move without committing (``None``
     when the move would create a cycle); ``apply_reparent`` commits one.
-    """
 
-    #: Numeric-tier hook: every selectivity, cost, speed and bandwidth is
-    #: converted through this exactly once.  The base class keeps exact
-    #: ``Fraction``s; :class:`FloatForestPeriod` swaps in ``float``.
-    _num = staticmethod(lambda value: value)
+    *num* is the numeric tier: every selectivity, cost, speed and
+    bandwidth is converted through it exactly once.  The default keeps
+    exact ``Fraction``s; ``num=float`` is the fast tier, whose values agree
+    with the exact ones to ~1e-13 relative (property-tested at 1e-9).
+
+        >>> from repro import CommModel, ExecutionGraph, make_application
+        >>> app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
+        >>> fast = IncrementalForestPeriod(
+        ...     ExecutionGraph.empty(app), model=CommModel.OVERLAP, num=float)
+        >>> fast.value(), fast.score_reparent("B", "A")
+        (8.0, 4.0)
+    """
 
     def __init__(
         self,
@@ -138,6 +146,7 @@ class IncrementalForestPeriod:
         model: CommModel = CommModel.OVERLAP,
         platform: Optional[Platform] = None,
         mapping: Optional[Mapping] = None,
+        num: Callable[[Fraction], Num] = exact_num,
     ) -> None:
         if not graph.is_forest:
             raise ValueError("incremental reparenting requires a forest")
@@ -146,9 +155,9 @@ class IncrementalForestPeriod:
             raise ValueError("incremental reparenting assumes no precedence")
         self.model = model
         self.platform, self.mapping = _require_supported(platform, mapping)
-        num = self._num
+        self._num = num
         self._one: Num = num(ONE)
-        self._zero: Num = num(Fraction(0))
+        self._zero: Num = num(ZERO)
         self._sigma: Dict[str, Num] = {
             n: num(self.app.selectivity(n)) for n in self.app.names
         }
@@ -333,80 +342,76 @@ class IncrementalForestPeriod:
         return ExecutionGraph.from_parents(self.app, self.parents)
 
 
-class FloatForestPeriod(IncrementalForestPeriod):
-    """Float twin of :class:`IncrementalForestPeriod` (the fast tier).
+class _CertifiedPair:
+    """An exact and a float evaluator of one structure, behind the band rule.
 
-    Same moves, same API, native-float arithmetic throughout — values
-    agree with the exact evaluator to ~1e-13 relative (property-tested at
-    1e-9).  Pair it with the exact class through
-    :class:`CertifiedForestPeriod` when the search result must stay
-    bit-for-bit exact.
-
-        >>> from repro import CommModel, ExecutionGraph, make_application
-        >>> app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
-        >>> fast = FloatForestPeriod(
-        ...     ExecutionGraph.empty(app), model=CommModel.OVERLAP)
-        >>> fast.value(), fast.score_reparent("B", "A")
-        (8.0, 4.0)
+    Both are built by the subclass's ``_single`` evaluator from the same
+    arguments, the float one with ``num=float``.  A move is priced on the
+    float tier and re-priced exactly only when its float lands inside the
+    :data:`~repro.core.CERT_EPS` band of the current exact value: the
+    float error is orders of magnitude below the band, so every move the
+    exact evaluator would accept gets its exact score, and the search
+    trajectory is bit-for-bit the exact one at float cost for the rejected
+    majority.  A committed move is applied to both tiers.
     """
 
-    _num = staticmethod(float)
+    __slots__ = ("exact", "fast", "eps", "_cut")
+    _single: type
 
-
-class CertifiedForestPeriod:
-    """Exact + float forest evaluators behind one certified interface.
-
-    Candidate reparents are priced on the float tier; only candidates
-    whose float value lands inside the :data:`~repro.core.CERT_EPS` band
-    of the current value are re-priced exactly.  Because the float error
-    is orders of magnitude below the band, every move the exact evaluator
-    would accept gets an exact score here too — the search trajectory is
-    bit-for-bit the exact one, at float cost for the (vast) majority of
-    rejected candidates.  Drop-in wherever an
-    :class:`IncrementalForestPeriod` is accepted.
-    """
-
-    __slots__ = ("exact", "fast", "eps", "_value", "_cut")
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-        platform: Optional[Platform] = None,
-        mapping: Optional[Mapping] = None,
-        eps: float = CERT_EPS,
-    ) -> None:
-        self.exact = IncrementalForestPeriod(
-            graph, model=model, platform=platform, mapping=mapping
-        )
-        self.fast = FloatForestPeriod(
-            graph, model=model, platform=platform, mapping=mapping
-        )
+    def __init__(self, *args, eps: float = CERT_EPS, **kwargs) -> None:
+        self.exact = self._single(*args, **kwargs)
+        self.fast = self._single(*args, num=float, **kwargs)
         self.eps = eps
         self._refresh()
 
     def _refresh(self) -> None:
-        self._value = self.exact.value()
-        self._cut = certified_threshold(float(self._value), self.eps)
+        self._cut = certified_threshold(float(self.exact.value()), self.eps)
+
+    def _score(self, move: str, *args):
+        trial = getattr(self.fast, move)(*args)
+        if trial is not None and trial <= self._cut:
+            return getattr(self.exact, move)(*args)
+        # ``None`` (no move), or provably worse than the current value:
+        # the float score exceeds the exact current value too.
+        return trial
+
+    def _apply(self, move: str, *args) -> None:
+        getattr(self.exact, move)(*args)
+        getattr(self.fast, move)(*args)
+        self._refresh()
+
+
+def _in_tier(exactness: Exactness, pair: type, *args, **kwargs):
+    """The evaluator of *exactness*: *pair*'s single evaluator in floats
+    under ``FAST``, the certified *pair* under ``CERTIFIED``, and in exact
+    ``Fraction``s under ``EXACT`` or when the instance overflows a float."""
+    exactness = Exactness.coerce(exactness)
+    try:
+        if exactness is Exactness.FAST:
+            return pair._single(*args, num=float, **kwargs)
+        if exactness is Exactness.CERTIFIED:
+            return pair(*args, **kwargs)
+    except OverflowError:
+        pass  # beyond float range: the exact tier below is always correct
+    return pair._single(*args, **kwargs)
+
+
+class CertifiedForestPeriod(_CertifiedPair):
+    """Exact + float :class:`IncrementalForestPeriod` behind one certified
+    interface (same arguments, plus *eps*).  Drop-in wherever an
+    :class:`IncrementalForestPeriod` is accepted."""
+
+    __slots__ = ()
+    _single = IncrementalForestPeriod
 
     def value(self) -> Fraction:
         return self.exact.value()
 
     def score_reparent(self, node: str, new_parent: Optional[str]) -> Optional[Num]:
-        trial = self.fast.score_reparent(node, new_parent)
-        if trial is None:
-            return None
-        if trial <= self._cut:
-            return self.exact.score_reparent(node, new_parent)
-        # Provably worse than the current value: the float score is safe
-        # to return (it exceeds the exact current value too).
-        return trial
+        return self._score("score_reparent", node, new_parent)
 
     def apply_reparent(self, node: str, new_parent: Optional[str]) -> None:
-        self.exact.apply_reparent(node, new_parent)
-        self.fast.apply_reparent(node, new_parent)
-        self._refresh()
+        self._apply("apply_reparent", node, new_parent)
 
 
 def period_delta(
@@ -428,11 +433,11 @@ def period_delta(
     :func:`~repro.optimize.local_search.local_search_forest` applies this
     rule to its objective's configuration.
 
-    *exactness* picks the numeric tier: ``EXACT`` returns the classic
+    *exactness* picks the numeric tier: ``EXACT`` returns the exact
     :class:`IncrementalForestPeriod`, ``CERTIFIED`` the
     :class:`CertifiedForestPeriod` pair (bit-for-bit identical decisions,
-    float-priced rejections), ``FAST`` the :class:`FloatForestPeriod`
-    twin (float values throughout — re-score the final graph exactly).
+    float-priced rejections), ``FAST`` the float-tier evaluator (float
+    values throughout — re-score the final graph exactly).
     """
     from .evaluation import kernel_covers
 
@@ -449,25 +454,14 @@ def period_delta(
         return None
     if not graph.is_forest or graph.application.precedence:
         return None
-    exactness = Exactness.coerce(exactness)
-    try:
-        if exactness is Exactness.FAST:
-            return FloatForestPeriod(
-                graph, model=model, platform=platform, mapping=mapping
-            )
-        if exactness is Exactness.CERTIFIED:
-            return CertifiedForestPeriod(  # type: ignore[return-value]
-                graph, model=model, platform=platform, mapping=mapping
-            )
-    except OverflowError:
-        pass  # beyond float range: the exact tier below is always correct
-    return IncrementalForestPeriod(
-        graph, model=model, platform=platform, mapping=mapping
+    return _in_tier(
+        exactness, CertifiedForestPeriod, graph, model=model,
+        platform=platform, mapping=mapping,
     )
 
 
 class IncrementalSharedCosts:
-    """Delta evaluation of shared-server (non-injective) mappings.
+    """Delta evaluation of server reassignments and swaps.
 
     The concurrent-applications regime maps several services — possibly
     from different applications — onto one server.  The maintained value is
@@ -483,9 +477,16 @@ class IncrementalSharedCosts:
     concurrent planner passes ``1 / period_target`` of the owning
     application, turning the value into the max per-server *utilisation*).
 
+    ``shared=False`` is the paper's one-service-per-server regime: the
+    mapping must be injective (the placement local search's reassign moves
+    target idle servers, so it stays so), every per-server sum is a single
+    service's triple, and :meth:`mapping` returns a plain
+    :class:`~repro.core.Mapping`.  Weights apply either way.
+
     Every service's terms come from the one
-    :class:`~repro.core.costs.CostAlgebra`, in the tier of the class's
-    ``_num`` hook.  Moving one service touches only that service's terms,
+    :class:`~repro.core.costs.CostAlgebra`, in the tier *num* (exact
+    ``Fraction``s by default, ``float`` for the fast tier), converted once
+    at construction.  Moving one service touches only that service's terms,
     its graph neighbours' terms (their links to it change), and the
     per-server sums of the affected servers — so a reassign/swap is priced
     in ``O(degree)`` instead of a full recompute (exact-Fraction parity,
@@ -499,10 +500,12 @@ class IncrementalSharedCosts:
         ...     Mapping.shared({"A": "S1", "B": "S1"}))
         >>> inc.value(), inc.score_reassign("B", "S2")
         (Fraction(5, 1), Fraction(3, 1))
+        >>> solo = IncrementalSharedCosts(
+        ...     ExecutionGraph.empty(app), Platform.of(speeds=[1, 1, 3]),
+        ...     Mapping({"A": "S1", "B": "S2"}), shared=False, num=float)
+        >>> solo.value(), solo.score_reassign("B", "S3")
+        (3.0, 2.0)
     """
-
-    #: Numeric-tier hook (see :class:`IncrementalForestPeriod`).
-    _num = staticmethod(exact_num)
 
     def __init__(
         self,
@@ -512,8 +515,15 @@ class IncrementalSharedCosts:
         *,
         model: CommModel = CommModel.OVERLAP,
         weights: Optional[Dict[str, Fraction]] = None,
+        shared: bool = True,
+        num: Callable[[Fraction], Num] = exact_num,
     ) -> None:
         mapping.validate_on(graph.nodes, platform)
+        if not shared and not mapping.is_injective:
+            raise ValueError(
+                "shared=False assumes an injective mapping; pass shared=True "
+                "for shared-server mappings"
+            )
         if platform.has_contention:
             raise ValueError(
                 "IncrementalSharedCosts assumes static link bandwidths; "
@@ -523,7 +533,8 @@ class IncrementalSharedCosts:
         self.graph = graph
         self.platform = platform
         self.model = model
-        self._algebra = CostAlgebra(GraphArrays(graph, self._num), platform)
+        self.shared = shared
+        self._algebra = CostAlgebra(GraphArrays(graph, num), platform)
         self._weights = self._algebra.weight_list(weights)
         names = self._algebra.arrays.names
         self._server = [mapping.server(svc) for svc in names]
@@ -588,10 +599,10 @@ class IncrementalSharedCosts:
         return max(combine(acc, self.model) for acc in self._sums.values())
 
     def mapping(self) -> Mapping:
-        return Mapping.shared(self.assignment)
+        return Mapping(self.assignment, shared=self.shared)
 
     def score_reassign(self, service: str, server: str) -> Num:
-        """Price moving *service* onto *server* (shared — any server)."""
+        """Price moving *service* onto *server*."""
         return self._score("reassign", (service, server))
 
     def apply_reassign(self, service: str, server: str) -> None:
@@ -605,103 +616,13 @@ class IncrementalSharedCosts:
         self._commit("swap", (a, b))
 
 
-class IncrementalMappingCosts(IncrementalSharedCosts):
-    """Delta evaluation of server reassignments/swaps, injective mappings.
+class CertifiedPlacementCosts(_CertifiedPair):
+    """Exact + float :class:`IncrementalSharedCosts` behind one certified
+    interface (same arguments, plus *eps*), for the reassignment/swap
+    moves of the placement searches."""
 
-    The paper's one-service-per-server regime as a strict specialisation
-    of :class:`IncrementalSharedCosts`: with an injective mapping every
-    per-server sum is a single service's triple, intra-server zeroing
-    never fires, and the maintained value is the paper's
-    ``max_k Cexec(k)`` — i.e. ``CostModel(graph, platform,
-    mapping).period_lower_bound(model)``.  The injective-only constructor
-    keeps the placement local search honest (its reassign moves target
-    idle servers, so the assignment stays one-to-one).
-
-        >>> from repro import ExecutionGraph, Mapping, Platform, make_application
-        >>> from repro.core import CommModel
-        >>> app = make_application([("A", 1, 1), ("B", 9, 1)])
-        >>> platform = Platform.of(speeds=[1, 1, 3])
-        >>> inc = IncrementalMappingCosts(
-        ...     ExecutionGraph.empty(app), platform,
-        ...     Mapping({"A": "S1", "B": "S2"}), model=CommModel.OVERLAP)
-        >>> inc.value(), inc.score_reassign("B", "S3")
-        (Fraction(9, 1), Fraction(3, 1))
-    """
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        platform: Platform,
-        mapping: Mapping,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-    ) -> None:
-        if not mapping.is_injective:
-            raise ValueError(
-                "IncrementalMappingCosts assumes an injective mapping; use "
-                "IncrementalSharedCosts for shared-server mappings"
-            )
-        super().__init__(graph, platform, mapping, model=model)
-
-    def mapping(self) -> Mapping:
-        return Mapping(self.assignment)
-
-
-class FloatSharedCosts(IncrementalSharedCosts):
-    """Float twin of :class:`IncrementalSharedCosts` (the fast tier)."""
-
-    _num = staticmethod(float)
-
-
-class FloatMappingCosts(IncrementalMappingCosts):
-    """Float twin of :class:`IncrementalMappingCosts` (the fast tier)."""
-
-    _num = staticmethod(float)
-
-
-class CertifiedPlacementCosts:
-    """Exact + float placement evaluators behind one certified interface.
-
-    Same protocol as :class:`CertifiedForestPeriod`, for the reassignment/
-    swap moves of the placement searches: float-tier pricing, exact
-    re-pricing inside the :data:`~repro.core.CERT_EPS` band, committed
-    moves applied to both tiers.  Wraps the injective pair by default;
-    pass ``shared=True`` for the shared-server (concurrent) pair.
-    """
-
-    __slots__ = ("exact", "fast", "eps", "_value", "_cut")
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        platform: Platform,
-        mapping: Mapping,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-        weights: Optional[Dict[str, Fraction]] = None,
-        shared: bool = False,
-        eps: float = CERT_EPS,
-    ) -> None:
-        if shared:
-            self.exact = IncrementalSharedCosts(
-                graph, platform, mapping, model=model, weights=weights
-            )
-            self.fast: IncrementalSharedCosts = FloatSharedCosts(
-                graph, platform, mapping, model=model, weights=weights
-            )
-        else:
-            if weights:
-                raise ValueError("weights only apply to shared placements")
-            self.exact = IncrementalMappingCosts(
-                graph, platform, mapping, model=model
-            )
-            self.fast = FloatMappingCosts(graph, platform, mapping, model=model)
-        self.eps = eps
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self._value = self.exact.value()
-        self._cut = certified_threshold(float(self._value), self.eps)
+    __slots__ = ()
+    _single = IncrementalSharedCosts
 
     @property
     def assignment(self) -> Dict[str, str]:
@@ -714,26 +635,16 @@ class CertifiedPlacementCosts:
         return self.exact.mapping()
 
     def score_reassign(self, service: str, server: str) -> Num:
-        trial = self.fast.score_reassign(service, server)
-        if trial <= self._cut:
-            return self.exact.score_reassign(service, server)
-        return trial
+        return self._score("score_reassign", service, server)
 
     def apply_reassign(self, service: str, server: str) -> None:
-        self.exact.apply_reassign(service, server)
-        self.fast.apply_reassign(service, server)
-        self._refresh()
+        self._apply("apply_reassign", service, server)
 
     def score_swap(self, a: str, b: str) -> Num:
-        trial = self.fast.score_swap(a, b)
-        if trial <= self._cut:
-            return self.exact.score_swap(a, b)
-        return trial
+        return self._score("score_swap", a, b)
 
     def apply_swap(self, a: str, b: str) -> None:
-        self.exact.apply_swap(a, b)
-        self.fast.apply_swap(a, b)
-        self._refresh()
+        self._apply("apply_swap", a, b)
 
 
 def exact_placement_value(
@@ -1027,49 +938,31 @@ def placement_evaluator(
 ):
     """The placement delta evaluator matching one exactness tier.
 
-    ``EXACT`` builds the classic Fraction evaluator, ``CERTIFIED`` the
-    paired :class:`CertifiedPlacementCosts` (bit-for-bit identical search
-    decisions), ``FAST`` the float twin (re-score the winner exactly).
-    Contended topologies always dispatch to :class:`FullPlacementCosts`
-    (same protocol, full recompute per candidate) — the incremental
-    deltas are invalid there.
+    ``EXACT`` builds the Fraction :class:`IncrementalSharedCosts`,
+    ``CERTIFIED`` the paired :class:`CertifiedPlacementCosts` (bit-for-bit
+    identical search decisions), ``FAST`` the float-tier evaluator
+    (re-score the winner exactly).  Contended topologies always dispatch
+    to :class:`FullPlacementCosts` (same protocol, full recompute per
+    candidate) — the incremental deltas are invalid there.  *weights*
+    always weight the per-server loads; *shared* only allows co-location
+    and picks the kind of :class:`~repro.core.Mapping` returned.
     """
-    exactness = Exactness.coerce(exactness)
     if platform.has_contention:
         return FullPlacementCosts(
             graph, platform, mapping, model=model, weights=weights,
             shared=shared, exactness=exactness,
         )
-    try:
-        if exactness is Exactness.CERTIFIED:
-            return CertifiedPlacementCosts(
-                graph, platform, mapping, model=model, weights=weights,
-                shared=shared,
-            )
-        if exactness is Exactness.FAST:
-            if shared:
-                return FloatSharedCosts(
-                    graph, platform, mapping, model=model, weights=weights
-                )
-            return FloatMappingCosts(graph, platform, mapping, model=model)
-    except OverflowError:
-        pass  # beyond float range: the exact tier below is always correct
-    if shared:
-        return IncrementalSharedCosts(
-            graph, platform, mapping, model=model, weights=weights
-        )
-    return IncrementalMappingCosts(graph, platform, mapping, model=model)
+    return _in_tier(
+        exactness, CertifiedPlacementCosts, graph, platform, mapping,
+        model=model, weights=weights, shared=shared,
+    )
 
 
 __all__ = [
     "CertifiedForestPeriod",
     "CertifiedPlacementCosts",
-    "FloatForestPeriod",
-    "FloatMappingCosts",
-    "FloatSharedCosts",
     "FullPlacementCosts",
     "IncrementalForestPeriod",
-    "IncrementalMappingCosts",
     "IncrementalSharedCosts",
     "exact_placement_value",
     "period_delta",

@@ -32,11 +32,7 @@ from .evaluation import (
     make_latency_objective,
     make_period_objective,
 )
-from .incremental import (
-    IncrementalMappingCosts,
-    IncrementalSharedCosts,
-    period_delta,
-)
+from .incremental import IncrementalSharedCosts, period_delta
 
 
 def _parents_of(graph: ExecutionGraph) -> Dict[str, Optional[str]]:
@@ -238,7 +234,7 @@ def placement_local_search(
     platform: Platform,
     *,
     max_moves: int = 200,
-    evaluator: Optional[IncrementalMappingCosts] = None,
+    evaluator: Optional[IncrementalSharedCosts] = None,
 ) -> Tuple[Fraction, Mapping]:
     """First-improvement search over service-to-server assignments.
 
@@ -252,10 +248,11 @@ def placement_local_search(
 
     *objective* maps a :class:`~repro.core.Mapping` to the value being
     minimised and scores every candidate.  Passing *evaluator* (an
-    :class:`~repro.optimize.incremental.IncrementalMappingCosts` built
-    from *start* for the matching objective) instead prices each move by
-    recomputing only the touched servers' ``Cin``/``Ccomp``/``Cout``, and
-    *objective* is never called.
+    :class:`~repro.optimize.incremental.IncrementalSharedCosts` built
+    from *start* with ``shared=False`` for the matching objective, or any
+    evaluator of :func:`~repro.optimize.incremental.placement_evaluator`)
+    instead prices each move by recomputing only the touched servers'
+    ``Cin``/``Ccomp``/``Cout``, and *objective* is never called.
 
     Example (the heavy service walks onto the fast idle server)::
 

@@ -343,6 +343,7 @@ def greedy_shared_mapping(
     *,
     weights=None,
     allowed=None,
+    keep=None,
 ) -> Mapping:
     """Bin-packing seed: heaviest (weighted) work onto the least-loaded server.
 
@@ -356,6 +357,9 @@ def greedy_shared_mapping(
 
     *allowed* restricts the candidate servers (the dynamic layer's
     drained-server maintenance scenarios); ``None`` means every server.
+    *keep* (service -> server, the re-planning incumbent) pins each listed
+    service to its server when that server is allowed; the kept services
+    load their servers before the heaviest-first pass places the rest.
     """
     sizes = GraphArrays(graph, exact_num)
     weights = weights or {}
@@ -373,7 +377,13 @@ def greedy_shared_mapping(
         raise ValueError("no allowed server to place services on")
     load = {name: Fraction(0) for name in candidates}
     assignment = {}
+    for svc, server in (keep or {}).items():
+        if svc in work and server in load:
+            assignment[svc] = server
+            load[server] += work[svc] / platform.speed(server)
     for svc in services:
+        if svc in assignment:
+            continue
         best = min(
             candidates,
             key=lambda u: (load[u] + work[svc] / platform.speed(u), order[u]),

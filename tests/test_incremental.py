@@ -15,7 +15,7 @@ from repro.core import (
 from repro.optimize import (
     Effort,
     IncrementalForestPeriod,
-    IncrementalMappingCosts,
+    IncrementalSharedCosts,
     local_search_forest,
     make_period_objective,
     optimize_mapping,
@@ -106,7 +106,9 @@ class TestMappingParity:
             names = list(app.names)
             mapping = Mapping(dict(zip(names, platform.names)))
             for model in CommModel:
-                inc = IncrementalMappingCosts(graph, platform, mapping, model=model)
+                inc = IncrementalSharedCosts(
+                    graph, platform, mapping, model=model, shared=False
+                )
                 assert inc.value() == CostModel(
                     graph, platform, mapping
                 ).period_lower_bound(model)
@@ -205,8 +207,8 @@ class TestSearchEquivalence:
             base_val, base_map = placement_local_search(
                 graph, objective, start, platform
             )
-            evaluator = IncrementalMappingCosts(
-                graph, platform, start, model=CommModel.OVERLAP
+            evaluator = IncrementalSharedCosts(
+                graph, platform, start, model=CommModel.OVERLAP, shared=False
             )
             fast_val, fast_map = placement_local_search(
                 graph, objective, start, platform, evaluator=evaluator

@@ -7,8 +7,8 @@ Four promises under test:
    latency bounds) agrees with the exact :class:`~repro.core.CostModel`
    within 1e-9 relative, across a sweep of >= 200 seeded instances on
    unit and heterogeneous platforms, injective and shared mappings; the
-   ``Float*`` incremental twins agree with their Fraction counterparts
-   move by move.
+   float-tier incremental evaluators (``num=float``) agree with their
+   Fraction counterparts move by move.
 2. **Certified search = exact search, bit for bit** — branch and bound,
    the exhaustive scan, and the placement searches return byte-identical
    values under ``exactness="certified"`` and ``exactness="exact"``.
@@ -38,11 +38,7 @@ from repro.core import (
     certified_threshold,
 )
 from repro.optimize import (
-    FloatForestPeriod,
-    FloatMappingCosts,
-    FloatSharedCosts,
     IncrementalForestPeriod,
-    IncrementalMappingCosts,
     IncrementalSharedCosts,
     bb_minperiod,
     clear_placement_memo,
@@ -57,7 +53,7 @@ from repro.optimize.evaluation import (
     fast_period_value,
 )
 from repro.planner import EvaluationCache, solve
-from repro.workloads.generators import random_application
+from repro.workloads.generators import random_application, random_platform
 
 F = Fraction
 
@@ -175,16 +171,28 @@ class TestFloatKernelParity:
 class TestFloatTwinParity:
     """Float incremental twins vs their exact counterparts, move by move."""
 
-    def test_forest_twin_sweep(self, forest_graph):
+    def test_forest_twin_sweep(self, forest_graph, pinned_mapping):
         rng = random.Random(42)
         checked = 0
-        for seed in range(40):
+        for seed in range(60):
             app = random_application(
                 rng.randint(2, 7), seed=seed, filter_fraction=0.6
             )
             graph = forest_graph(app, rng)
-            exact = IncrementalForestPeriod(graph, model=CommModel.OVERLAP)
-            fast = FloatForestPeriod(graph, model=CommModel.OVERLAP)
+            # The first 40 forests run on the unit platform, the rest on a
+            # heterogeneous one with a pinned positional mapping.
+            pinned = {}
+            if seed >= 40:
+                platform = random_platform(len(app) + 1, seed=seed)
+                pinned = dict(
+                    platform=platform, mapping=pinned_mapping(app, platform)
+                )
+            exact = IncrementalForestPeriod(
+                graph, model=CommModel.OVERLAP, **pinned
+            )
+            fast = IncrementalForestPeriod(
+                graph, model=CommModel.OVERLAP, num=float, **pinned
+            )
             assert _close(fast.value(), exact.value())
             names = list(app.names)
             for _ in range(6):
@@ -211,7 +219,7 @@ class TestFloatTwinParity:
             multi, platform, mapping = multi_instance(seed)
             graph = multi.combined_graph
             exact = IncrementalSharedCosts(graph, platform, mapping)
-            fast = FloatSharedCosts(graph, platform, mapping)
+            fast = IncrementalSharedCosts(graph, platform, mapping, num=float)
             assert _close(fast.value(), exact.value())
             services = sorted(graph.nodes)
             servers = list(platform.names)
@@ -230,8 +238,10 @@ class TestFloatTwinParity:
 
     def test_injective_twin(self, het_instance):
         graph, platform, mapping = het_instance(21)
-        exact = IncrementalMappingCosts(graph, platform, mapping)
-        fast = FloatMappingCosts(graph, platform, mapping)
+        exact = IncrementalSharedCosts(graph, platform, mapping, shared=False)
+        fast = IncrementalSharedCosts(
+            graph, platform, mapping, shared=False, num=float
+        )
         assert _close(fast.value(), exact.value())
 
     def test_certified_wrapper_matches_exact_local_search(self):
