@@ -6,8 +6,7 @@ Subcommands
 ``profile``     cProfile one solve and print the top cumulative hot spots
                 (evidence for performance work).
 ``compare``     Solve a workload over a grid of objectives × models × methods.
-``batch``       Solve many workloads at once, sharded over worker processes
-                (per-shard evaluation caches are merged back).
+``batch``       Solve many workloads at once, sharded over worker processes.
 ``concurrent``  Map several applications (``+``-separated workload specs)
                 onto one shared platform — services may share servers.
 ``gallery``     Batch-solve the paper's named instances and report achieved
@@ -198,8 +197,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     print(
         f"\n{len(batch.results)} workloads over {batch.shards} shard(s) "
         f"({batch.processes} process(es)): {stats.evaluations} evaluations, "
-        f"{stats.cache_hits} cache hits, {batch.merged_entries} cache entries "
-        f"merged, {stats.wall_time:.2f} s"
+        f"{stats.cache_hits} cache hits, {stats.wall_time:.2f} s"
     )
     return 0
 
@@ -410,18 +408,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.no_stdio and not args.tcp:
         raise ValueError("--no-stdio needs --tcp (no transport left)")
-    options = dict(
+    config = ServeConfig(
         workers=args.workers,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
-        cache_ttl=args.cache_ttl,
         result_entries=args.result_entries,
         result_ttl=args.result_ttl,
-        snapshot_path=args.snapshot,
     )
-    if args.cache_entries is not None:
-        options["cache_entries"] = args.cache_entries
-    config = ServeConfig(**options)
     asyncio.run(
         serve_forever(config, stdio=not args.no_stdio, tcp=args.tcp)
     )
@@ -730,25 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a batch group at this many requests (default 16)",
     )
     p_srv.add_argument(
-        "--cache-entries", type=int, default=None,
-        help="evaluation-cache capacity (LRU beyond this; default 200000)",
-    )
-    p_srv.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="evaluation-cache entry lifetime (default: no expiry)",
-    )
-    p_srv.add_argument(
         "--result-entries", type=int, default=4096,
         help="finished-solve result-cache capacity (default 4096)",
     )
     p_srv.add_argument(
         "--result-ttl", type=float, default=None, metavar="SECONDS",
         help="result-cache entry lifetime (default: no expiry)",
-    )
-    p_srv.add_argument(
-        "--snapshot", default=None, metavar="PATH",
-        help="evaluation-cache snapshot file: loaded on start, written "
-        "on graceful shutdown",
     )
     p_srv.set_defaults(fn=cmd_serve)
 

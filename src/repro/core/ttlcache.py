@@ -18,13 +18,11 @@ snapshot of its counters.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional
-from typing import Mapping as TypingMapping
 
 #: Default bound on retained entries (entries are tiny; the bound only
 #: protects unbounded exhaustive sweeps from hoarding memory).
@@ -43,13 +41,12 @@ class CacheStats:
         Lookups answered from the store vs lookups that found nothing
         (including entries dropped because their TTL had lapsed).
     evictions:
-        Entries dropped to honour ``max_entries`` (LRU order), on inserts
-        *and* merges.
+        Entries dropped to honour ``max_entries`` (LRU order).
     expirations:
         Entries dropped because they outlived ``ttl``.
     entries:
         Entries currently stored (expired-but-unread entries count until
-        a lookup or sweep notices them).
+        a lookup notices them).
     max_entries / ttl:
         The configured bounds (``None`` = unbounded / no expiry).
     """
@@ -103,8 +100,8 @@ class TTLCache:
         Retain at most this many values (least-recently-used eviction).
         ``None`` disables eviction.
     ttl:
-        Seconds an entry stays servable after it was stored or last
-        merged.  ``None`` disables expiry.
+        Seconds an entry stays servable after it was stored.  ``None``
+        disables expiry.
     clock:
         Monotonic time source (injectable for tests).
     """
@@ -146,9 +143,8 @@ class TTLCache:
         self._stamps.pop(key, None)
 
     def _enforce_bound(self) -> None:
-        """The single size-enforcement path: inserts and merges both land
-        here, so the LRU bound (and the eviction counter) can never be
-        bypassed."""
+        """The single size-enforcement path: every insert lands here, so
+        the LRU bound (and the eviction counter) can never be bypassed."""
         if self.max_entries is None:
             return
         while len(self._store) > self.max_entries:
@@ -199,50 +195,6 @@ class TTLCache:
             self.evictions = 0
             self.expirations = 0
 
-    def purge_expired(self) -> int:
-        """Drop every TTL-lapsed entry now; returns how many went."""
-        if self.ttl is None:
-            return 0
-        with self._lock:
-            stale = [key for key in self._store if self._expired(key)]
-            for key in stale:
-                self._drop(key)
-            self.expirations += len(stale)
-            return len(stale)
-
-    def snapshot(self) -> Dict[Hashable, Any]:
-        """A plain-dict copy of the live (unexpired) entries — for
-        shipping between processes or persisting to disk; keys are
-        content-based, hence picklable."""
-        with self._lock:
-            return {
-                key: value
-                for key, value in self._store.items()
-                if not self._expired(key)
-            }
-
-    def merge(self, entries: "TypingMapping[Hashable, Any]") -> int:
-        """Adopt *entries* (e.g. another cache's :meth:`snapshot`).
-
-        Existing keys win — both sides computed the same canonical value,
-        so which copy survives is irrelevant.  Adopted entries are
-        stamped *now* (their remote age is unknown) and the LRU bound is
-        enforced through the same eviction path as inserts, so a merge
-        can never blow the cache past ``max_entries``.  Returns the
-        number of newly adopted entries (before any eviction).
-        """
-        with self._lock:
-            added = 0
-            now = self._clock() if self.ttl is not None else None
-            for key, value in entries.items():
-                if key not in self._store:
-                    self._store[key] = value
-                    if now is not None:
-                        self._stamps[key] = now
-                    added += 1
-            self._enforce_bound()
-            return added
-
     def stats(self) -> CacheStats:
         """Counters + configuration as one :class:`CacheStats`."""
         with self._lock:
@@ -255,30 +207,6 @@ class TTLCache:
                 max_entries=self.max_entries,
                 ttl=self.ttl,
             )
-
-    # -- persistence ------------------------------------------------------
-
-    def save(self, path) -> int:
-        """Pickle the live entries to *path*; returns how many were saved.
-
-        The serve daemon snapshots its warm cache here on graceful
-        shutdown so a restart doesn't start cold.
-        """
-        entries = self.snapshot()
-        with open(path, "wb") as fh:
-            pickle.dump(entries, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(entries)
-
-    def load(self, path) -> int:
-        """Merge a :meth:`save` file back in; returns the adopted count."""
-        with open(path, "rb") as fh:
-            entries = pickle.load(fh)
-        if not isinstance(entries, dict):
-            raise ValueError(
-                f"cache snapshot {path!s} does not contain a dict "
-                f"(got {type(entries).__name__})"
-            )
-        return self.merge(entries)
 
 
 __all__ = ["CacheStats", "DEFAULT_MAX_ENTRIES", "TTLCache"]

@@ -21,15 +21,9 @@ wall-clock budget:
 improvement and racers run in the fixed priority order above, so among
 equal-valued results the *earliest* racer wins.  With fixed seeds the
 outcome is a pure function of the instance and the roster — the deadline
-can only truncate the tail of the roster, never reorder it.
-
-``workers > 0`` races the post-greedy roster in parallel OS processes
-(each worker re-derives its objective in a private cache; the greedy
-incumbent computed before the fork is the shared warm start).  Results
-are still arbitrated by ``(value, priority)``, so a fully-completed
-parallel run matches the serial one; a deadline may truncate different
-racers than serial execution would, which is the documented
-nondeterminism of the process mode.
+can only truncate the tail of the roster, never reorder it.  Racers run
+one after another in the caller's process, against the caller's
+objective and its cache.
 """
 
 from __future__ import annotations
@@ -153,46 +147,6 @@ def run_portfolio(
     )
 
 
-def _local_search_racer(
-    app: Application,
-    objective_fn,
-    seed: Optional[int],
-    max_moves: int,
-) -> Tuple[Fraction, ExecutionGraph, Dict[str, Any]]:
-    """One local-search racer body: from the greedy forest, or from the
-    :func:`random_forest` of *seed*; the winner is scored once through
-    *objective_fn* (a delta-priced search never called it)."""
-    if seed is None:
-        _, start = greedy_forest(app, objective_fn)
-    else:
-        start = random_forest(app, Random(seed))
-    _, graph = local_search_forest(start, objective_fn, max_moves=max_moves)
-    return objective_fn(graph), graph, {}
-
-
-def _bb_run(
-    app: Application,
-    objective_fn,
-    *,
-    remaining: Optional[float],
-    incumbent: Optional[Incumbent],
-    node_limit: Optional[int],
-) -> Tuple[Fraction, ExecutionGraph, Dict[str, Any]]:
-    """The branch-and-bound racer body: deadline-aware, incumbent-seeded."""
-    if remaining is None and node_limit is None:
-        node_limit = DEFAULT_BB_NODE_LIMIT
-    search = bb_minperiod if objective_fn.kind == "period" else bb_minlatency
-    value, graph, stats = search(
-        app, objective_fn, incumbent=incumbent, node_limit=node_limit,
-        deadline=remaining,
-    )
-    return value, graph, {
-        "limit_hit": stats.limit_hit,
-        "expanded": stats.expanded,
-        "evaluated": stats.evaluated,
-    }
-
-
 def build_racers(
     app: Application,
     objective_fn,
@@ -222,15 +176,33 @@ def build_racers(
         return value, graph, {}
 
     def ls_run(seed: Optional[int]):
+        # From the greedy forest, or from the random forest of *seed*; the
+        # winner is scored once (a delta-priced search never scores it).
         def run(_remaining, _incumbent):
-            return _local_search_racer(app, objective_fn, seed, max_moves)
+            if seed is None:
+                _, start = greedy_forest(app, objective_fn)
+            else:
+                start = random_forest(app, Random(seed))
+            _, graph = local_search_forest(
+                start, objective_fn, max_moves=max_moves
+            )
+            return objective_fn(graph), graph, {}
         return run
 
     def bb_run(remaining, incumbent):
-        return _bb_run(
-            app, objective_fn, remaining=remaining, incumbent=incumbent,
-            node_limit=node_limit,
+        limit = node_limit
+        if remaining is None and limit is None:
+            limit = DEFAULT_BB_NODE_LIMIT
+        search = bb_minperiod if objective_fn.kind == "period" else bb_minlatency
+        value, graph, stats = search(
+            app, objective_fn, incumbent=incumbent, node_limit=limit,
+            deadline=remaining,
         )
+        return value, graph, {
+            "limit_hit": stats.limit_hit,
+            "expanded": stats.expanded,
+            "evaluated": stats.evaluated,
+        }
 
     racers: List[Racer] = [Racer("greedy", greedy_run)]
     if bb_primary:
@@ -245,141 +217,6 @@ def build_racers(
     return racers
 
 
-# ---------------------------------------------------------------------------
-# Process-parallel mode
-# ---------------------------------------------------------------------------
-
-def _racer_worker(payload):
-    """Run one racer spec in a worker process (module-level: picklable).
-
-    The worker re-derives its objective in a private
-    :class:`~repro.planner.cache.EvaluationCache` — caches are per-process,
-    the shared state is only the greedy incumbent computed before the
-    fork.  Never raises: failures come back as ``("error", ...)`` so one
-    broken racer cannot void the anytime contract.
-    """
-    (
-        app, objective, model, effort, platform, mapping, exactness,
-        incumbent, name, spec, params,
-    ) = payload
-    try:
-        from ..planner.cache import EvaluationCache
-
-        objective_fn = EvaluationCache().objective(
-            objective, model, effort, platform, mapping, exactness
-        )
-        if spec == "local-search":
-            value, graph, extras = _local_search_racer(
-                app, objective_fn, params.get("seed"),
-                params.get("max_moves", 200),
-            )
-        elif spec == "branch-and-bound":
-            value, graph, extras = _bb_run(
-                app, objective_fn, remaining=params.get("deadline"),
-                incumbent=incumbent, node_limit=params.get("node_limit"),
-            )
-        else:
-            return name, None, None, {"error": f"unknown racer spec {spec!r}"}
-        return name, value, graph, extras
-    except Exception as exc:  # pragma: no cover - defensive
-        return name, None, None, {"error": repr(exc)}
-
-
-def _parallel_specs(
-    app: Application,
-    *,
-    objective: str,
-    primary: str,
-    seeds: int,
-    seed_base: int,
-    max_moves: int,
-    node_limit: Optional[int],
-    remaining: Optional[float],
-) -> List[Tuple[str, str, Dict[str, Any]]]:
-    """Picklable ``(name, spec, params)`` roster mirroring :func:`build_racers`
-    minus the in-process greedy leg."""
-    bb_ok = objective == "period" or len(app) <= MAX_BB_LATENCY_SERVICES
-    bb_primary = bb_ok and primary in ("auto", "branch-and-bound", "exhaustive")
-    bb_params: Dict[str, Any] = {"node_limit": node_limit, "deadline": remaining}
-    specs: List[Tuple[str, str, Dict[str, Any]]] = []
-    if bb_primary:
-        specs.append(("branch-and-bound", "branch-and-bound", bb_params))
-    specs.append(("local-search", "local-search", {"max_moves": max_moves}))
-    for k in range(seeds):
-        specs.append(
-            (f"local-search[seed={seed_base + k}]", "local-search",
-             {"seed": seed_base + k, "max_moves": max_moves})
-        )
-    if bb_ok and not bb_primary:
-        specs.append(("branch-and-bound", "branch-and-bound", bb_params))
-    return specs
-
-
-def _run_parallel(
-    app: Application,
-    objective_fn,
-    incumbent: Incumbent,
-    specs: List[Tuple[str, str, Dict[str, Any]]],
-    *,
-    workers: int,
-    deadline_at: Optional[float],
-    started: float,
-) -> Tuple[Optional[Incumbent], List[Tuple[float, Fraction, str]],
-           List[Dict[str, Any]], bool]:
-    """Race *specs* in OS processes; returns ``(best, trajectory, ran,
-    exhausted)`` relative to the greedy *incumbent*."""
-    import multiprocessing
-
-    payloads = [
-        (app, objective_fn.kind, objective_fn.model, objective_fn.effort,
-         objective_fn.platform, objective_fn.mapping, objective_fn.exactness,
-         incumbent, name, spec, params)
-        for name, spec, params in specs
-    ]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix
-        ctx = multiprocessing.get_context()
-    best: Optional[Incumbent] = incumbent
-    trajectory: List[Tuple[float, Fraction, str]] = []
-    ran: List[Dict[str, Any]] = []
-    exhausted = False
-    pool = ctx.Pool(processes=workers)
-    try:
-        handles = [
-            (name, pool.apply_async(_racer_worker, (payload,)))
-            for (name, _s, _p), payload in zip(specs, payloads)
-        ]
-        # Collect in priority order so ties keep the earliest racer —
-        # the serial winner rule.
-        for name, handle in handles:
-            timeout = (
-                None if deadline_at is None
-                else max(0.0, deadline_at - time.monotonic())
-            )
-            try:
-                got_name, value, graph, extras = handle.get(timeout=timeout)
-            except multiprocessing.TimeoutError:
-                exhausted = True
-                ran.append({"racer": name, "skipped": "deadline"})
-                continue
-            if value is None:
-                ran.append({"racer": got_name, **extras})
-                continue
-            ran.append({"racer": got_name, "value": value, **extras})
-            if extras.get("limit_hit"):
-                exhausted = True
-            if best is None or value < best[0]:
-                best = (value, graph)
-                trajectory.append(
-                    (time.monotonic() - started, value, got_name)
-                )
-    finally:
-        pool.terminate()
-        pool.join()
-    return best, trajectory, ran, exhausted
-
-
 def portfolio_search(
     app: Application,
     objective_fn,
@@ -390,71 +227,14 @@ def portfolio_search(
     seed_base: int = 17,
     max_moves: int = 200,
     node_limit: Optional[int] = None,
-    workers: int = 0,
 ) -> PortfolioOutcome:
-    """The full portfolio solve (see the module docstring).
-
-    Serial by default; ``workers > 0`` forks that many racer processes
-    after the in-process greedy warm start.  A failure to fork (or any
-    process-mode error) falls back to the serial roster — the anytime
-    contract never surfaces an exception.
-    """
-    if workers <= 0:
-        racers = build_racers(
-            app, objective_fn, primary=primary, seeds=seeds,
-            seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
-        )
-        return run_portfolio(racers, deadline=deadline)
-
-    started = time.monotonic()
-    deadline_at = None if deadline is None else started + deadline
-    value, graph = greedy_forest(app, objective_fn)
-    best: Incumbent = (value, graph)
-    trajectory: List[Tuple[float, Fraction, str]] = [(
-        time.monotonic() - started, value, "greedy"
-    )]
-    ran: List[Dict[str, Any]] = [{"racer": "greedy", "value": value}]
-    remaining = (
-        None if deadline_at is None
-        else max(0.0, deadline_at - time.monotonic())
-    )
-    specs = _parallel_specs(
-        app, objective=objective_fn.kind, primary=primary, seeds=seeds,
+    """The full portfolio solve: :func:`build_racers` raced by
+    :func:`run_portfolio` (see the module docstring)."""
+    racers = build_racers(
+        app, objective_fn, primary=primary, seeds=seeds,
         seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
-        remaining=remaining,
     )
-    try:
-        best2, traj2, ran2, exhausted = _run_parallel(
-            app, objective_fn, best, specs,
-            workers=workers, deadline_at=deadline_at, started=started,
-        )
-    except Exception:
-        # Process mode unavailable (sandboxing, pickling, ...): serial
-        # fallback minus the greedy leg already run.
-        racers = build_racers(
-            app, objective_fn, primary=primary, seeds=seeds,
-            seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
-        )[1:]
-        outcome = run_portfolio(
-            [Racer("incumbent", lambda _r, _i: (best[0], best[1], {}))] + racers,
-            deadline=remaining,
-        )
-        outcome.trajectory = trajectory + [
-            (t, v, n) for t, v, n in outcome.trajectory if n != "incumbent"
-        ]
-        outcome.racers = ran + [
-            r for r in outcome.racers if r.get("racer") != "incumbent"
-        ]
-        return outcome
-    if best2 is not None:
-        best = best2
-    return PortfolioOutcome(
-        value=best[0],
-        graph=best[1],
-        trajectory=trajectory + traj2,
-        budget_exhausted=exhausted,
-        racers=ran + ran2,
-    )
+    return run_portfolio(racers, deadline=deadline)
 
 
 __all__ = [

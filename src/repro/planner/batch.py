@@ -1,13 +1,11 @@
-"""``solve_many``: process-parallel batch solving with cache merging.
+"""``solve_many``: process-parallel batch solving.
 
 Production streams rarely plan one workload at a time: parameter sweeps,
 galleries, nightly re-planning of a workload fleet.  :func:`solve_many`
 shards a list of jobs over worker processes, solves each shard through the
-ordinary :func:`repro.planner.solve` facade with a shard-local
-:class:`~repro.planner.EvaluationCache`, then merges every shard's cache
-entries back into the caller's cache (keys are content-based, so merged
-entries keep serving later solves in the parent process) and aggregates
-the per-solve :class:`~repro.planner.SolverStats`.
+ordinary :func:`repro.planner.solve` facade against the evaluation cache
+of the process it runs in, and aggregates the per-solve
+:class:`~repro.planner.SolverStats`.
 
 A *job* is anything the CLI accepts: a workload spec string (``"fig1"``,
 ``"random:n=9,seed=3"`` — resolved inside the worker, so nothing heavy is
@@ -34,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import Application, ExecutionGraph, Mapping, Platform
-from .cache import EvaluationCache, default_cache
 from .catalog import Workload, load_workload
 from .result import PlanResult, SolverStats
 
@@ -48,14 +45,12 @@ class BatchResult:
     ``results`` preserves the input job order regardless of sharding.
     ``stats`` aggregates the per-solve counters (its ``wall_time`` is the
     batch wall clock, not the sum of per-solve times — shards overlap).
-    ``merged_entries`` counts cache entries adopted from the workers.
     """
 
     results: List[PlanResult]
     stats: SolverStats
     shards: int
     processes: int
-    merged_entries: int
 
     def as_dict(self, *, include_graph: bool = False) -> Dict[str, Any]:
         return {
@@ -63,7 +58,6 @@ class BatchResult:
             "stats": self.stats.as_dict(),
             "shards": self.shards,
             "processes": self.processes,
-            "merged_entries": self.merged_entries,
         }
 
 
@@ -87,18 +81,16 @@ def _resolve_job(
     return job, platform, mapping
 
 
-def _solve_shard(payload: Tuple[Sequence[Tuple[int, Job]], Dict[str, Any]]):
-    """Worker body: solve one shard against a fresh shard-local cache.
-
-    Returns ``(indexed results, cache snapshot)`` — the snapshot travels
-    back so the parent can merge it (content-based keys pickle cleanly).
-    """
+def _solve_shard(
+    payload: Tuple[Sequence[Tuple[int, Job]], Dict[str, Any]]
+) -> List[Tuple[int, PlanResult]]:
+    """Worker body: solve one shard against the evaluation cache of the
+    process it runs in; returns the indexed results."""
     from .facade import solve  # deferred: keep the pickled payload light
 
     jobs, kwargs = payload
     platform = kwargs.pop("platform", None)
     mapping = kwargs.pop("mapping", None)
-    cache = EvaluationCache()
     results: List[Tuple[int, PlanResult]] = []
     for index, job in jobs:
         problem, job_platform, job_mapping = _resolve_job(job, platform, mapping)
@@ -109,19 +101,17 @@ def _solve_shard(payload: Tuple[Sequence[Tuple[int, Job]], Dict[str, Any]]):
                     problem,
                     platform=job_platform,
                     mapping=job_mapping,
-                    cache=cache,
                     **kwargs,
                 ),
             )
         )
-    return results, cache.snapshot()
+    return results
 
 
 def solve_many(
     jobs: Sequence[Job],
     *,
     processes: Optional[int] = None,
-    cache: Optional[EvaluationCache] = None,
     pool: Optional[Any] = None,
     **solve_kwargs: Any,
 ) -> BatchResult:
@@ -138,9 +128,6 @@ def solve_many(
         and ``1`` (or a single job) solves serially in-process.  Workers
         are plain ``concurrent.futures`` processes — no external
         dependencies.
-    cache:
-        Where the merged shard caches land (default: the process-wide
-        planner cache), priming every later solve in this process.
     pool:
         An already-running ``concurrent.futures`` executor to shard over
         instead of spawning (and tearing down) a fresh process pool per
@@ -159,7 +146,6 @@ def solve_many(
     jobs = list(jobs)
     if not jobs:
         raise ValueError("solve_many needs at least one job")
-    target_cache = cache if cache is not None else default_cache()
     if processes is None:
         processes = min(os.cpu_count() or 1, len(jobs))
     processes = max(1, int(processes))
@@ -168,7 +154,7 @@ def solve_many(
     indexed = list(enumerate(jobs))
     if processes == 1 or len(jobs) == 1:
         processes = 1  # report what actually ran, not what was requested
-        shard_outcomes = [_solve_shard((indexed, dict(solve_kwargs)))]
+        shard_results = [_solve_shard((indexed, dict(solve_kwargs)))]
     else:
         shards = [indexed[i::processes] for i in range(processes)]
         shards = [s for s in shards if s]
@@ -178,7 +164,7 @@ def solve_many(
                 pool.submit(_solve_shard, (shard, dict(solve_kwargs)))
                 for shard in shards
             ]
-            shard_outcomes = [f.result() for f in futures]
+            shard_results = [f.result() for f in futures]
         else:
             import concurrent.futures
 
@@ -189,13 +175,11 @@ def solve_many(
                     fresh_pool.submit(_solve_shard, (shard, dict(solve_kwargs)))
                     for shard in shards
                 ]
-                shard_outcomes = [f.result() for f in futures]
+                shard_results = [f.result() for f in futures]
 
-    merged = 0
     ordered: List[Optional[PlanResult]] = [None] * len(jobs)
     totals = SolverStats()
-    for results, snapshot in shard_outcomes:
-        merged += target_cache.merge(snapshot)
+    for results in shard_results:
         for index, result in results:
             ordered[index] = result
             totals.evaluations += result.stats.evaluations
@@ -207,9 +191,8 @@ def solve_many(
     return BatchResult(
         results=[r for r in ordered if r is not None],
         stats=totals,
-        shards=len(shard_outcomes),
+        shards=len(shard_results),
         processes=processes,
-        merged_entries=merged,
     )
 
 

@@ -22,12 +22,12 @@ for the greedy builder, which evaluates sub-applications created through
 
 Both :class:`EvaluationCache` and the planner service's result cache sit
 on :class:`TTLCache` (from :mod:`repro.core.ttlcache`, re-exported here),
-a thread-safe LRU store with optional per-entry time-to-live,
-hit/miss/eviction/expiration counters (:class:`CacheStats`) and disk
-persistence (:meth:`TTLCache.save` / :meth:`TTLCache.load`) — what a
+a thread-safe LRU store with optional per-entry time-to-live and
+hit/miss/eviction/expiration counters (:class:`CacheStats`) — what a
 long-running ``python -m repro serve`` daemon needs to stay warm across
-requests and restarts without hoarding memory over millions of distinct
-workloads.
+requests without hoarding memory over millions of distinct workloads.
+A cache lives and dies with its process: nothing ships its entries to
+another process or saves them to disk.
 
 Example::
 

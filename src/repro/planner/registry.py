@@ -401,20 +401,18 @@ def _solve_portfolio(
     seed_base: int = 17,
     max_moves: int = 200,
     node_limit: Optional[int] = None,
-    workers: int = 0,
 ) -> SolverOutcome:
     """Anytime portfolio: race greedy / local search / B&B under *deadline*.
 
-    See :mod:`repro.optimize.portfolio` for the roster, the deterministic
-    winner rule and the process mode (``workers > 0``).  Always returns a
-    valid plan — greedy runs unconditionally even at ``deadline=0``.
+    See :mod:`repro.optimize.portfolio` for the roster and the
+    deterministic winner rule.  Always returns a valid plan — greedy runs
+    unconditionally even at ``deadline=0``.
     """
     from ..optimize.portfolio import portfolio_search
 
     outcome = portfolio_search(
         app, objective_fn, deadline=deadline, primary=primary, seeds=seeds,
         seed_base=seed_base, max_moves=max_moves, node_limit=node_limit,
-        workers=workers,
     )
     return outcome.value, outcome.graph, {
         "trajectory": outcome.trajectory,

@@ -3,11 +3,11 @@
 The planner facade solves one problem per call; this package serves
 planner traffic: an asyncio JSON-lines loop (stdio + TCP) that coalesces
 identical in-flight requests (:mod:`~repro.serve.coalescer`),
-micro-batches compatible ones through ``solve_many`` sharding
-(:mod:`~repro.serve.batcher`), and keeps process-wide evaluation and
-result caches warm across requests — LRU+TTL bounded, counter-
-instrumented, snapshotted to disk across restarts
-(:class:`~repro.planner.cache.TTLCache`).  See
+micro-batches compatible ones (:mod:`~repro.serve.batcher`; sharded
+through ``solve_many`` over a worker pool when one is configured), and
+keeps the daemon's evaluation and result caches warm across requests —
+LRU bounded and counter-instrumented
+(:class:`~repro.planner.cache.TTLCache`) for the life of the process.  See
 :mod:`repro.serve.protocol` for the wire format and
 :mod:`repro.serve.client` for ready-made test/load clients.
 """

@@ -3,11 +3,11 @@
 Distinct-but-compatible requests (same objective/model/method/exactness/
 platform parameters, different workloads) that arrive within a short
 *batch window* are flushed together as one group, which the server then
-runs through a single ``solve_many``-style call — sharded over its
-persistent worker-process pool when configured, or a serial loop against
-the shared warm cache otherwise.  Batching trades a few milliseconds of
-queueing latency for amortised dispatch: one executor hop and one cache
-merge per *group*, not per request.
+runs as one ``solve_many`` call sharded over its persistent
+worker-process pool when configured, or as a serial loop against the
+shared warm cache otherwise.  Batching trades a few milliseconds of
+queueing latency for amortised dispatch: one executor hop per *group*,
+not per request.
 
 The batcher is generic: it knows nothing about solving.  The server
 injects ``run_group(group, jobs) -> results`` and the batcher guarantees

@@ -46,11 +46,10 @@ Operations
     incumbent summary plus move accounting.  Requests are serialised on
     the incumbent — concurrent replans apply one at a time.
 ``clear_cache``
-    Empty both caches and the placement memo (used by load tests to
-    measure cold mixes).
+    Empty the daemon's two caches and its placement memo (used by load
+    tests to measure cold mixes).  Worker-pool processes keep their own.
 ``shutdown``
-    Graceful stop: drain in-flight work, snapshot the warm cache to
-    disk, answer ``"bye"``, exit.
+    Graceful stop: drain in-flight work, answer ``"bye"``, exit.
 
 :func:`resolve_solve` validates a solve request into a :class:`SolveJob`
 carrying the canonical :func:`~repro.planner.solve_key` fingerprint (the
@@ -71,7 +70,9 @@ from ..planner.catalog import Workload, load_workload
 from ..planner.facade import solve_key
 
 #: Protocol revision, echoed by ``stats`` (bump on breaking changes).
-PROTOCOL_VERSION = 1
+#: Revision 2 dropped the cache-snapshot counts from the ``shutdown``
+#: reply and from ``stats``.
+PROTOCOL_VERSION = 2
 
 #: Every operation the daemon understands.
 OPS: Tuple[str, ...] = (
@@ -164,14 +165,14 @@ class SolveJob:
     share it while distinct platforms or exactness tiers never do.
     ``group`` is the parameter tuple *without* the workload: jobs in one
     group are compatible enough to ride a single ``solve_many`` call.
+    ``workload`` is the loaded *spec*: an in-process solve runs on it,
+    while the worker pool ships the spec string and loads it there.
     """
 
     spec: str
     workload: Workload
     key: Hashable
     group: Tuple[Tuple[str, Any], ...]
-    solve_kwargs: Dict[str, Any]
-    platform_spec: Optional[str]
 
 
 def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
@@ -241,14 +242,7 @@ def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
                               mapping=mapping, **solve_kwargs))
     group = tuple(sorted(solve_kwargs.items(), key=lambda kv: kv[0]))
     group += (("platform", platform_spec),)
-    return SolveJob(
-        spec=spec,
-        workload=workload,
-        key=key,
-        group=group,
-        solve_kwargs=solve_kwargs,
-        platform_spec=platform_spec,
-    )
+    return SolveJob(spec=spec, workload=workload, key=key, group=group)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,16 @@ one-shot library call into a service for heavy repeated traffic:
   N identical concurrent solve requests cost one underlying solve,
   keyed on the canonical :func:`~repro.planner.solve_key` fingerprint.
 * **Micro-batching** (:class:`~repro.serve.batcher.MicroBatcher`) —
-  compatible requests queued within the batch window ride one
-  ``solve_many`` call, sharded over a persistent worker-process pool
-  when ``workers > 0``.
-* **Warm caches** — one process-wide
-  :class:`~repro.planner.EvaluationCache` (objective values, shared by
-  every solve and merged back from workers) plus a result cache of
-  finished :class:`~repro.planner.PlanResult` payloads, both LRU+TTL
-  bounded with hit/miss/eviction counters (``stats`` op).
+  compatible requests queued within the batch window run as one group:
+  in the daemon's own process by default, or as one ``solve_many`` call
+  sharded over a persistent worker-process pool when ``workers > 0``.
+* **Warm caches** — the daemon's :class:`~repro.planner.EvaluationCache`
+  (objective values, shared by every solve run in its process) plus a
+  result cache of finished :class:`~repro.planner.PlanResult` payloads
+  (LRU+TTL bounded), both with hit/miss/eviction counters (``stats``
+  op).  Both live only as long as the daemon: a restart begins cold.
 * **Graceful shutdown** — the ``shutdown`` op (or stdin EOF) drains
-  in-flight work, snapshots the warm evaluation cache to disk
-  (``--snapshot``), answers ``"bye"`` and exits; the snapshot is
-  reloaded on the next start so a restart doesn't begin cold.
+  in-flight work, answers ``"bye"`` and exits.
 * **Per-request deadlines** — a ``deadline`` parameter routes the solve
   through the anytime portfolio, so latency-sensitive clients always
   get the best plan found in time.
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import sys
 import threading
 import time
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..planner.batch import _resolve_job, solve_many
-from ..planner.cache import DEFAULT_MAX_ENTRIES, EvaluationCache, TTLCache
+from ..planner.cache import EvaluationCache, TTLCache
 from ..planner.facade import solve
 from .batcher import MicroBatcher
 from .coalescer import Coalescer
@@ -75,31 +72,18 @@ class ServeConfig:
     batch_window: float = 0.005
     #: Flush a group immediately at this many queued requests.
     max_batch: int = 16
-    #: Evaluation-cache entry bound (None = unbounded).
-    cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    #: Evaluation-cache per-entry TTL in seconds (None = no expiry).
-    cache_ttl: Optional[float] = None
     #: Result-cache entry bound (finished PlanResult payloads).
     result_entries: Optional[int] = 4096
     #: Result-cache per-entry TTL in seconds (None = no expiry).
     result_ttl: Optional[float] = None
-    #: Warm-cache snapshot file: loaded on start, written on shutdown.
-    snapshot_path: Optional[str] = None
 
 
 class PlannerServer:
     """One planner daemon: shared caches + coalescer + batcher + streams."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        *,
-        cache: Optional[EvaluationCache] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.cache = cache if cache is not None else EvaluationCache(
-            max_entries=self.config.cache_entries, ttl=self.config.cache_ttl
-        )
+        self.cache = EvaluationCache()
         self.results = TTLCache(
             max_entries=self.config.result_entries, ttl=self.config.result_ttl
         )
@@ -113,7 +97,6 @@ class PlannerServer:
         self.errors = 0
         self.solves = 0
         self.replans = 0
-        self.restored_entries = 0
         # The live replan incumbent (repro.dynamic); its lock is created
         # lazily inside the running loop for the same 3.9 reason as the
         # shutdown event below.
@@ -126,26 +109,18 @@ class PlannerServer:
         # the wrong one and every later wait() fails.
         self._closing = False
         self._shutdown_event: Optional[asyncio.Event] = None
-        self._snapshot_saved = False
         self._threads = ThreadPoolExecutor(
             max_workers=max(2, self.config.workers),
             thread_name_prefix="repro-serve",
         )
-        self._pool: Optional[ProcessPoolExecutor] = (
-            ProcessPoolExecutor(max_workers=self.config.workers)
-            if self.config.workers > 0
-            else None
-        )
+        self._pool: Optional[ProcessPoolExecutor] = None
+        if self.config.workers > 0:
+            self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
+            # Start the workers now, before the stdin reader thread runs: a
+            # worker forked while that thread holds sys.stdin's lock
+            # deadlocks closing its copy of stdin and never takes a job.
+            self._pool.submit(int).result()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        path = self.config.snapshot_path
-        if path and os.path.exists(path):
-            try:
-                self.restored_entries = self.cache.load(path)
-            except Exception as exc:  # a corrupt snapshot must not kill startup
-                print(
-                    f"serve: ignoring unreadable cache snapshot {path}: {exc}",
-                    file=sys.stderr,
-                )
 
     # -- request handling -------------------------------------------------
 
@@ -257,16 +232,17 @@ class PlannerServer:
     def _solve_group(
         self, group: Hashable, jobs: List[SolveJob]
     ) -> List[Dict[str, Any]]:
-        """Worker-thread body: one ``solve_many`` shard-out when a worker
-        pool is configured and the batch has fan-out, else a serial loop
-        against the shared warm cache."""
+        """Worker-thread body: one ``solve_many`` shard-out over the
+        worker pool when one is configured and the batch has fan-out (the
+        workers load each spec and solve against their own caches), else
+        a serial loop over the loaded workloads against the shared warm
+        cache."""
         kwargs = dict(group)
         platform_spec = kwargs.pop("platform", None)
         if self._pool is not None and len(jobs) > 1:
             batch = solve_many(
                 [job.spec for job in jobs],
                 processes=min(self.config.workers, len(jobs)),
-                cache=self.cache,
                 pool=self._pool,
                 platform=platform_spec,
                 **kwargs,
@@ -276,7 +252,7 @@ class PlannerServer:
             results = []
             for job in jobs:
                 problem, platform, mapping = _resolve_job(
-                    job.spec, platform_spec, None
+                    job.workload, platform_spec, None
                 )
                 results.append(
                     solve(
@@ -319,20 +295,10 @@ class PlannerServer:
                 "workers": self.config.workers,
                 "batch_window": self.config.batch_window,
                 "max_batch": self.config.max_batch,
-                "restored_entries": self.restored_entries,
             },
             "evaluation_cache": self.cache.stats().as_dict(),
             "result_cache": self.results.stats().as_dict(),
         }
-
-    def save_snapshot(self) -> int:
-        """Persist the warm evaluation cache (once per shutdown)."""
-        path = self.config.snapshot_path
-        if not path:
-            return 0
-        saved = self.cache.save(path)
-        self._snapshot_saved = True
-        return saved
 
     async def drain(self) -> None:
         """Wait for every accepted request to finish responding."""
@@ -349,18 +315,15 @@ class PlannerServer:
         return self._shutdown_event
 
     async def shutdown(self, request_id: Any = None) -> Dict[str, Any]:
-        """Drain, snapshot, signal every stream loop to exit."""
+        """Drain, then signal every stream loop to exit."""
         await self.drain()
-        saved = self.save_snapshot()
         self._closing = True
         self._stop_event().set()
-        return ok_response(request_id, "bye", saved_entries=saved)
+        return ok_response(request_id, "bye")
 
     async def aclose(self) -> None:
-        """Final cleanup (idempotent): drain, snapshot, stop executors."""
+        """Final cleanup (idempotent): drain, stop executors."""
         await self.drain()
-        if not self._snapshot_saved:
-            self.save_snapshot()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -555,11 +518,6 @@ async def serve_forever(
                 )
             host, port = await server.start_tcp(host, int(port_text))
             announce(f"serve: listening on tcp://{host}:{port}")
-        if server.restored_entries:
-            announce(
-                f"serve: restored {server.restored_entries} warm cache "
-                f"entries from {server.config.snapshot_path}"
-            )
         if stdio:
             await server.run_stdio()
         else:

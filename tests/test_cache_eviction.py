@@ -2,7 +2,7 @@
 
 The serve daemon keeps one process-wide cache warm for days; these tests
 pin the behaviours that keep it safe to do so — the entry bound can never
-be bypassed (inserts *and* merges evict through one counted path), lapsed
+be bypassed (every insert evicts through one counted path), lapsed
 entries never get served, counters stay exact under concurrent hammering,
 and ``clear_default_cache`` really does reset a "cold" run's statistics.
 """
@@ -76,30 +76,6 @@ def test_unbounded_cache_never_evicts():
     assert cache.evictions == 0
 
 
-def test_merge_honours_bound_and_counts_evictions():
-    cache = TTLCache(max_entries=4)
-    cache.put("keep", 0)
-    assert cache.get("keep") == 0  # most recently used
-    added = cache.merge({f"m{i}": i for i in range(6)})
-    assert added == 6
-    assert len(cache) == 4
-    assert cache.evictions == 3  # 7 present - 4 bound
-    # merged entries are newer than 'keep' in insertion order, so the
-    # oldest merges go first only after 'keep'... the bound itself is the
-    # invariant (regression: merge used to bypass eviction entirely).
-    stats = cache.stats()
-    assert stats.entries == 4 and stats.evictions == 3
-
-
-def test_merge_existing_keys_win_and_do_not_count_as_added():
-    cache = TTLCache(max_entries=10)
-    cache.put("a", "local")
-    added = cache.merge({"a": "remote", "b": "new"})
-    assert added == 1
-    assert cache.get("a") == "local"
-    assert cache.get("b") == "new"
-
-
 # ---------------------------------------------------------------- TTL expiry
 
 
@@ -126,62 +102,12 @@ def test_put_refreshes_ttl_stamp():
     assert cache.get("a") == 2
 
 
-def test_purge_expired_sweeps_en_masse():
-    clock = FakeClock()
-    cache = TTLCache(ttl=5.0, clock=clock)
-    for i in range(4):
-        cache.put(i, i)
-    clock.advance(6.0)
-    cache.put("fresh", 1)
-    assert cache.purge_expired() == 4
-    assert len(cache) == 1
-    assert cache.stats().expirations == 4
-
-
-def test_snapshot_and_merge_skip_expired_entries():
-    clock = FakeClock()
-    cache = TTLCache(ttl=5.0, clock=clock)
-    cache.put("old", 1)
-    clock.advance(6.0)
-    cache.put("new", 2)
-    snap = cache.snapshot()
-    assert snap == {"new": 2}
-    # adopted entries are stamped at merge time, so they start fresh
-    other = TTLCache(ttl=5.0, clock=clock)
-    assert other.merge(snap) == 1
-    assert other.get("new") == 2
-
-
 def test_no_ttl_entries_never_expire():
     clock = FakeClock()
     cache = TTLCache(ttl=None, clock=clock)
     cache.put("a", 1)
     clock.advance(1e9)
     assert cache.get("a") == 1
-    assert cache.purge_expired() == 0
-
-
-# ---------------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip(tmp_path):
-    path = tmp_path / "cache.pkl"
-    cache = TTLCache()
-    cache.put(("k", 1), "v1")
-    cache.put(("k", 2), "v2")
-    assert cache.save(path) == 2
-    fresh = TTLCache()
-    assert fresh.load(path) == 2
-    assert fresh.get(("k", 1)) == "v1"
-
-
-def test_load_rejects_non_dict_payload(tmp_path):
-    import pickle
-
-    path = tmp_path / "bad.pkl"
-    path.write_bytes(pickle.dumps([1, 2, 3]))
-    with pytest.raises(ValueError, match="does not contain a dict"):
-        TTLCache().load(path)
 
 
 # ------------------------------------------------------------ stats plumbing

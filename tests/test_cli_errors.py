@@ -77,6 +77,22 @@ def test_serve_bad_tcp_spec_is_an_error(capsys):
     assert "HOST:PORT" in err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--snapshot"], ["--cache-entries", "5"], ["--cache-ttl", "1"]]
+)
+def test_removed_serve_cache_flags_are_usage_errors(flag, capsys, tmp_path):
+    # The evaluation cache lives only as long as the daemon: no snapshot
+    # file, no size or lifetime knobs.
+    if flag == ["--snapshot"]:
+        flag = flag + [str(tmp_path / "warm.pkl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [text for text in err.splitlines() if "error:" in text]
+    assert line.endswith(f"error: unrecognized arguments: {' '.join(flag)}")
+
+
 TRACE_HEADER = "time,kind,app,workload,rho,servers\n"
 
 

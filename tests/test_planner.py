@@ -24,6 +24,8 @@ from repro.planner import (
     EvaluationCache,
     PlanResult,
     SolverRegistry,
+    clear_default_cache,
+    default_cache,
     load_workload,
     solve,
     solve_many,
@@ -334,7 +336,7 @@ class TestSolveMany:
     def test_serial_matches_individual_solves(self):
         specs = ["fig1", "b1", "hetdemo"]
         batch = solve_many(specs, model="overlap", schedule=False,
-                           processes=1, cache=EvaluationCache())
+                           processes=1)
         individual = []
         for spec in specs:
             wl = load_workload(spec)
@@ -346,26 +348,24 @@ class TestSolveMany:
         assert [r.value for r in batch.results] == individual
         assert batch.shards == 1 and batch.processes == 1
 
-    def test_parallel_matches_serial_and_merges_cache(self):
+    def test_parallel_matches_serial(self):
         specs = [f"random:n=4,seed={s}" for s in range(6)]
-        serial = solve_many(specs, model="overlap", schedule=False,
-                            processes=1, cache=EvaluationCache())
-        cache = EvaluationCache()
+        clear_default_cache()
         parallel = solve_many(specs, model="overlap", schedule=False,
-                              processes=2, cache=cache)
+                              processes=2)
+        # Workers solve against their own caches; nothing comes back.
+        assert len(default_cache()) == 0
+        assert "merged_entries" not in parallel.as_dict()
+        serial = solve_many(specs, model="overlap", schedule=False,
+                            processes=1)
         assert [r.value for r in parallel.results] == \
             [r.value for r in serial.results]
         assert parallel.shards == 2
-        # The merged shard caches now answer the same solves for free.
-        assert parallel.merged_entries > 0
-        warm = solve(load_workload(specs[0]).problem, model="overlap",
-                     schedule=False, cache=cache)
-        assert warm.stats.evaluations == 0 and warm.stats.cache_hits > 0
 
     def test_aggregated_stats_and_order(self):
         specs = ["random:n=3,seed=1", "fig1", "random:n=3,seed=2"]
         batch = solve_many(specs, model="overlap", schedule=False,
-                           processes=2, cache=EvaluationCache())
+                           processes=2)
         assert len(batch.results) == 3
         # fig1 bundles a fixed graph: the middle result is the graph solve.
         assert batch.results[1].value == 4
@@ -378,8 +378,7 @@ class TestSolveMany:
     def test_accepts_problem_objects_and_batch_platform(self):
         app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
         batch = solve_many([app, app], model="overlap", schedule=False,
-                           platform="demo2", processes=1,
-                           cache=EvaluationCache())
+                           platform="demo2", processes=1)
         assert [str(r.value) for r in batch.results] == ["2", "2"]
 
     def test_empty_batch_rejected(self):

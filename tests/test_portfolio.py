@@ -11,8 +11,6 @@ The contracts under test:
 4. Fixed seeds make the portfolio deterministic; among equal-valued
    racers the *earliest in priority order* wins (greedy, primary,
    seeded local searches, branch and bound last).
-5. Process mode (``workers > 0``) returns the same value as serial when
-   every racer completes.
 """
 
 import json
@@ -212,17 +210,6 @@ class TestEngine:
             ).value
             assert out.value == optimum, seed
 
-    def test_process_mode_matches_serial(self):
-        app = random_application(5, seed=31, filter_fraction=0.5)
-        fn = EvaluationCache().objective(
-            "period", CommModel.OVERLAP, exactness=Exactness.CERTIFIED
-        )
-        serial = portfolio_search(app, fn)
-        parallel = portfolio_search(app, fn, workers=2, deadline=120.0)
-        assert parallel.value == serial.value
-        assert parallel.budget_exhausted is False
-        assert parallel.trajectory[0][2] == "greedy"
-
 
 class TestIntegration:
     def test_solve_many_deadline_passthrough(self):
@@ -261,6 +248,13 @@ class TestIntegration:
                         cache=EvaluationCache(), effort="heuristic")
         assert result.value == optimum.value
         assert result.budget_exhausted is False
+
+    def test_workers_option_is_rejected(self):
+        # The portfolio races in the caller's process; there is no
+        # process mode to ask for.
+        app = random_application(5, seed=31, filter_fraction=0.5)
+        with pytest.raises(TypeError, match="workers"):
+            solve(app, deadline=1.0, workers=2, cache=EvaluationCache())
 
     def test_graph_problem_records_deadline_only(self):
         w = load_workload("fig1")

@@ -4,8 +4,8 @@ Most tests drive a :class:`~repro.serve.PlannerServer` in-process (one
 event loop, no subprocess) — that is where the coalescing/batching
 invariants are assertable exactly.  The ``smoke`` tests at the bottom
 spawn the real ``python -m repro serve`` subprocess and run the
-solve/stats/shutdown round trip over stdio and TCP; ``make serve-smoke``
-runs just those.
+solve/stats/shutdown round trip over stdio, and one batch through its
+worker pool; ``make serve-smoke`` runs just those.
 """
 
 import asyncio
@@ -15,7 +15,9 @@ import warnings
 
 import pytest
 
+from repro.planner import EvaluationCache, load_workload, solve
 from repro.serve import (
+    PROTOCOL_VERSION,
     PlannerServer,
     ProtocolError,
     ServeConfig,
@@ -307,43 +309,64 @@ def test_max_batch_flushes_immediately():
     run(_with_server(body, config))
 
 
-# ---------------------------------------------------------- snapshot/restart
+# ---------------------------------------------------------------- worker pool
+
+POOL_SPECS = ["random:n=6,seed=11", "random:n=6,seed=12"]
 
 
-def test_snapshot_saved_on_shutdown_and_restored_on_start(tmp_path):
-    snap = tmp_path / "warm.pkl"
-
-    async def first(server):
-        # a mapping workload (graph search) populates the evaluation
-        # cache; a fixed-graph one like fig1 barely touches it
-        await server.handle_request(
-            {"op": "solve", "id": 1, "workload": "random:n=6,seed=1"}
-        )
-        bye = await server.handle_request({"op": "shutdown", "id": 2})
-        assert bye["result"] == "bye"
-        assert bye["saved_entries"] > 0
-        return bye["saved_entries"]
-
-    saved = run(_with_server(first, ServeConfig(snapshot_path=str(snap))))
-    assert snap.exists()
-
-    async def second(server):
-        assert server.restored_entries == saved
-        stats = (await server.handle_request({"op": "stats", "id": 1}))["result"]
-        assert stats["server"]["restored_entries"] == saved
-
-    run(_with_server(second, ServeConfig(snapshot_path=str(snap))))
+def _library_value(spec):
+    return str(solve(load_workload(spec).application,
+                     cache=EvaluationCache()).value)
 
 
-def test_corrupt_snapshot_does_not_kill_startup(tmp_path):
-    snap = tmp_path / "corrupt.pkl"
-    snap.write_bytes(b"this is not a pickle")
+def test_worker_pool_solves_one_batch_like_library_solve():
+    async def body(server):
+        responses = await asyncio.gather(*[
+            server.handle_request({"op": "solve", "id": i, "workload": spec})
+            for i, spec in enumerate(POOL_SPECS)
+        ])
+        assert server.batcher.batches == 1
+        assert server.batcher.batched_jobs == 2
+        return responses
+
+    config = ServeConfig(workers=2, batch_window=0.2)
+    responses = run(_with_server(body, config))
+    for spec, response in zip(POOL_SPECS, responses):
+        assert response["ok"] and response["served"] == "solve"
+        assert response["result"]["value"] == _library_value(spec)
+
+
+def test_in_process_solve_reuses_the_resolved_workload(monkeypatch):
+    """The request's workload is loaded once, by ``resolve_solve``."""
+    import repro.planner.batch as batch
+
+    loads = []
+
+    def counting_load(spec):
+        loads.append(spec)
+        return load_workload(spec)
+
+    monkeypatch.setattr(batch, "load_workload", counting_load)
 
     async def body(server):
-        assert server.restored_entries == 0
-        assert (await server.handle_request({"op": "ping", "id": 1}))["ok"]
+        response = await server.handle_request(
+            {"op": "solve", "id": 1, "workload": "random:n=5,seed=3"}
+        )
+        assert response["ok"] and response["served"] == "solve"
 
-    run(_with_server(body, ServeConfig(snapshot_path=str(snap))))
+    run(_with_server(body))
+    assert loads == []
+
+
+def test_stats_and_shutdown_carry_no_snapshot_fields():
+    async def body(server):
+        stats = (await server.handle_request({"op": "stats", "id": 1}))["result"]
+        assert stats["protocol"] == PROTOCOL_VERSION == 2
+        assert "restored_entries" not in stats["server"]
+        bye = await server.handle_request({"op": "shutdown", "id": 2})
+        assert bye == {"id": 2, "ok": True, "result": "bye"}
+
+    run(_with_server(body))
 
 
 # ----------------------------------------------------------- stdio in-process
@@ -618,15 +641,22 @@ def test_stdio_smoke_close_releases_the_pipes():
 
 
 @pytest.mark.smoke
-def test_stdio_smoke_snapshot_across_restarts(tmp_path):
-    snap = tmp_path / "warm.pkl"
-    with StdioServeClient(["--snapshot", str(snap)]) as client:
-        client.request({"op": "solve", "id": 1, "workload": "random:n=6,seed=1"})
-        bye = client.shutdown()
-        assert bye["saved_entries"] > 0
-        assert client.close() == 0
-    with StdioServeClient(["--snapshot", str(snap)]) as client:
-        stats = client.request({"op": "stats", "id": 1})["result"]
-        assert stats["server"]["restored_entries"] > 0
-        client.shutdown()
+def test_stdio_smoke_worker_pool_batch():
+    """The real daemon with a worker pool: two distinct solves ride one
+    batch through the pool and match the library's ``solve()``."""
+    args = ["--workers", "2", "--batch-window", "0.5"]
+    with StdioServeClient(args) as client:
+        responses = client.request_many([
+            {"op": "solve", "id": i, "workload": spec}
+            for i, spec in enumerate(POOL_SPECS)
+        ])
+        by_id = {r["id"]: r for r in responses}
+        for i, spec in enumerate(POOL_SPECS):
+            assert by_id[i]["ok"], by_id[i]
+            assert by_id[i]["result"]["value"] == _library_value(spec)
+        stats = client.request({"op": "stats", "id": 9})["result"]
+        assert stats["server"]["workers"] == 2
+        assert stats["server"]["batches"] == 1
+        assert stats["server"]["batched_jobs"] == 2
+        assert client.shutdown()["result"] == "bye"
         assert client.close() == 0
