@@ -13,7 +13,12 @@ is tracked across PRs:
   timed (n=11 must certify in under 10 s);
 * the local-search hot path at ``n = 12``: objective evaluations with and
   without incremental delta scoring (the delta path must save at least
-  3x), plus the certified two-tier delta against the exact-Fraction one.
+  3x), plus the certified two-tier delta against the exact-Fraction one;
+* heterogeneous MinPeriod(OVERLAP) on ``het4`` with a free mapping, where
+  every scored forest costs a placement search: value, expanded, pruned
+  and evaluated of the certified and exact tiers, which the sorted-speed
+  placement bound cuts (so the count guard fails a change that loses that
+  pruning).
 """
 
 import json
@@ -28,7 +33,8 @@ from repro.optimize import (
     local_search_forest,
     make_period_objective,
 )
-from repro.planner import EvaluationCache, solve
+from repro.optimize.placement import clear_placement_memo
+from repro.planner import EvaluationCache, load_platform, load_workload, solve
 from repro.workloads.generators import random_application
 
 from bench_helpers import RESULTS_DIR, record
@@ -86,6 +92,49 @@ def _bb_row(n, seed, filter_fraction=0.6):
     else:
         row["enumeration_wall_s"] = None  # infeasible in CI
     return row
+
+
+#: het4 instances (n = 5 and 6) whose searches the placement bound cuts.
+HET4_SPECS = (
+    "random:n=5,seed=169611",
+    "random:n=5,seed=289067",
+    "random:n=6,seed=5994",
+    "random:n=6,seed=895452",
+)
+
+
+def _het_rows():
+    rows = []
+    het4 = load_platform("het4")
+    for spec in HET4_SPECS:
+        app = load_workload(spec).application
+        values = set()
+        for mode in ("certified", "exact"):
+            walls = []
+            for _ in range(3):  # best of three: these solves take ~0.1 s
+                clear_placement_memo()  # time each tier's placement searches
+                started = time.perf_counter()
+                result = solve(app, method="branch-and-bound", platform=het4,
+                               schedule=False, cache=EvaluationCache(),
+                               exactness=mode)
+                walls.append(time.perf_counter() - started)
+            wall = min(walls)
+            extras = result.stats.extras
+            values.add((result.value, result.graph.edges))
+            rows.append({
+                "label": spec,
+                "platform": "het4",
+                "mode": mode,
+                "n": len(app),
+                "value": str(result.value),
+                "bb_expanded": extras["expanded"],
+                "bb_pruned": extras["pruned"],
+                "bb_evaluations": extras["evaluated"],
+                "certified": extras["certified"],
+                "bb_wall_s": round(wall, 4),
+            })
+        assert len(values) == 1, spec  # certified equals exact
+    return rows
 
 
 def _count_calls(objective):
@@ -149,9 +198,9 @@ def test_search_performance(benchmark):
                             (10, 4), (11, 4)]
         ]
         ls_rows = _local_search_rows()
-        return bb_rows, ls_rows
+        return bb_rows, ls_rows, _het_rows()
 
-    bb_rows, ls_rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    bb_rows, ls_rows, het_rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # --- assertions: the shape the ISSUE promises -----------------------
     for row in bb_rows:
@@ -172,9 +221,13 @@ def test_search_performance(benchmark):
         # so guard the denominator.
         assert row["evaluations_full"] >= 3 * max(row["evaluations_delta"], 1)
 
+    for row in het_rows:
+        assert row["certified"], row
+
     payload = {
         "branch_and_bound": bb_rows,
         "local_search_incremental": ls_rows,
+        "het_branch_and_bound": het_rows,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_search.json").write_text(
@@ -206,6 +259,14 @@ def test_search_performance(benchmark):
             for r in ls_rows
         ],
     )
+    het_table = text_table(
+        ["instance", "tier", "value", "expanded", "pruned", "evals", "wall s"],
+        [
+            [r["label"], r["mode"], r["value"], r["bb_expanded"],
+             r["bb_pruned"], r["bb_evaluations"], r["bb_wall_s"]]
+            for r in het_rows
+        ],
+    )
     record(
         "search_performance",
         "exact MinPeriod(OVERLAP): certified branch and bound vs the exact "
@@ -213,5 +274,8 @@ def test_search_performance(benchmark):
         + table
         + "\n\nlocal search at n=12: full evaluation vs incremental deltas "
         "(exact and certified tiers)\n"
-        + ls_table,
+        + ls_table
+        + "\n\nMinPeriod(OVERLAP) on het4 with a free mapping: branch and "
+        "bound with the sorted-speed placement bound\n"
+        + het_table,
     )

@@ -24,10 +24,17 @@ exceeds the true objective of any completion.
 Unplaced services contribute a static floor: service ``j`` processes data
 of size at least ``prod_{i != j, sigma_i < 1} sigma_i`` no matter where it
 ends up, which bounds its ``Ccomp`` (and its one unavoidable outgoing
-message) from below.  On heterogeneous platforms computation bounds divide
-by the hosting (or fastest) server speed and communication bounds by the
-fastest link, so pruning stays valid whether the mapping is pinned or left
-to the placement optimiser.
+message) from below.  On heterogeneous platforms the per-node terms divide
+computation by the hosting server's speed when the mapping is pinned and
+communication by the fastest link.  A free mapping divides computation by
+the fastest speed, and :class:`PlacementBound` adds what that divisor
+forgets: each service gets its own server, so the ``k``-th largest work
+runs on a server no faster than the ``k``-th fastest.  A period search
+drops a popped state, and skips scoring a complete forest, once that
+sorted-speed bound reaches the incumbent; greedy and local search skip the
+placement search of a candidate the same way (:class:`PlacementGate`).
+Every bound stays below the objective of every completion, so pruning is
+valid whether the mapping is pinned or left to the placement optimiser.
 
 Entry points: :func:`bb_minperiod` (forests — exact for MinPeriod by
 Proposition 4), :func:`bb_minlatency` (DAGs — optimal latency plans need
@@ -71,7 +78,8 @@ from ..core import (
     Platform,
     certified_threshold,
 )
-from .evaluation import Objective
+from ..scheduling.latency import NodeLimitExceeded
+from .evaluation import Objective, _normalise
 
 ONE = Fraction(1)
 
@@ -98,7 +106,11 @@ class BBStats:
     states discarded because their lower bound already reached the
     incumbent.  ``limit_hit`` records that the search stopped on
     *node_limit* rather than by exhausting/pruning the state space (the
-    result is then an uncertified upper bound).
+    result is then an uncertified upper bound).  ``schedule_limit_hit``
+    records that an exact schedule search stopped at its own node limit
+    while scoring a complete graph, which then got the value of the best
+    schedule found: achievable, so the result is again an uncertified
+    upper bound.
     """
 
     expanded: int = 0
@@ -107,6 +119,7 @@ class BBStats:
     duplicates: int = 0
     incumbent_updates: int = 0
     limit_hit: bool = False
+    schedule_limit_hit: bool = False
 
     def as_extras(self) -> Dict[str, int]:
         return {
@@ -123,8 +136,10 @@ class _Scaling:
 
     Unit platforms (and ``platform=None``) divide by nothing — the bounds
     are bit-for-bit the paper's.  A pinned mapping divides each node's
-    computation by its actual server speed; a free mapping divides by the
-    fastest speed (the best any placement could do).  Communication bounds
+    computation by its actual server speed.  A free mapping divides every
+    node's computation by the fastest speed, the best any one node could
+    get; :class:`PlacementBound` tightens that for the whole forest, since
+    only one service can run on each server.  Communication bounds
     always divide by the fastest bandwidth reachable anywhere on the
     platform, which stays below every concrete transfer time.
     """
@@ -349,6 +364,143 @@ class DagTerms:
         )
 
 
+class PlacementBound:
+    """A forest's period bound over every injective placement, in one tier.
+
+    On a non-unit platform with a free mapping the objective places each
+    service on a server of its own.  Sort the services' works ``A_u·c_u``
+    and the servers' speeds in descending order: the ``k`` heaviest
+    services occupy ``k`` distinct servers, one of which is no faster than
+    the ``k``-th fastest, so ``max_k w_(k)/s_(k)`` bounds some ``Ccomp``,
+    hence the period, of every placement (the bottleneck-assignment
+    bound).  :meth:`sorted_speeds` prices it; in a partial forest an
+    unplaced service contributes its static floor ``minprod_u·c_u``, which
+    its final work can only exceed.  :meth:`forest` returns the larger of
+    that bound and the forest's :class:`ForestTerms` at the fastest speed
+    and bandwidth.
+
+    Every quantity is converted once by *num* (``float`` for the float
+    tiers; ``None`` keeps them exact), as in :class:`ForestTerms`.
+    """
+
+    __slots__ = ("terms", "index", "cost", "floor", "speeds")
+
+    def __init__(
+        self, app: Application, model: CommModel, platform: Platform, num=None
+    ) -> None:
+        conv = num or (lambda value: value)
+        names = list(app.names)
+        minprod = _min_products(app)
+        self.terms = ForestTerms(app, model, _Scaling(app, platform, None), num)
+        self.index = {name: i for i, name in enumerate(names)}
+        self.cost = [conv(app.cost(x)) for x in names]
+        self.floor = [conv(minprod[x] * app.cost(x)) for x in names]
+        fastest = sorted((s.speed for s in platform.servers), reverse=True)
+        self.speeds = [conv(s) for s in fastest[: len(names)]]
+
+    def sorted_speeds(self, works):
+        """``max_k w_(k)/s_(k)`` of *works* against the fastest speeds."""
+        return max(
+            (w / s for w, s in zip(sorted(works, reverse=True), self.speeds)),
+            default=self.terms.one * 0,
+        )
+
+    def forest(self, parents: Dict[str, Optional[str]]):
+        """The bound of the forest *parents* (node to parent, ``None`` for
+        a root) over its own nodes."""
+        terms, index = self.terms, self.index
+        anc: Dict[str, object] = {}
+        children = dict.fromkeys(parents, 0)
+        for parent in parents.values():
+            if parent is not None:
+                children[parent] += 1
+        for node in parents:
+            chain, top = [], node
+            while top is not None and top not in anc:
+                chain.append(top)
+                top = parents[top]
+            prod = terms.one if top is None else anc[top] * terms.sigma[index[top]]
+            for x in reversed(chain):
+                anc[x] = prod
+                prod = prod * terms.sigma[index[x]]
+        term = max(terms.term(anc[x], children[x], index[x]) for x in parents)
+        compute = self.sorted_speeds([anc[x] * self.cost[index[x]] for x in parents])
+        return compute if compute > term else term
+
+
+def _free_platform(objective: Objective) -> Optional[Platform]:
+    """The platform a period *objective* places each graph on, or ``None``
+    unless it is a non-unit platform with a free mapping."""
+    if objective.kind != "period":
+        return None
+    platform, mapping = _normalise(objective.platform, objective.mapping)
+    return platform if mapping is None else None
+
+
+class PlacementGate:
+    """:class:`PlacementBound` in a search's numeric tier, behind the band
+    rule: :meth:`reaches` says whether a candidate's bound already reaches
+    the value it must strictly beat, so its placement search can be
+    skipped without changing any accept/reject decision.
+
+    ``EXACT`` compares the exact bound.  ``CERTIFIED`` prices in floats
+    and settles the :data:`~repro.core.CERT_EPS` band around the value in
+    exact arithmetic, so its answer is the exact one.  ``FAST``, whose
+    objective values are float images, answers yes only beyond the band.
+    Building the float tier raises ``OverflowError`` beyond float range.
+    """
+
+    __slots__ = ("exact", "fast", "certified", "eps")
+
+    def __init__(
+        self,
+        app: Application,
+        model: CommModel,
+        platform: Platform,
+        exactness: Exactness,
+        eps: float = CERT_EPS,
+    ) -> None:
+        self.exact = PlacementBound(app, model, platform)
+        self.fast = (
+            PlacementBound(app, model, platform, float)
+            if exactness.uses_float
+            else None
+        )
+        self.certified = exactness is Exactness.CERTIFIED
+        self.eps = eps
+
+    @classmethod
+    def of(cls, app: Application, objective) -> Optional["PlacementGate"]:
+        """The gate for a period :class:`Objective` that places each graph
+        on a heterogeneous platform, else ``None``."""
+        if not isinstance(objective, Objective):
+            return None
+        platform = _free_platform(objective)
+        if platform is None:
+            return None
+        try:
+            return cls(app, objective.model, platform, objective.exactness)
+        except OverflowError:
+            return cls(app, objective.model, platform, Exactness.EXACT)
+
+    def reaches(self, value: Fraction, bound_of) -> bool:
+        """Is the bound that *bound_of* prices on a :class:`PlacementBound`
+        tier at least *value*, by the band rule of this tier?"""
+        if self.fast is None:
+            return bound_of(self.exact) >= value
+        cut, low_cut = _cuts(value, True, self.eps)
+        bound = bound_of(self.fast)
+        if bound > cut:
+            return True
+        return self.certified and bound >= low_cut and bound_of(self.exact) >= value
+
+    def forest_reaches(
+        self, parents: Dict[str, Optional[str]], value: Fraction
+    ) -> bool:
+        """:meth:`reaches` for the complete forest *parents*."""
+        return self.reaches(value, lambda tier: tier.forest(parents))
+
+
 def _seed_incumbent(
     app: Application, objective: Objective
 ) -> Tuple[Fraction, ExecutionGraph]:
@@ -411,7 +563,13 @@ def bb_minperiod(
     The greedy seed prices its insertions on the same terms under OVERLAP
     (and at the bound effort) on a unit platform, so there only the
     seed's final graph is scored through *objective*; under ``FAST`` that
-    seed is the exact greedy's.
+    seed is the exact greedy's.  On a heterogeneous platform with a free
+    mapping every complete forest costs a placement search, so a popped
+    state is dropped, and a complete forest is not scored, once its
+    :class:`PlacementBound` sorted-speed bound reaches the incumbent
+    (:class:`PlacementGate`'s band rule): no forest below it could have
+    been a strict improvement, so the incumbents, hence the result, are
+    those of the ungated search.  Heap keys stay the per-node terms.
 
     *node_limit* caps the number of expanded states; when hit, the current
     incumbent is returned (still an upper bound, no longer certified
@@ -448,6 +606,7 @@ def bb_minperiod(
     # fed its smallest possible data set) and the near-tie arbitration.
     terms_x = ForestTerms(app, model, scaling)
     floors_x = [minprod[name] * k for name, k in zip(names, terms_x.k)]
+    free = _free_platform(objective)
     while True:
         use_float = exactness.uses_float
         try:
@@ -456,6 +615,10 @@ def bb_minperiod(
                 floor_list = [float(f) for f in floors_x]
             else:
                 terms, floor_list = terms_x, floors_x
+            gate = (
+                None if free is None
+                else PlacementGate(app, model, free, exactness, eps)
+            )
             break
         except OverflowError:
             # Instance quantities beyond float range: the fast tier cannot
@@ -606,6 +769,33 @@ def bb_minperiod(
             ):
                 pruned += 1  # exact arbitration: a true (near-)tie
                 continue
+        if gate is not None:
+            def sorted_bound(tier, leaf: Optional[Tuple[int, int]] = None):
+                # The sorted-speed bound in *tier* (on the search's own
+                # ancestor products, or exact ones to settle a certified
+                # band) of the placed services' works plus the unplaced
+                # floors, or plus *leaf* (p, u): u as a new child of p.
+                a = (
+                    exact_anc_of if tier is gate.exact and use_float
+                    else anc.__getitem__
+                )
+                works = [a(i) * tier.cost[i] for i in placed]
+                if leaf is None:
+                    works += [tier.floor[j] for j in unplaced]
+                else:
+                    p, u = leaf
+                    size = (
+                        tier.terms.one if p == _ForestState.ROOT
+                        else a(p) * tier.terms.sigma[p]
+                    )
+                    works.append(size * tier.cost[u])
+                return tier.sorted_speeds(works)
+
+            # The state's bound is below the incumbent; every completion
+            # is still at least its sorted-speed bound.
+            if gate.reaches(best_value, sorted_bound):
+                pruned += 1
+                continue
         stats.expanded += 1
         # The incumbent generation this state's bound was screened under;
         # children inherit it, so a mid-expansion incumbent improvement
@@ -662,7 +852,13 @@ def bb_minperiod(
                     )
                     continue
                 # Complete forest: score it for real (exact tier under
-                # EXACT/CERTIFIED — only float-safe survivors reach here).
+                # EXACT/CERTIFIED — only float-safe survivors reach here),
+                # unless its placement search could not beat the incumbent.
+                if gate is not None and gate.reaches(
+                    best_value, lambda tier: sorted_bound(tier, (p, u))
+                ):
+                    pruned += 1
+                    continue
                 graph = graph_of(child_key)
                 value = objective(graph)
                 if value < best_value:
@@ -703,7 +899,9 @@ def bb_minlatency(
     bound's divisors and numeric tier under the same certification
     contract; *deadline* (wall-clock seconds) stops the search like
     *node_limit*, leaving the incumbent as an anytime upper bound with
-    ``stats.limit_hit`` set.
+    ``stats.limit_hit`` set.  A complete DAG whose exact one-port schedule
+    search stops at its node limit is scored by the best schedule that
+    search found, and ``stats.schedule_limit_hit`` is set.
 
     Example::
 
@@ -846,7 +1044,11 @@ def bb_minlatency(
                         [(names[a], names[b]) for a, b in child[1]],
                         check_precedence=False,
                     )
-                    value = objective(graph)
+                    try:
+                        value = objective(graph)
+                    except NodeLimitExceeded as exc:
+                        value = exc.plan.latency  # achievable, not proved optimal
+                        stats.schedule_limit_hit = True
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1

@@ -68,6 +68,11 @@ class Effort(enum.Enum):
     EXACT = "exact"
 
 
+#: At the ``EXACT`` effort, a non-forest with at most this many services
+#: gets the exact one-port latency (:func:`exact_oneport_latency`).
+EXACT_LATENCY_MAX = 7
+
+
 def _normalise(
     platform: Optional[Platform], mapping: Optional[Mapping]
 ) -> "tuple[Optional[Platform], Optional[Mapping]]":
@@ -258,7 +263,7 @@ def latency_objective(
         costs = CostModel(graph, platform, mapping)
     if effort is Effort.BOUND:
         return costs.latency_lower_bound()
-    if effort is Effort.EXACT and len(graph.nodes) <= 7:
+    if effort is Effort.EXACT and len(graph.nodes) <= EXACT_LATENCY_MAX:
         value = exact_oneport_latency(graph, platform=platform, mapping=mapping)
     else:
         value = oneport_latency_schedule(
@@ -499,6 +504,7 @@ def make_fast_latency_objective(
 
 
 __all__ = [
+    "EXACT_LATENCY_MAX",
     "Effort",
     "OBJECTIVES",
     "Objective",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Application, CommModel, ExecutionGraph
-from .branch_and_bound import ForestTerms
+from .branch_and_bound import ForestTerms, PlacementGate
 from .evaluation import (
     Effort,
     Objective,
@@ -122,7 +122,11 @@ def greedy_forest(
     the forest and value are the exact greedy's, not those of greedy on
     the float images.  Heterogeneous and placement objectives, other
     one-port efforts, latency and plain callables score each candidate
-    graph through *objective*.
+    graph through *objective*.  A period objective that runs a placement
+    search per graph (a heterogeneous platform with a free mapping) skips
+    every candidate whose
+    :class:`~repro.optimize.branch_and_bound.PlacementBound` already
+    reaches the value it must strictly beat, so the forest is the same.
 
     Example::
 
@@ -140,6 +144,7 @@ def greedy_forest(
     terms = _term_priced(app, objective)
     if terms is not None:
         return _greedy_on_terms(app, terms)
+    gate = PlacementGate.of(app, objective)
     order = _insertion_order(app)
     parents: Dict[str, Optional[str]] = {}
     placed: List[str] = []
@@ -150,6 +155,12 @@ def greedy_forest(
         for parent in candidates:
             trial = dict(parents)
             trial[name] = parent
+            if (
+                best_val is not None
+                and gate is not None
+                and gate.forest_reaches(trial, best_val)
+            ):
+                continue
             sub = app.restricted_to(placed + [name])
             graph = ExecutionGraph.from_parents(sub, trial)
             val = objective(graph)

@@ -180,6 +180,7 @@ class IncrementalForestPeriod:
         self._cout: Dict[str, Num] = {}
         for node in graph.topological_order:
             self._recompute(node)
+        self._bottlenecks: Optional[FrozenSet[str]] = None
 
     # -- platform helpers --------------------------------------------------
     def _bw(self, src: str, dst: str) -> Num:
@@ -248,6 +249,22 @@ class IncrementalForestPeriod:
             self._cexec(self._cin[n], self._ccomp[n], self._cout[n])
             for n in self.app.names
         )
+
+    def bottlenecks(self) -> FrozenSet[str]:
+        """The nodes whose ``Cexec`` is :meth:`value`, in this tier.
+
+        A move leaves every ``Cexec`` outside the moved subtree and its old
+        and new parents as it is, so one that leaves a bottleneck node
+        untouched cannot lower the max.
+        """
+        if self._bottlenecks is None:
+            cexec = {
+                n: self._cexec(self._cin[n], self._ccomp[n], self._cout[n])
+                for n in self.app.names
+            }
+            top = max(cexec.values())
+            self._bottlenecks = frozenset(n for n, c in cexec.items() if c == top)
+        return self._bottlenecks
 
     def subtree(self, node: str) -> List[str]:
         """*node* plus all its descendants (the set a reparent rescales)."""
@@ -336,6 +353,7 @@ class IncrementalForestPeriod:
             self._anc[m] *= factor
         for m, (cin, ccomp, cout) in overrides.items():
             self._cin[m], self._ccomp[m], self._cout[m] = cin, ccomp, cout
+        self._bottlenecks = None
 
     def graph(self) -> ExecutionGraph:
         """The current forest as an :class:`~repro.core.ExecutionGraph`."""
@@ -406,6 +424,10 @@ class CertifiedForestPeriod(_CertifiedPair):
 
     def value(self) -> Fraction:
         return self.exact.value()
+
+    def bottlenecks(self) -> FrozenSet[str]:
+        # The exact side's: every accept/reject decision is the exact one.
+        return self.exact.bottlenecks()
 
     def score_reparent(self, node: str, new_parent: Optional[str]) -> Optional[Num]:
         return self._score("score_reparent", node, new_parent)

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..core import CommModel, Exactness, ExecutionGraph, Mapping, Platform
 from ..core.graph import CycleError
+from .branch_and_bound import PlacementGate
 from .evaluation import (
     Effort,
     Objective,
@@ -43,6 +44,17 @@ def _parents_of(graph: ExecutionGraph) -> Dict[str, Optional[str]]:
             raise ValueError("local search requires a forest execution graph")
         parents[node] = preds[0] if preds else None
     return parents
+
+
+def _descends(
+    node: Optional[str], ancestor: str, parents: Dict[str, Optional[str]]
+) -> bool:
+    """Is *node* in the subtree of *ancestor* (itself included)?"""
+    while node is not None:
+        if node == ancestor:
+            return True
+        node = parents[node]
+    return False
 
 
 def local_search_forest(
@@ -63,7 +75,15 @@ def local_search_forest(
     value for the final graph scores it once.  Otherwise every candidate
     graph is scored through *objective* — pass a memoized one
     (``repro.planner.EvaluationCache.objective``) to avoid re-scoring
-    graphs revisited across passes.  The scan resumes at the service
+    graphs revisited across passes.  Two gates skip candidates that
+    provably cannot improve, so the trajectory is the same: the delta
+    prices a service's moves only when every bottleneck node (see
+    :meth:`~repro.optimize.incremental.IncrementalForestPeriod.bottlenecks`)
+    lies in its subtree, at its old parent, or at the one new parent that
+    could relieve it; and a period objective that runs a placement search
+    per graph skips a move whose
+    :class:`~repro.optimize.branch_and_bound.PlacementBound` already
+    reaches the current value.  The scan resumes at the service
     *after* an accepted move and stops once a whole pass finds no
     improvement.  Example — starting from the empty forest, the search
     discovers the filter-first chain::
@@ -87,6 +107,7 @@ def local_search_forest(
             graph, objective.model, objective.effort, objective.platform,
             objective.mapping, exactness=objective.exactness,
         )
+    gate = PlacementGate.of(app, objective)  # None wherever a delta prices
     current = delta.value() if delta is not None else objective(graph)
     names = list(app.names)
     n = len(names)
@@ -98,7 +119,18 @@ def local_search_forest(
         position += 1
         original = parents[node]
         accepted = False
-        for candidate in [None] + [p for p in names if p != node]:
+        candidates = [None] + [p for p in names if p != node]
+        if delta is not None:
+            # A move changes the Cexec of node's subtree, its old parent
+            # and its new parent only, so it can lower the max only if
+            # every bottleneck is among them.
+            held = [
+                b for b in delta.bottlenecks()
+                if b != original and not _descends(b, node, parents)
+            ]
+            if held:
+                candidates = held if len(held) == 1 else []
+        for candidate in candidates:
             if candidate == original:
                 continue
             if delta is not None:
@@ -112,6 +144,8 @@ def local_search_forest(
                     trial_graph = ExecutionGraph.from_parents(app, trial)
                 except CycleError:
                     continue  # candidate creates a cycle
+                if gate is not None and gate.forest_reaches(trial, current):
+                    continue  # its placement search cannot beat current
                 val = objective(trial_graph)
             if val < current:
                 if delta is not None:

@@ -44,11 +44,14 @@ from ..core import (
     Platform,
     platform_fingerprint,
 )
-from ..optimize.evaluation import Effort
+from ..optimize.evaluation import EXACT_LATENCY_MAX, Effort
 from ..scheduling.inorder import inorder_schedule
 from ..scheduling.latency import (
+    NodeLimitExceeded,
     best_latency_schedule,
+    exact_oneport_schedule,
     oneport_latency_schedule,
+    overlap_latency_layered,
     tree_latency_schedule,
 )
 from ..scheduling.outorder import outorder_schedule
@@ -190,6 +193,7 @@ def build_schedule(
     model: CommModel,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
+    effort: Effort = Effort.HEURISTIC,
 ) -> Plan:
     """A concrete operation list for *graph* optimised towards *objective*.
 
@@ -197,8 +201,13 @@ def build_schedule(
     orchestration (INORDER), repair scheduler (OUTORDER).  Latency:
     Algorithm 1 on forests, otherwise the greedy serialized one-port
     schedule, improved by the layered bandwidth-sharing schedule under
-    OVERLAP.  *platform*/*mapping* scale every duration (``None`` is the
-    paper's unit platform).
+    OVERLAP.  At the ``EXACT`` *effort* a non-forest of at most
+    :data:`~repro.optimize.evaluation.EXACT_LATENCY_MAX` services gets the
+    schedule the exact latency objective scored instead
+    (:func:`~repro.scheduling.latency.exact_oneport_schedule`, or the best
+    one it found within its node limit), so the plan achieves the value.
+    *platform*/*mapping* scale every duration (``None`` is the paper's
+    unit platform).
     """
     if objective == "period":
         if model is CommModel.OVERLAP:
@@ -212,6 +221,21 @@ def build_schedule(
             plan.graph, plan.operation_list, model,
             platform=plan.platform, mapping=plan.mapping,
         )
+    if effort is Effort.EXACT and len(graph.nodes) <= EXACT_LATENCY_MAX:
+        try:
+            plan = exact_oneport_schedule(
+                graph, model, platform=platform, mapping=mapping
+            )
+        except NodeLimitExceeded as exc:
+            plan = exc.plan
+        if model is CommModel.OVERLAP:
+            # As latency_objective: the layered schedule where it is shorter.
+            layered = overlap_latency_layered(
+                graph, platform=platform, mapping=mapping
+            )
+            if layered is not None and layered.latency < plan.latency:
+                return layered
+        return plan
     if model is CommModel.OVERLAP:
         return best_latency_schedule(graph, platform=platform, mapping=mapping)
     return oneport_latency_schedule(graph, model, platform=platform, mapping=mapping)
@@ -549,7 +573,7 @@ def _solve_application(
         graph, objective, model, eff, platform, mapping, exactness
     )
     plan = (
-        build_schedule(graph, objective, model, platform, resolved)
+        build_schedule(graph, objective, model, platform, resolved, eff)
         if schedule
         else None
     )
@@ -637,7 +661,9 @@ def _solve_graph(
             graph, objective, model, eff, platform, mapping, exactness
         )
         if schedule:
-            plan = build_schedule(graph, objective, model, platform, resolved)
+            plan = build_schedule(
+                graph, objective, model, platform, resolved, eff
+            )
     else:
         known = ", ".join(["auto", *_GRAPH_EFFORT])
         raise ValueError(

@@ -368,9 +368,10 @@ def _solve_branch_and_bound(
     greedy + local-search incumbent, reaching instance sizes where plain
     enumeration is infeasible.  *node_limit* (a solver option) caps the
     expanded states; when hit, the incumbent is returned as an upper bound
-    and ``extras["certified"]`` is ``False``.  *deadline* (seconds) stops
-    the search the same way on wall clock — the anytime knob the portfolio
-    solver leans on.
+    and ``extras["certified"]`` is ``False``, as it is when an exact
+    one-port latency schedule search stopped at its own node limit.
+    *deadline* (seconds) stops the search the same way on wall clock — the
+    anytime knob the portfolio solver leans on.
     """
     search = bb_minperiod if objective == "period" else bb_minlatency
     value, graph, stats = search(
@@ -382,7 +383,8 @@ def _solve_branch_and_bound(
         # A FAST search prunes and scores on float images: the incumbent
         # it returns is honest but its optimality is no longer certified.
         "certified": (
-            not stats.limit_hit and objective_fn.exactness is not Exactness.FAST
+            not (stats.limit_hit or stats.schedule_limit_hit)
+            and objective_fn.exactness is not Exactness.FAST
         ),
         **stats.as_extras(),
     }

@@ -183,7 +183,7 @@ def solve_robust(
         winner, objective, model, eff, platform, mapping, exactness
     )
     plan = (
-        build_schedule(winner, objective, model, platform, resolved)
+        build_schedule(winner, objective, model, platform, resolved, eff)
         if schedule
         else None
     )

@@ -12,8 +12,10 @@ from .inorder import (
     order_space_size,
 )
 from .latency import (
+    NodeLimitExceeded,
     best_latency_schedule,
     exact_oneport_latency,
+    exact_oneport_schedule,
     greedy_second_permutation,
     minmax_two_permutations,
     oneport_latency_schedule,
@@ -36,10 +38,12 @@ from .overlap import overlap_period_bound, schedule_period_overlap
 
 __all__ = [
     "CommOrders",
+    "NodeLimitExceeded",
     "b3_oneport_period12_feasible",
     "best_latency_schedule",
     "exact_inorder_period",
     "exact_oneport_latency",
+    "exact_oneport_schedule",
     "greedy_orders",
     "greedy_second_permutation",
     "inorder_event_graph",

@@ -6,8 +6,9 @@ versus multi-port communications.  This module provides:
 
 * :func:`oneport_latency_schedule` — greedy serialized list scheduling for
   arbitrary execution graphs (valid for all three models);
-* :func:`exact_oneport_latency` — branch-and-bound over activity orders
-  (the problem is NP-hard, Theorem 3; exact for small graphs);
+* :func:`exact_oneport_schedule` / :func:`exact_oneport_latency` —
+  branch-and-bound over activity orders (the problem is NP-hard,
+  Theorem 3; exact for small graphs);
 * :func:`tree_latency` / :func:`tree_latency_schedule` — the paper's
   Algorithm 1 (Proposition 12), ``O(n log n)``, optimal on forests;
 * :func:`minmax_two_permutations` — the fork-join inner problem
@@ -172,26 +173,45 @@ def oneport_latency_schedule(
     )
 
 
-def exact_oneport_latency(
+class NodeLimitExceeded(RuntimeError):
+    """An exact schedule search stopped at its node limit.
+
+    ``plan`` is the best schedule it had found: achievable, but not proved
+    optimal.
+    """
+
+    def __init__(self, message: str, plan: Plan) -> None:
+        super().__init__(message)
+        self.plan = plan
+
+
+def exact_oneport_schedule(
     graph: ExecutionGraph,
+    model: CommModel = CommModel.INORDER,
     *,
     node_limit: int = 2_000_000,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
-) -> Fraction:
-    """Optimal one-port latency by branch and bound over activity orders.
+) -> Plan:
+    """A latency-optimal one-port schedule, by branch and bound over
+    activity orders.
 
     Serial schedule generation enumerates all *active* schedules, one of
     which is optimal for makespan.  Pruning: partial makespan plus the
-    largest remaining bottom level.  Exponential (Theorem 3 says NP-hard);
-    raises ``RuntimeError`` past *node_limit* states.
+    largest remaining bottom level.  The search starts from
+    :func:`oneport_latency_schedule` and keeps the operation list of its
+    best schedule, returned as a plan under *model* (valid for all three,
+    as the greedy one is).  Exponential (Theorem 3 says NP-hard); past
+    *node_limit* states it raises :class:`NodeLimitExceeded`, which
+    carries the best schedule found.
 
     Example (on Figure 1 the greedy serialized schedule is already
     optimal)::
 
         >>> from repro.workloads import fig1_example
-        >>> exact_oneport_latency(fig1_example().graph)
-        Fraction(21, 1)
+        >>> plan = exact_oneport_schedule(fig1_example().graph)
+        >>> plan.latency, plan.is_valid()
+        (Fraction(21, 1), True)
     """
     dag = _OpDag(graph, platform, mapping)
     ops = dag.ops
@@ -203,19 +223,38 @@ def exact_oneport_latency(
     server_ids = {name: i for i, name in enumerate(graph.nodes)}
     servers = [[server_ids[s] for s in dag.servers[op]] for op in ops]
 
-    greedy = oneport_latency_schedule(graph, platform=platform, mapping=mapping)
+    greedy = oneport_latency_schedule(
+        graph, model, platform=platform, mapping=mapping
+    )
     best = [greedy.latency]
+    # The finish times of the best schedule found, or None while the
+    # greedy one is still the best (each op starts ``dur`` before it ends).
+    best_finish: List[Optional[List[Fraction]]] = [None]
     visited = [0]
+
+    def best_plan() -> Plan:
+        if best_finish[0] is None:
+            return greedy
+        times = {
+            op: (end - dur[i], end)
+            for i, (op, end) in enumerate(zip(ops, best_finish[0]))
+        }
+        return Plan(
+            graph, OperationList(times, lam=best[0]), model,
+            platform=platform, mapping=dag.costs.mapping,
+        )
 
     def dfs(done_mask: int, finish: List[Fraction], busy: List[Fraction], makespan: Fraction) -> None:
         visited[0] += 1
         if visited[0] > node_limit:
-            raise RuntimeError(
-                f"exact_oneport_latency exceeded node_limit={node_limit}"
+            raise NodeLimitExceeded(
+                f"exact_oneport_latency exceeded node_limit={node_limit}",
+                best_plan(),
             )
         if done_mask == (1 << n) - 1:
             if makespan < best[0]:
                 best[0] = makespan
+                best_finish[0] = finish
             return
         candidates = []
         for i in range(n):
@@ -247,7 +286,29 @@ def exact_oneport_latency(
             dfs(done_mask | (1 << i), new_finish, new_busy, max(makespan, end))
 
     dfs(0, [ZERO] * n, [ZERO] * len(server_ids), ZERO)
-    return best[0]
+    return best_plan()
+
+
+def exact_oneport_latency(
+    graph: ExecutionGraph,
+    *,
+    node_limit: int = 2_000_000,
+    platform: Optional[Platform] = None,
+    mapping: Optional[Mapping] = None,
+) -> Fraction:
+    """Optimal one-port latency: the value of :func:`exact_oneport_schedule`
+    (which see; past *node_limit* states it raises
+    :class:`NodeLimitExceeded`, a ``RuntimeError``).
+
+    Example::
+
+        >>> from repro.workloads import fig1_example
+        >>> exact_oneport_latency(fig1_example().graph)
+        Fraction(21, 1)
+    """
+    return exact_oneport_schedule(
+        graph, node_limit=node_limit, platform=platform, mapping=mapping
+    ).latency
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +625,10 @@ def best_latency_schedule(
 
 
 __all__ = [
+    "NodeLimitExceeded",
     "best_latency_schedule",
     "exact_oneport_latency",
+    "exact_oneport_schedule",
     "greedy_second_permutation",
     "minmax_two_permutations",
     "oneport_latency_schedule",

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core import CommModel, CostModel, ExecutionGraph, make_application
 from repro.scheduling import (
+    NodeLimitExceeded,
     exact_oneport_latency,
+    exact_oneport_schedule,
     minmax_two_permutations,
     oneport_latency_schedule,
     tree_latency,
@@ -106,6 +108,92 @@ class TestExactLatency:
         # in 1 + f 1 + send long 1 + long 10 + recv(short early) + recv long 1
         # + j 1 + out 1 = 16
         assert exact == 16
+        plan = exact_oneport_schedule(graph)
+        assert plan.latency == 16 and plan.is_valid()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_schedule_achieves_the_exact_value(self, data):
+        n = data.draw(st.integers(2, 4))
+        graph = random_dag(small_app(n, data), data)
+        for model in CommModel:
+            plan = exact_oneport_schedule(graph, model)
+            assert plan.latency == exact_oneport_latency(graph)
+            assert plan.model is model and plan.is_valid()
+
+    def test_node_limit_carries_the_best_schedule(self):
+        from repro.planner import load_workload
+
+        # The latency-optimal DAG of random:n=5,seed=17: the greedy
+        # serialized schedule takes 39373/2048, the exact one 38477/2048.
+        graph = ExecutionGraph(
+            load_workload("random:n=5,seed=17").application,
+            [("C1", "C0"), ("C1", "C3"), ("C2", "C0"), ("C2", "C3")],
+        )
+        for limit, latency in ((5, F(39373, 2048)), (20, F(38477, 2048))):
+            with pytest.raises(NodeLimitExceeded) as caught:
+                exact_oneport_schedule(graph, node_limit=limit)
+            assert isinstance(caught.value, RuntimeError)
+            assert caught.value.plan.latency == latency
+            assert caught.value.plan.is_valid()
+        assert exact_oneport_latency(graph) == F(38477, 2048)
+
+
+class TestExactLatencyPlans:
+    """A solve scored at the exact effort returns a plan achieving its value."""
+
+    @pytest.mark.parametrize("model", ["overlap", "inorder", "outorder"])
+    def test_dag_optimum_plan(self, model):
+        from repro.planner import load_workload, solve
+
+        # The optimum is a DAG whose exact one-port latency 38477/2048
+        # beats the greedy serialized schedule's 39373/2048.
+        result = solve(
+            load_workload("random:n=5,seed=17").application,
+            objective="latency", model=model,
+        )
+        assert result.method == "branch-and-bound"
+        assert result.value == F(38477, 2048)
+        assert result.plan.latency == result.value
+        assert result.plan.is_valid()
+
+    def test_seeded_instances(self):
+        from repro.planner import load_workload, solve
+
+        for seed in range(20):
+            result = solve(
+                load_workload(f"random:n=5,seed={seed}").application,
+                objective="latency", model="inorder",
+            )
+            assert result.plan.latency == result.value, seed
+            assert result.plan.is_valid(), seed
+
+    def test_fixed_graph_at_the_exact_effort(self):
+        from repro.planner import load_workload, solve
+
+        app = load_workload("random:n=5,seed=17").application
+        graph = solve(app, objective="latency", schedule=False).graph
+        result = solve(graph, objective="latency", method="exhaustive")
+        assert result.value == F(38477, 2048)
+        assert result.plan.latency == result.value and result.plan.is_valid()
+
+    def test_node_limit_returns_an_uncertified_plan(self, monkeypatch):
+        import functools
+
+        import repro.optimize.evaluation as evaluation
+        from repro.planner import load_workload, solve
+
+        monkeypatch.setattr(
+            evaluation, "exact_oneport_latency",
+            functools.partial(evaluation.exact_oneport_latency, node_limit=20),
+        )
+        result = solve(
+            load_workload("random:n=5,seed=3").application,
+            objective="latency", model="outorder", method="branch-and-bound",
+        )
+        assert result.plan.is_valid()
+        assert result.plan.latency <= result.value
+        assert result.stats.extras["certified"] is False
 
 
 class TestTreeLatency:
