@@ -39,6 +39,7 @@ bench-topology:  ## hierarchical vs flat placement on tree/torus (BENCH_topology
 
 bench-dynamic:   ## warm re-planning vs cold re-solve on a flash crowd (BENCH_dynamic.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_dynamic.py -q
+	$(PYTHON) benchmarks/compare_bench.py --stamp
 
 bench-robust:    ## robust vs nominal degradation sweep (BENCH_robust.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_robust.py -q
@@ -48,7 +49,8 @@ serve-smoke:     ## start the real daemon subprocess; solve/stats/shutdown round
 
 bench-compare:   ## perf-regression guard: snapshot committed BENCH_*.json, regenerate, diff
 	$(PYTHON) benchmarks/compare_bench.py --snapshot
-	$(PYTHON) -m pytest benchmarks/test_bench_search.py benchmarks/test_bench_concurrent.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_search.py benchmarks/test_bench_concurrent.py \
+		benchmarks/test_bench_dynamic.py -q
 	$(PYTHON) benchmarks/compare_bench.py
 
 profile:         ## cProfile a representative solve (evidence for perf PRs)

@@ -2,7 +2,8 @@
 """Perf-regression guard: diff fresh ``BENCH_*.json`` against a baseline.
 
 The machine-readable benchmark artifacts (``BENCH_search.json``,
-``BENCH_concurrent.json``) carry two kinds of numbers:
+``BENCH_concurrent.json``, ``BENCH_dynamic.json``) carry two kinds of
+numbers:
 
 * **counts** — objective evaluations, expanded/pruned states, quality
   ratios: deterministic, compared **exactly** (a drifted count means the
@@ -21,7 +22,7 @@ The machine-readable benchmark artifacts (``BENCH_search.json``,
 Usage::
 
     python benchmarks/compare_bench.py --snapshot          # save committed
-    make bench-search bench-concurrent                     # regenerate
+    make bench-search bench-concurrent bench-dynamic       # regenerate
     python benchmarks/compare_bench.py                     # diff
 
 ``make bench-compare`` runs the three steps in order; CI snapshots the
@@ -44,7 +45,9 @@ RESULTS_DIR = HERE / "results"
 DEFAULT_BASELINE = HERE / ".bench-baseline"
 
 #: The artifacts under the guard.
-BENCH_FILES = ("BENCH_search.json", "BENCH_concurrent.json")
+BENCH_FILES = (
+    "BENCH_search.json", "BENCH_concurrent.json", "BENCH_dynamic.json",
+)
 
 #: Committed calibration of the machine that generated the committed wall
 #: times (written by ``--stamp``, which the Makefile bench targets run
@@ -55,7 +58,7 @@ STAMP_FILE = "BENCH_calibration.json"
 #: Keys that identify a row (everything else is a measurement).
 ID_KEYS = (
     "n", "seed", "label", "name", "apps", "servers", "services",
-    "platform", "mode",
+    "platform", "mode", "index",
 )
 
 

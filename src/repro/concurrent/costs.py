@@ -19,10 +19,10 @@ exposes the quantities the sequels optimise:
 
 All values are exact :class:`~fractions.Fraction` arithmetic: one
 shared-mapping :class:`~repro.core.CostModel` of the combined graph folds
-every service's terms once for the system-wide readouts, each its
-weighted per-server sum; the per-application readouts price the
-application alone on its servers, so on a contended topology only its
-own flows share links.
+every service's terms once for the system-wide readouts, and the weighted
+per-server loads behind the utilisation readouts are summed once per
+instance; the per-application readouts price the application alone on its
+servers, so on a contended topology only its own flows share links.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ class ConcurrentCosts:
         self.model = model
         self.costs = CostModel(multi.combined_graph, platform, mapping)
         self._weights = self.costs.weight_list(multi.weights())
+        self._utilisations: Optional[Dict[str, Fraction]] = None
 
     # -- system-wide -----------------------------------------------------------
     def system_period(self) -> Fraction:
@@ -122,7 +123,11 @@ class ConcurrentCosts:
 
     # -- utilisation under period targets --------------------------------------
     def _utilisation(self) -> Dict[str, Fraction]:
-        return self.costs.loads(self.model, weights=self._weights)
+        if self._utilisations is None:
+            self._utilisations = self.costs.loads(
+                self.model, weights=self._weights
+            )
+        return self._utilisations
 
     def server_utilisation(self, server: str) -> Fraction:
         """Weighted load of *server*: each service weighs ``1 / rho_a``.

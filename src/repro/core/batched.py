@@ -318,6 +318,13 @@ class MappingBatch:
     force aggregation exactly like the scalar kernel).  Values are
     bit-for-bit the per-row ``FloatCosts(graph, platform, mapping,
     weights=...)`` answers.
+
+    Each call derives every graph edge's per-row message time once, as one
+    ``R x E`` matrix (:meth:`_messages`) that ``Cin``, ``Cout`` and the
+    latency paths index.  On a contended topology it comes from a single
+    gather of the edges' route-usage rows: their sum is each link's flow
+    count, and each edge's coefficient is its route's bottleneck
+    ``max_l k_l / cap_l``.
     """
 
     def __init__(
@@ -371,14 +378,17 @@ class MappingBatch:
             self.weight = None
         self.overlap = model.overlaps_compute
         self.server_index = {name: i for i, name in enumerate(platform.names)}
+        #: The graph's edges in (source, stored successor) order: column
+        #: ``e`` of :meth:`_messages` is edge ``(src[e], dst[e])``.
+        edges = [(i, j) for i in range(self.n) for j in a.succs[i]]
+        self.edge_id = {edge: e for e, edge in enumerate(edges)}
+        self.src = np.array([i for i, _ in edges], dtype=np.int64)
+        self.dst = np.array([j for _, j in edges], dtype=np.int64)
+        self.src_outsize = self.outsize[self.src]
         # Contended topologies: the graph's edges are fixed but each row's
         # assignment induces a different flow pattern.  ``pair_usage``
         # holds one 0/1 link-usage vector per ordered server-index pair
-        # (flattened ``si*m + sj``; same-server pairs are all zero);
-        # :meth:`_flow_lambda` sums the usage of every cross-server edge
-        # into per-row counts and the per-link ``k_l / cap_l`` columns the
-        # per-edge bottleneck max reads — the scalar kernel's
-        # ``float(k) * (1/float(cap))`` expression bit-for-bit.
+        # (flattened ``si*m + sj``; same-server pairs are all zero).
         caps = platform.link_capacities()
         self.contended = platform.has_contention and len(caps) > 0
         if self.contended:
@@ -390,48 +400,37 @@ class MappingBatch:
                     for lid in platform.route(u, v):
                         usage[i * m + j, lid] = 1.0
             self.pair_usage = usage
-            self.graph_edges = [
-                (i, j) for i in range(self.n) for j in a.succs[i]
-            ]
 
-    def _flow_lambda(self, S: np.ndarray) -> Optional[np.ndarray]:
-        """Per-row ``k_l / cap_l`` link columns under this batch's flows."""
-        if not self.contended:
-            return None
-        counts = np.zeros((S.shape[0], self.pair_usage.shape[1]))
-        m = self.m
-        for i, j in self.graph_edges:
-            counts += self.pair_usage[S[:, i] * m + S[:, j]]
-        return counts * self.invcap[None, :]
-
-    def _edge(
-        self,
-        S: np.ndarray,
-        i: int,
-        j: int,
-        lam: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-row coefficient of the edge ``i -> j`` (service indices)."""
-        if lam is not None:
-            # Bottleneck over the route's links; same-server pairs have
-            # all-zero usage, so the max is 0.0 — the shared-mapping
-            # "co-located edges are free" rule falls out automatically.
-            c = (self.pair_usage[S[:, i] * self.m + S[:, j]] * lam).max(axis=1)
-            return c
-        if self.scaled:
-            c = self.bw_inv[S[:, i], S[:, j]]
+    def _messages(self, S: np.ndarray) -> np.ndarray:
+        """Per-row time of every graph edge's message, shape ``(R, E)``:
+        the sender's output size times the edge's transfer coefficient."""
+        src, dst = S[:, self.src], S[:, self.dst]
+        if self.contended:
+            # One gather of every edge's link-usage row.  Summed over the
+            # edges it gives each link's flow count k_l (whole numbers, so
+            # the summation order cannot change them); times 1/cap_l that
+            # is the scalar kernel's ``float(k) * (1/float(cap))``.  Each
+            # edge's coefficient is the bottleneck max over its route.
+            # Same-server pairs have all-zero usage, so their max is 0.0 —
+            # the shared "co-located edges are free" rule falls out.
+            usage = self.pair_usage[src * self.m + dst]        # (R, E, L)
+            lam = usage.sum(axis=1) * self.invcap[None, :]     # (R, L)
+            coef = (usage * lam[:, None, :]).max(axis=2)       # (R, E)
         else:
-            c = np.ones(S.shape[0])
-        if self.shared:
-            c = np.where(S[:, i] == S[:, j], 0.0, c)
-        return c
+            if self.scaled:
+                coef = self.bw_inv[src, dst]
+            else:
+                coef = np.ones(src.shape)
+            if self.shared:
+                coef = np.where(src == dst, 0.0, coef)
+        return self.src_outsize[None, :] * coef
 
-    def _components(self, S: np.ndarray):
+    def _components(self, S: np.ndarray, msg: np.ndarray):
         """Per-row ``(cin, ccomp, cout)`` matrices, scalar fold orders."""
         a = self.arrays
+        eid = self.edge_id
         R = S.shape[0]
         n = self.n
-        lam = self._flow_lambda(S)
         cin = np.empty((R, n))
         cout = np.empty((R, n))
         for i in range(n):
@@ -439,7 +438,7 @@ class MappingBatch:
             if preds:
                 acc = np.zeros(R)
                 for p in preds:  # stored (lexicographic) edge order
-                    acc += self.outsize[p] * self._edge(S, p, i, lam)
+                    acc += msg[:, eid[p, i]]
                 cin[:, i] = acc
             else:
                 cin[:, i] = self.bw_in[S[:, i]] if self.scaled else 1.0
@@ -447,16 +446,17 @@ class MappingBatch:
             if succs:
                 acc = np.zeros(R)
                 for s in succs:
-                    acc += self.outsize[i] * self._edge(S, i, s, lam)
+                    acc += msg[:, eid[i, s]]
                 cout[:, i] = acc
             else:
                 out_c = self.bw_out[S[:, i]] if self.scaled else 1.0
                 cout[:, i] = self.outsize[i] * out_c
-        speed_div = self.speed[S] if self.scaled else 1.0
-        ccomp = self.work / speed_div if self.scaled else np.broadcast_to(
-            self.work, (R, n)
-        )
-        return cin, ccomp, cout
+        return cin, self._ccomp(S), cout
+
+    def _ccomp(self, S: np.ndarray) -> np.ndarray:
+        if self.scaled:
+            return self.work / self.speed[S]
+        return np.broadcast_to(self.work, S.shape)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Per-row bound values (period or latency, per *kind*)."""
@@ -466,7 +466,7 @@ class MappingBatch:
         return self._periods(S)
 
     def _periods(self, S: np.ndarray) -> np.ndarray:
-        cin, ccomp, cout = self._components(S)
+        cin, ccomp, cout = self._components(S, self._messages(S))
         if self.shared:
             R = S.shape[0]
             acc = np.zeros((3, R, self.m))
@@ -489,17 +489,17 @@ class MappingBatch:
 
     def _latencies(self, S: np.ndarray) -> np.ndarray:
         a = self.arrays
-        cin, ccomp, cout = self._components(S)
-        del cin, cout  # latency re-derives edge terms along the paths
+        eid = self.edge_id
+        msg = self._messages(S)
+        ccomp = self._ccomp(S)
         R = S.shape[0]
-        lam = self._flow_lambda(S)
         finish = np.zeros((R, self.n))
         for i in a.topo:
             preds = a.preds[i]
             if preds:
                 start = np.zeros(R)
                 for p in preds:
-                    t = finish[:, p] + self.outsize[p] * self._edge(S, p, i, lam)
+                    t = finish[:, p] + msg[:, eid[p, i]]
                     start = np.maximum(start, t)
             else:
                 start = self.bw_in[S[:, i]] if self.scaled else np.ones(R)

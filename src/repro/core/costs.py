@@ -327,6 +327,21 @@ class CostAlgebra:
         sums = self.server_sums(server, terms, weights)
         return {u: combine(acc, model) for u, acc in sums.items()}
 
+    def assignment_sums(
+        self,
+        server: Sequence[str],
+        weights: Weights = None,
+        servers: Optional[FrozenSet[str]] = None,
+    ) -> Dict[str, List[Num]]:
+        """Weighted ``[Cin, Ccomp, Cout]`` of every server *server* uses,
+        folded in full — only of those in *servers* when given."""
+        contended = self.contention(server, servers)
+        nodes: Iterable[int] = range(self.arrays.n)
+        if servers is not None:
+            nodes = [i for i in nodes if server[i] in servers]
+        terms = ((i, self.terms(i, server, contended)) for i in nodes)
+        return self.server_sums(server, terms, weights)
+
     def assignment_loads(
         self,
         server: Sequence[str],
@@ -334,14 +349,9 @@ class CostAlgebra:
         weights: Weights = None,
         servers: Optional[FrozenSet[str]] = None,
     ) -> Dict[str, Num]:
-        """Weighted load of every server *server* uses, folded in full —
-        only of those in *servers* when given."""
-        contended = self.contention(server, servers)
-        nodes: Iterable[int] = range(self.arrays.n)
-        if servers is not None:
-            nodes = [i for i in nodes if server[i] in servers]
-        terms = ((i, self.terms(i, server, contended)) for i in nodes)
-        return self.server_loads(server, terms, model, weights)
+        """Each server's :meth:`assignment_sums` under :func:`combine`."""
+        sums = self.assignment_sums(server, weights, servers)
+        return {u: combine(acc, model) for u, acc in sums.items()}
 
     def latency(
         self, server: Sequence[str], contended: Optional[Contended] = None

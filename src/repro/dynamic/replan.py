@@ -11,10 +11,13 @@ On uncontended platforms those are the ``O(degree)`` deltas of
 :class:`~repro.optimize.incremental.IncrementalSharedCosts`, one call
 per candidate.  On contended topologies, where one move changes every
 co-routed edge's bandwidth, :class:`~repro.optimize.incremental.
-FullPlacementCosts` prices each scan's whole neighbourhood — every
-admissible reassignment, then every swap, then every walk-home move — in
-one batched float call, and settles exactly only the candidates that
-could win (bit-for-bit the all-``Fraction`` decisions; see
+FullPlacementCosts` takes each scan's whole neighbourhood — every
+admissible reassignment, then every swap, then every walk-home move.  A
+reassignment or swap that leaves a compute-bound bottleneck server's
+services in place cannot lower the value (that server's ``Ccomp`` alone
+is the value), so it is rejected unpriced; the rest are priced in one
+batched float call, and only the candidates that could win are settled
+exactly (bit-for-bit the all-``Fraction`` decisions; see
 ``docs/performance.md``).  Candidates are scored lexicographically by
 ``(objective value, total migration cost)``: among equally good moves the
 repair prefers the one that ships the least state, where a move's state

@@ -717,24 +717,39 @@ class FullPlacementCosts:
       exact-prices only the moves the caller's selection could pick.
     * ``score_reassign``/``score_swap`` price one candidate: on the float
       tier first, exactly inside the :data:`~repro.core.CERT_EPS` band.
-    * Both settle a near-tie with the **bottleneck certificate** before
-      any full exact evaluation.  A shared mapping's value is a max over
-      servers (an injective one's over services), so the trial's exact
-      load on one of the incumbent's bottleneck servers is a lower bound
-      on the trial's value: at or above the incumbent's value, the move
-      cannot improve.
+    * Both skip every move the **floor** already decides.  The floor
+      servers are the bottleneck servers whose exact weighted ``Ccomp``
+      sum alone equals :meth:`value` (every server's load is at least
+      its ``Ccomp``: the max of three non-negative sums under OVERLAP,
+      their sum under the one-port models).  A server's ``Ccomp`` changes
+      only when a service moves onto or off it, so a move that leaves one
+      floor server's services in place keeps a load at :meth:`value` and
+      cannot improve: under ``CERTIFIED``, for callers that want a move
+      strictly below the value, it is answered with :meth:`value` itself,
+      neither float-priced nor settled.  (Under the one-port models every
+      used server receives a message, so its load exceeds its ``Ccomp``
+      and the floor stays empty: the gate serves OVERLAP.)
+    * A near-tie that reaches exact settlement past a non-empty floor
+      touches every floor server, so it is priced in full.  With an empty
+      floor (a communication-bound bottleneck) the **bottleneck
+      certificate** settles it first: a shared mapping's value is a max
+      over servers (an injective one's over services), so the trial's
+      exact load on one of the incumbent's bottleneck servers is a lower
+      bound on the trial's value — at or above the incumbent's value, the
+      move cannot improve.
 
     A move that cannot improve may be answered with any value not below
-    :meth:`value` (its float, or the certificate's bound); a move that
-    can is answered exactly.  Accept/reject decisions — and the returned
-    value — stay bit-for-bit the all-``Fraction`` ones.  ``EXACT`` skips
-    the float tier and the certificate: every candidate is priced exactly.
+    :meth:`value` (its float, the floor, or the certificate's bound); a
+    move that can is answered exactly.  Accept/reject decisions — and the
+    returned value — stay bit-for-bit the all-``Fraction`` ones.
+    ``EXACT`` skips the float tier, the floor and the certificate: every
+    candidate is priced exactly.
     """
 
     __slots__ = (
         "graph", "platform", "model", "weights", "shared", "exactness",
         "eps", "assignment", "_arrays", "_allow_shared", "_value", "_cut",
-        "_exact", "_weights", "_batch", "_bottleneck",
+        "_exact", "_weights", "_batch", "_bottleneck", "_floor",
     )
 
     def __init__(
@@ -763,6 +778,7 @@ class FullPlacementCosts:
         self._weights = self._exact.weight_list(weights)
         self._batch = None
         self._bottleneck: FrozenSet[str] = frozenset()
+        self._floor: FrozenSet[str] = frozenset()
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
@@ -789,15 +805,21 @@ class FullPlacementCosts:
         )
         return fast.period_lower_bound(self.model)
 
+    def _exact_sums(
+        self,
+        assignment: Dict[str, str],
+        servers: Optional[FrozenSet[str]] = None,
+    ) -> Dict[str, List[Fraction]]:
+        server = [assignment[svc] for svc in self._exact.arrays.names]
+        return self._exact.assignment_sums(server, self._weights, servers)
+
     def _exact_loads(
         self,
         assignment: Dict[str, str],
         servers: Optional[FrozenSet[str]] = None,
     ) -> Dict[str, Fraction]:
-        server = [assignment[svc] for svc in self._exact.arrays.names]
-        return self._exact.assignment_loads(
-            server, self.model, self._weights, servers
-        )
+        sums = self._exact_sums(assignment, servers)
+        return {u: combine(acc, self.model) for u, acc in sums.items()}
 
     def _exact_value(self, assignment: Dict[str, str]) -> Fraction:
         return max(self._exact_loads(assignment).values())
@@ -811,13 +833,39 @@ class FullPlacementCosts:
     def _settle(self, trial: Dict[str, str], *, ties: bool) -> Fraction:
         """Exact verdict on a near-tie: the certificate, else a full
         evaluation.  *ties* keeps moves that match the value (the caller
-        accepts ``<=``), so only a bound strictly above it rejects."""
+        accepts ``<=``), so only a bound strictly above it rejects.  Past
+        a non-empty floor (``ties=False``) the move touches every floor
+        server, which the certificate seldom settles: price it in full."""
+        if self._floor and not ties:
+            return self._exact_value(trial)
         bound = self._bottleneck_bound(trial)
         if bound > self._value or (bound == self._value and not ties):
             return bound
         return self._exact_value(trial)
 
-    def _score(self, trial: Dict[str, str], *, ties: bool = False) -> Num:
+    def _floored(self, kind: str, move: Tuple[str, str]) -> bool:
+        """Whether *move* leaves some floor server's services in place
+        (so that server's load stays at least :meth:`value`)."""
+        if kind == "reassign":
+            touched = (self.assignment[move[0]], move[1])
+        else:
+            touched = (self.assignment[move[0]], self.assignment[move[1]])
+        return any(u not in touched for u in self._floor)
+
+    def _gated(self, ties: bool) -> bool:
+        """Whether the floor answers this scan's untouched moves."""
+        return (
+            bool(self._floor)
+            and not ties
+            and self.exactness is Exactness.CERTIFIED
+        )
+
+    def _score(
+        self, kind: str, move: Tuple[str, str], *, ties: bool = False
+    ) -> Num:
+        if self._gated(ties) and self._floored(kind, move):
+            return self._value
+        trial = self._trial(kind, move)
         if self.exactness is Exactness.EXACT:
             return self._exact_value(trial)
         try:
@@ -869,10 +917,14 @@ class FullPlacementCosts:
             except OverflowError:
                 self._value = self._exact_value(self.assignment)
         else:
-            loads = self._exact_loads(self.assignment)
+            sums = self._exact_sums(self.assignment)
+            loads = {u: combine(acc, self.model) for u, acc in sums.items()}
             self._value = max(loads.values())
             self._bottleneck = frozenset(
                 u for u, load in loads.items() if load == self._value
+            )
+            self._floor = frozenset(
+                u for u in self._bottleneck if sums[u][1] == self._value
             )
         try:
             self._cut = certified_threshold(float(self._value), self.eps)
@@ -887,14 +939,14 @@ class FullPlacementCosts:
         return self._mapping_of(self.assignment)
 
     def score_reassign(self, service: str, server: str) -> Num:
-        return self._score(self._trial("reassign", (service, server)))
+        return self._score("reassign", (service, server))
 
     def apply_reassign(self, service: str, server: str) -> None:
         self.assignment = self._trial("reassign", (service, server))
         self._refresh()
 
     def score_swap(self, a: str, b: str) -> Num:
-        return self._score(self._trial("swap", (a, b)))
+        return self._score("swap", (a, b))
 
     def apply_swap(self, a: str, b: str) -> None:
         self.assignment = self._trial("swap", (a, b))
@@ -916,24 +968,31 @@ class FullPlacementCosts:
         only the moves that the caller's selection could pick:
 
         * ``ties=False`` — the caller keeps the lexicographically best
-          move strictly below :meth:`value`.  A move whose float exceeds
-          the :data:`~repro.core.CERT_EPS` band of the neighbourhood's
-          best float keeps that float: its exact value is above the best
-          move's, so it cannot win.  Near-ties go to the certificate.
+          move strictly below :meth:`value`.  A move that leaves a floor
+          server untouched is answered with :meth:`value` and never
+          priced; only the rest go to the batch.  A priced move whose
+          float exceeds the :data:`~repro.core.CERT_EPS` band of the best
+          priced float keeps that float: its exact value is above that
+          move's, so it cannot win.  Near-ties are settled exactly.
         * ``ties=True`` — the caller takes the first move at or below
-          :meth:`value`, so there is no band rule, and the certificate
-          rejects only a bound strictly above the value.
+          :meth:`value`, so every move is priced, there is no band rule,
+          and the certificate rejects only a bound strictly above the
+          value.
 
         Either way the selected move and its exact score are the ones
         all-``Fraction`` scoring selects.  Exact pricing is lazy: a caller
         that stops early never pays for the rest.
         """
+        floored = [False] * len(moves)
+        if self._gated(ties):
+            floored = [self._floored(kind, move) for move in moves]
+        priced = [move for move, skip in zip(moves, floored) if not skip]
         prices = None
-        if moves and self.exactness is not Exactness.EXACT:
-            prices = self._prices(kind, moves)
-        if prices is None:  # the exact tier, or beyond float range
+        if priced and self.exactness is not Exactness.EXACT:
+            prices = self._prices(kind, priced)
+        if prices is None:  # the exact tier, beyond float range, or floored
             for move in moves:
-                yield self._score(self._trial(kind, move), ties=ties)
+                yield self._score(kind, move, ties=ties)
             return
         if self.exactness is Exactness.FAST:
             yield from prices
@@ -941,7 +1000,12 @@ class FullPlacementCosts:
         cut = self._cut
         if not ties:
             cut = min(cut, certified_threshold(min(prices), self.eps))
-        for move, price in zip(moves, prices):
+        floats = iter(prices)
+        for move, skip in zip(moves, floored):
+            if skip:
+                yield self._value
+                continue
+            price = next(floats)
             if price > cut:
                 yield price
             else:

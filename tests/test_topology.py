@@ -390,6 +390,76 @@ class TestBatchedParity:
                 ).period_lower_bound(model)
                 assert values[k] == scalar, (seed, model, k)
 
+    #: Members of the re-planner's combined graphs: 3-4 applications of
+    #: the churn families, 14-20 services in all.
+    REPLAN_PANELS = (
+        ("chain:n=3,seed=11", "star:leaves=3,seed=12", "fig1",
+         "forkjoin:branches=2,seed=13"),
+        ("chain:n=5,seed=21", "fig1", "forkjoin:branches=3,seed=22"),
+        ("star:leaves=4,seed=31", "chain:n=4,seed=32",
+         "forkjoin:branches=2,seed=33", "star:leaves=3,seed=41"),
+        ("chain:n=6,seed=42", "forkjoin:branches=3,seed=22", "fig1",
+         "chain:n=3,seed=11"),
+    )
+
+    def test_mapping_batch_replan_scale_rows(self):
+        # The contended re-planner's batches: the combined graph of a few
+        # live applications, shared rows, with and without the 1/rho
+        # weights, both kinds, on tree and torus platforms — plus an
+        # edgeless graph, whose batch has no edge column at all.  Every
+        # row equals the scalar FloatCosts double.
+        from repro.concurrent import ConcurrentApp
+        from repro.planner import load_workload
+
+        platforms = [
+            Platform(topology=TreeTopology(racks=2, servers_per_rack=4)),
+            Platform(topology=TreeTopology(
+                racks=3, servers_per_rack=3, up_bw=F(1, 2), speed2=F(2)
+            )),
+            Platform(topology=TorusTopology((3, 3), bw=F(1, 2))),
+        ]
+        multis = [
+            MultiApplication([
+                ConcurrentApp(f"app{k}", load_workload(spec).graph,
+                              F(60 + 7 * k))
+                for k, spec in enumerate(panel)
+            ])
+            for panel in self.REPLAN_PANELS
+        ]
+        graphs = [(multi.combined_graph, multi.weights()) for multi in multis]
+        assert all(14 <= len(g.nodes) <= 20 for g, _ in graphs)
+        edgeless = ExecutionGraph.empty(random_application(6, seed=9))
+        graphs.append((edgeless, None))
+        for g, (graph, weights) in enumerate(graphs):
+            for p, platform in enumerate(platforms):
+                rng = random.Random(10 * g + p)
+                model = MODELS[(g + p) % 3]
+                mappings = [
+                    Mapping.shared({
+                        name: rng.choice(platform.names[: rng.randrange(2, 5)])
+                        if k % 2
+                        else rng.choice(platform.names)
+                        for name in graph.nodes
+                    })
+                    for k in range(24)
+                ]
+                for kind in ("period", "latency"):
+                    for w in (weights, None):
+                        batch = MappingBatch(
+                            graph, platform, kind=kind, model=model,
+                            shared=True, weights=w,
+                        )
+                        rows = np.stack([batch.encode(m) for m in mappings])
+                        values = batch.values(rows)
+                        for k, m in enumerate(mappings):
+                            fast = FloatCosts(graph, platform, m, weights=w)
+                            scalar = (
+                                fast.period_lower_bound(model)
+                                if kind == "period"
+                                else fast.latency_lower_bound()
+                            )
+                            assert values[k] == scalar, (g, p, kind, k)
+
     def test_forest_batch_pinned_mapping(self, forest_graph):
         for seed in range(40):
             rng = random.Random(seed)
@@ -472,6 +542,125 @@ class TestNeighbourhoodScoring:
         batched = list(fast.score_moves("reassign", moves))
         assert batched == [fast.score_reassign(*m) for m in moves]
         assert all(type(v) is float for v in batched)
+
+
+class TestFloorGate:
+    """FullPlacementCosts answers a move that leaves a compute-bound
+    bottleneck server untouched with the incumbent value, unpriced — and
+    such a move really cannot improve."""
+
+    @staticmethod
+    def _instance(platform, seed):
+        """A random weighted shared mapping of 6-16 services on a few
+        servers; every other instance has heavy services, so that its
+        bottleneck is often compute-bound."""
+        rng = random.Random(seed)
+        costs = (64, 640) if seed % 2 else (1, 64)
+        app = random_application(
+            rng.randrange(6, 17), seed=seed, cost_range=costs
+        )
+        graph = random_execution_graph(
+            app, seed=seed + 1, density=rng.uniform(0.1, 0.4)
+        )
+        hosts = platform.names[: rng.randrange(2, len(platform.names) + 1)]
+        mapping = Mapping.shared(
+            {name: rng.choice(hosts) for name in graph.nodes}
+        )
+        weights = {name: F(1, rng.randrange(20, 90)) for name in app.names}
+        return graph, mapping, weights
+
+    def test_answered_moves_cannot_improve(self, monkeypatch):
+        priced = []
+        prices = FullPlacementCosts._prices
+
+        def recorded(self, kind, moves):
+            priced.extend((kind, move) for move in moves)
+            return prices(self, kind, moves)
+
+        monkeypatch.setattr(FullPlacementCosts, "_prices", recorded)
+        floored = 0
+        for p, platform in enumerate(_platforms()):
+            for m, model in enumerate(MODELS):
+                seed = 3 * p + m
+                rng = random.Random(seed)
+                graph, mapping, weights = self._instance(platform, seed)
+                ev = FullPlacementCosts(
+                    graph, platform, mapping, model=model, weights=weights,
+                    shared=True, exactness=Exactness.CERTIFIED,
+                )
+                value = ev.value()
+                nodes = sorted(graph.nodes)
+                where = ev.assignment
+                reassigns = rng.sample(
+                    [(s, u) for s in nodes for u in platform.names
+                     if u != where[s]], 12,
+                )
+                pairs = [(a, b) for i, a in enumerate(nodes)
+                         for b in nodes[i + 1:] if where[a] != where[b]]
+                swaps = rng.sample(pairs, min(12, len(pairs)))
+                for kind, moves in (("reassign", reassigns), ("swap", swaps)):
+                    del priced[:]
+                    batched = list(ev.score_moves(kind, moves))
+                    wants = []
+                    for move in moves:
+                        trial = dict(where)
+                        if kind == "reassign":
+                            trial[move[0]] = move[1]
+                        else:
+                            trial[move[0]], trial[move[1]] = (
+                                where[move[1]], where[move[0]]
+                            )
+                        wants.append(exact_placement_value(
+                            graph, platform, Mapping.shared(trial),
+                            model=model, weights=weights, shared=True,
+                        ))
+                    best = min(wants)
+                    for move, got, want in zip(moves, batched, wants):
+                        label = (p, model, kind, move)
+                        one = (
+                            ev.score_reassign(*move) if kind == "reassign"
+                            else ev.score_swap(*move)
+                        )
+                        # One candidate: exact below the value, else a
+                        # move that cannot improve.
+                        if one < value:
+                            assert one == want, label
+                        else:
+                            assert want >= value, label
+                        # A neighbourhood: the best improving moves get
+                        # their exact value, and no other move ties them.
+                        if want == best < value:
+                            assert got == want, label
+                        elif best < value:
+                            assert got > best, label
+                        else:
+                            assert got >= value, label
+                        if (kind, move) not in priced:
+                            floored += 1
+                            assert got == one == value, label
+                            assert want >= value, label
+        # The floor decided a real share of the sampled moves.  They are
+        # all OVERLAP moves: under the one-port models every used server
+        # receives a message, so its load exceeds its Ccomp and the floor
+        # set stays empty.
+        assert floored > 50
+
+    def test_exact_tier_prices_every_move(self):
+        platform = _platforms()[0]
+        graph, mapping, weights = self._instance(platform, 3)
+        ev = FullPlacementCosts(
+            graph, platform, mapping, weights=weights, shared=True,
+            exactness=Exactness.EXACT,
+        )
+        for svc in sorted(graph.nodes):
+            for server in platform.names:
+                if server == ev.assignment[svc]:
+                    continue
+                trial = dict(ev.assignment, **{svc: server})
+                assert ev.score_reassign(svc, server) == exact_placement_value(
+                    graph, platform, Mapping.shared(trial),
+                    weights=weights, shared=True,
+                )
 
 
 class TestCertifiedBitForBit:
