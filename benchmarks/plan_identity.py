@@ -17,8 +17,9 @@ and edge sets.  This script does both halves:
   exact tier plan alike;
 * ``--compare OLD NEW`` reports every record whose plan differs — a
   solve's value or edge set, an event's whole record — (exit status 1 if
-  any does), and the records whose counters moved (informational: a
-  search gate may lower them).
+  any does), how many of those differ in value and how many only in
+  their edge set (a tied optimum), and the records whose counters moved
+  (informational: a search gate may lower them).
 
 Run it from the root of each checkout, for example::
 
@@ -159,13 +160,18 @@ def compare(old_path: str, new_path: str) -> int:
         print(f"DIFFERS {key}: {_plan(old, key)} -> {_plan(new, key)}")
     for key in missing:
         print(f"MISSING {key}")
+    by_value = [k for k in differ if old[k].get("value") != new[k].get("value")]
+    edges_only = [k for k in differ
+                  if [f for f in PLAN_FIELDS if old[k].get(f) != new[k].get(f)]
+                  == ["edges"]]
     totals = {c: [0, 0] for c in COUNTERS}
     for key in moved:
         for c in COUNTERS:
             totals[c][0] += old[key].get(c) or 0
             totals[c][1] += new[key].get(c) or 0
     print(f"{len(old)} old, {len(new)} new records; {len(differ)} differ in "
-          f"their plan, {len(missing)} missing; counters moved on "
+          f"their plan ({len(by_value)} in value, {len(edges_only)} only in "
+          f"edge set), {len(missing)} missing; counters moved on "
           f"{len(moved)}: " + ", ".join(
               f"{c} {a} -> {b}" for c, (a, b) in totals.items()))
     return 1 if differ or missing else 0

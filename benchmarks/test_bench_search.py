@@ -14,13 +14,15 @@ is tracked across PRs:
 * the local-search hot path at ``n = 12``: objective evaluations with and
   without incremental delta scoring (the delta path must save at least
   3x), plus the certified two-tier delta against the exact-Fraction one;
-* heterogeneous MinPeriod(OVERLAP) on ``het4`` with a free mapping, where
+* heterogeneous MinPeriod(OVERLAP) on ``het4`` and on two contended
+  topologies (a two-rack tree and a 3x3 torus) with a free mapping, where
   every scored forest costs a placement search: value, expanded, pruned
   and evaluated of the certified and exact tiers, which the sorted-speed
-  placement bound cuts (so the count guard fails a change that loses that
-  pruning).
+  placement bound and the term-priced seed cut (so the count guard fails
+  a change that loses either).
 """
 
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -102,11 +104,17 @@ HET4_SPECS = (
     "random:n=6,seed=895452",
 )
 
+#: Contended topologies, where the seed's placement searches dominated
+#: the solve; the same instances run on each.
+CONTENDED_PLATFORMS = ("tree:racks=2,servers=4", "torus:dims=3x3,bw=1/2")
+
 
 def _het_rows():
     rows = []
-    het4 = load_platform("het4")
-    for spec in HET4_SPECS:
+    for platform_spec, spec in itertools.product(
+        ("het4", *CONTENDED_PLATFORMS), HET4_SPECS
+    ):
+        platform = load_platform(platform_spec)
         app = load_workload(spec).application
         values = set()
         for mode in ("certified", "exact"):
@@ -114,16 +122,16 @@ def _het_rows():
             for _ in range(3):  # best of three: these solves take ~0.1 s
                 clear_placement_memo()  # time each tier's placement searches
                 started = time.perf_counter()
-                result = solve(app, method="branch-and-bound", platform=het4,
-                               schedule=False, cache=EvaluationCache(),
-                               exactness=mode)
+                result = solve(app, method="branch-and-bound",
+                               platform=platform, schedule=False,
+                               cache=EvaluationCache(), exactness=mode)
                 walls.append(time.perf_counter() - started)
             wall = min(walls)
             extras = result.stats.extras
             values.add((result.value, result.graph.edges))
             rows.append({
                 "label": spec,
-                "platform": "het4",
+                "platform": platform_spec,
                 "mode": mode,
                 "n": len(app),
                 "value": str(result.value),
@@ -133,7 +141,7 @@ def _het_rows():
                 "certified": extras["certified"],
                 "bb_wall_s": round(wall, 4),
             })
-        assert len(values) == 1, spec  # certified equals exact
+        assert len(values) == 1, (platform_spec, spec)  # certified == exact
     return rows
 
 
@@ -260,9 +268,10 @@ def test_search_performance(benchmark):
         ],
     )
     het_table = text_table(
-        ["instance", "tier", "value", "expanded", "pruned", "evals", "wall s"],
+        ["platform", "instance", "tier", "value", "expanded", "pruned",
+         "evals", "wall s"],
         [
-            [r["label"], r["mode"], r["value"], r["bb_expanded"],
+            [r["platform"], r["label"], r["mode"], r["value"], r["bb_expanded"],
              r["bb_pruned"], r["bb_evaluations"], r["bb_wall_s"]]
             for r in het_rows
         ],
@@ -275,7 +284,8 @@ def test_search_performance(benchmark):
         + "\n\nlocal search at n=12: full evaluation vs incremental deltas "
         "(exact and certified tiers)\n"
         + ls_table
-        + "\n\nMinPeriod(OVERLAP) on het4 with a free mapping: branch and "
-        "bound with the sorted-speed placement bound\n"
+        + "\n\nMinPeriod(OVERLAP) on het4 and contended topologies with a "
+        "free mapping: branch and bound with the sorted-speed placement "
+        "bound\n"
         + het_table,
     )

@@ -16,10 +16,12 @@ So the search explores *states* — partial forests (a parent vector over a
 subset of services) for period, partial DAGs for latency — best-first by a
 lower bound derived from the same ``Cin``/``Ccomp``/``Cout`` algebra as
 :meth:`~repro.core.CostModel.period_lower_bound` and
-:meth:`~repro.core.CostModel.latency_lower_bound`, seeded with a greedy +
-local-search incumbent.  A state whose bound reaches the incumbent is
-pruned with its whole subtree; the search is exact because the bound never
-exceeds the true objective of any completion.
+:meth:`~repro.core.CostModel.latency_lower_bound`, seeded with a greedy
+incumbent.  A state whose bound reaches the incumbent is pruned with its
+whole subtree; the search is exact because the bound never exceeds the
+true objective of any completion.  Best-first, it expands every state
+whose bound is below the optimum whatever the incumbent, so the seed is
+cheap: the period search prices greedy on its own per-node terms.
 
 Unplaced services contribute a static floor: service ``j`` processes data
 of size at least ``prod_{i != j, sigma_i < 1} sigma_i`` no matter where it
@@ -96,12 +98,10 @@ class BBStats:
     ``evaluated`` is the growth of the objective's ``evaluations``
     counter over the search: every graph scored through it, incumbent
     seeding included, so it compares honestly against the enumeration
-    baseline's graph count.  Where the seed is priced on per-node terms
-    and deltas (MinPeriod under OVERLAP, or at the bound effort, on a unit
-    platform), it scores only its final graph, so ``evaluated`` is one
-    plus the complete graphs the search reaches; elsewhere it also counts
-    greedy's insertion candidates and the local search's trial graphs.
-    ``expanded`` is the number of
+    baseline's graph count.  The MinPeriod seed is priced on per-node
+    terms and scores only its final graph, so there ``evaluated`` is one
+    plus the complete graphs the search reaches; the MinLatency seed also
+    counts greedy's insertion candidates.  ``expanded`` is the number of
     partial states popped and branched; ``pruned`` the number of generated
     states discarded because their lower bound already reached the
     incumbent.  ``limit_hit`` records that the search stopped on
@@ -285,6 +285,59 @@ class ForestTerms:
         if self.overlap:
             return max(cin, ccomp, cout)
         return cin + ccomp + cout
+
+
+def _insertion_order(app: Application) -> List[str]:
+    filters = sorted(
+        (s.name for s in app.services if s.selectivity < 1),
+        key=lambda n: (app.cost(n), n),
+    )
+    expanders = sorted(
+        (s.name for s in app.services if s.selectivity >= 1),
+        key=lambda n: (-app.cost(n), n),
+    )
+    return filters + expanders
+
+
+def _greedy_on_terms(
+    app: Application, terms: ForestTerms
+) -> Tuple[Fraction, ExecutionGraph]:
+    """:func:`~repro.optimize.greedy.greedy_forest`'s forest, and its term
+    value, with each insertion priced on exact *terms*.
+
+    Putting ``u`` under placed ``p`` costs ``max(current, A_p·k_u, p's
+    term with one more child)``, where ``A_p`` is ``p``'s out-size; as a
+    root it costs ``max(current, k_u)``.  Same order, same tie-break.
+    """
+    index = {name: i for i, name in enumerate(app.names)}
+    parents: Dict[str, Optional[str]] = {}
+    anc: Dict[str, Fraction] = {}
+    children: Dict[str, int] = {}
+    # Per placed node: its out-size and its term with one more child.
+    size: Dict[str, Fraction] = {}
+    grown: Dict[str, Fraction] = {}
+    value = Fraction(0)
+    for name in _insertion_order(app):
+        u = index[name]
+        best_val = max(value, terms.k[u])
+        best_parent: Optional[str] = None
+        for parent in parents:
+            val = max(value, terms.leaf(size[parent], u), grown[parent])
+            if val < best_val:
+                best_val, best_parent = val, parent
+        parents[name] = best_parent
+        anc[name] = terms.one if best_parent is None else size[best_parent]
+        children[name] = 0
+        size[name] = anc[name] * terms.sigma[u]
+        grown[name] = terms.term(anc[name], 1, u)
+        if best_parent is not None:
+            children[best_parent] += 1
+            p = index[best_parent]
+            grown[best_parent] = terms.term(
+                anc[best_parent], children[best_parent] + 1, p
+            )
+        value = best_val
+    return value, ExecutionGraph.from_parents(app, parents)
 
 
 class DagTerms:
@@ -501,27 +554,6 @@ class PlacementGate:
         return self.reaches(value, lambda tier: tier.forest(parents))
 
 
-def _seed_incumbent(
-    app: Application, objective: Objective
-) -> Tuple[Fraction, ExecutionGraph]:
-    """Greedy + reparenting local search: the starting incumbent.
-
-    The closer the incumbent sits to the optimum, the harder the bound
-    prunes — in the common case local search already *is* optimal and the
-    search reduces to a proof of optimality.  Where the period is the
-    Section-2.1 bound greedy prices its insertions on the per-node terms
-    and the local search prices its moves on incremental deltas; the final
-    graph is always re-scored through *objective* so the incumbent value
-    matches the search's own scoring exactly.
-    """
-    from .greedy import greedy_forest
-    from .local_search import local_search_forest
-
-    _, seed_graph = greedy_forest(app, objective)
-    _, graph = local_search_forest(seed_graph, objective)
-    return objective(graph), graph
-
-
 # ---------------------------------------------------------------------------
 # MinPeriod over forests
 # ---------------------------------------------------------------------------
@@ -560,11 +592,11 @@ def bb_minperiod(
     Every bound is priced on the :class:`ForestTerms` of the partial
     forest: an expanded state computes each parent's out-size and its
     term with one more child once, and a new leaf's term is one multiply.
-    The greedy seed prices its insertions on the same terms under OVERLAP
-    (and at the bound effort) on a unit platform, so there only the
-    seed's final graph is scored through *objective*; under ``FAST`` that
-    seed is the exact greedy's.  On a heterogeneous platform with a free
-    mapping every complete forest costs a placement search, so a popped
+    Without an *incumbent* the search seeds itself with the greedy forest
+    priced on the same exact terms, on every platform, model and tier, and
+    scores that one forest through *objective* (any forest is a valid
+    incumbent).  On a heterogeneous platform with a free mapping every
+    complete forest costs a placement search, so a popped
     state is dropped, and a complete forest is not scored, once its
     :class:`PlacementBound` sorted-speed bound reaches the incumbent
     (:class:`PlacementGate`'s band rule): no forest below it could have
@@ -572,11 +604,11 @@ def bb_minperiod(
     those of the ungated search.  Heap keys stay the per-node terms.
 
     *node_limit* caps the number of expanded states; when hit, the current
-    incumbent is returned (still an upper bound, no longer certified
-    optimal — ``stats.expanded`` reaching the limit flags it).  *deadline*
-    (seconds of wall clock) stops the search the same way — the anytime
-    contract: the incumbent is always a valid plan, ``stats.limit_hit``
-    records whether optimality was proved.
+    incumbent, at worst the scored seed, is returned (an achievable upper
+    bound, no longer certified optimal — ``stats.limit_hit`` flags it).
+    *deadline* (seconds of wall clock) stops the search the same way — the
+    anytime contract: the incumbent is always a valid plan, and
+    ``stats.limit_hit`` records whether optimality was proved.
 
     The objective's ``exactness`` picks the numeric tier for the bound
     arithmetic (the module docstring spells out the certification
@@ -640,7 +672,8 @@ def bb_minperiod(
         )
 
     if incumbent is None:
-        incumbent = _seed_incumbent(app, objective)
+        _, seed = _greedy_on_terms(app, terms_x)
+        incumbent = objective(seed), seed
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
@@ -899,9 +932,11 @@ def bb_minlatency(
     bound's divisors and numeric tier under the same certification
     contract; *deadline* (wall-clock seconds) stops the search like
     *node_limit*, leaving the incumbent as an anytime upper bound with
-    ``stats.limit_hit`` set.  A complete DAG whose exact one-port schedule
-    search stops at its node limit is scored by the best schedule that
-    search found, and ``stats.schedule_limit_hit`` is set.
+    ``stats.limit_hit`` set; the default seed is
+    :func:`~repro.optimize.greedy.greedy_forest` on *objective*.  A
+    complete DAG whose exact one-port schedule search stops at its node
+    limit is scored by the best schedule it found, and
+    ``stats.schedule_limit_hit`` is set.
 
     Example::
 
@@ -944,7 +979,9 @@ def bb_minlatency(
     deadline_at = None if deadline is None else time.monotonic() + deadline
 
     if incumbent is None:
-        incumbent = _seed_incumbent(app, objective)
+        from .greedy import greedy_forest
+
+        incumbent = greedy_forest(app, objective)
     best_value, best_graph = incumbent
 
     # Near-tie band thresholds and the one prune test — see bb_minperiod.

@@ -22,7 +22,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Application, CommModel, ExecutionGraph
-from .branch_and_bound import ForestTerms, PlacementGate
+from .branch_and_bound import (
+    ForestTerms,
+    PlacementGate,
+    _greedy_on_terms,
+    _insertion_order,
+)
 from .evaluation import (
     Effort,
     Objective,
@@ -31,18 +36,6 @@ from .evaluation import (
     make_latency_objective,
     make_period_objective,
 )
-
-
-def _insertion_order(app: Application) -> List[str]:
-    filters = sorted(
-        (s.name for s in app.services if s.selectivity < 1),
-        key=lambda n: (app.cost(n), n),
-    )
-    expanders = sorted(
-        (s.name for s in app.services if s.selectivity >= 1),
-        key=lambda n: (-app.cost(n), n),
-    )
-    return filters + expanders
 
 
 def _term_priced(app: Application, objective) -> Optional[ForestTerms]:
@@ -60,46 +53,6 @@ def _term_priced(app: Application, objective) -> Optional[ForestTerms]:
     if platform is not None or mapping is not None:
         return None
     return ForestTerms(app, objective.model)
-
-
-def _greedy_on_terms(
-    app: Application, terms: ForestTerms
-) -> Tuple[Fraction, ExecutionGraph]:
-    """:func:`greedy_forest` with each insertion priced on *terms*.
-
-    Putting ``u`` under placed ``p`` costs ``max(current, A_p·k_u, p's
-    term with one more child)``, where ``A_p`` is ``p``'s out-size; as a
-    root it costs ``max(current, k_u)``.  Same order, same tie-break.
-    """
-    index = {name: i for i, name in enumerate(app.names)}
-    parents: Dict[str, Optional[str]] = {}
-    anc: Dict[str, Fraction] = {}
-    children: Dict[str, int] = {}
-    # Per placed node: its out-size and its term with one more child.
-    size: Dict[str, Fraction] = {}
-    grown: Dict[str, Fraction] = {}
-    value = Fraction(0)
-    for name in _insertion_order(app):
-        u = index[name]
-        best_val = max(value, terms.k[u])
-        best_parent: Optional[str] = None
-        for parent in parents:
-            val = max(value, terms.leaf(size[parent], u), grown[parent])
-            if val < best_val:
-                best_val, best_parent = val, parent
-        parents[name] = best_parent
-        anc[name] = terms.one if best_parent is None else size[best_parent]
-        children[name] = 0
-        size[name] = anc[name] * terms.sigma[u]
-        grown[name] = terms.term(anc[name], 1, u)
-        if best_parent is not None:
-            children[best_parent] += 1
-            p = index[best_parent]
-            grown[best_parent] = terms.term(
-                anc[best_parent], children[best_parent] + 1, p
-            )
-        value = best_val
-    return value, ExecutionGraph.from_parents(app, parents)
 
 
 def greedy_forest(

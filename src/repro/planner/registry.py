@@ -365,11 +365,12 @@ def _solve_branch_and_bound(
     Optimises the same quantity as ``exhaustive`` at the matching effort —
     forests for period (Proposition 4), DAGs for latency — but prunes with
     incrementally maintained ``Cin``/``Ccomp``/``Cout`` lower bounds and a
-    greedy + local-search incumbent, reaching instance sizes where plain
-    enumeration is infeasible.  *node_limit* (a solver option) caps the
-    expanded states; when hit, the incumbent is returned as an upper bound
-    and ``extras["certified"]`` is ``False``, as it is when an exact
-    one-port latency schedule search stopped at its own node limit.
+    greedy incumbent, reaching instance sizes where plain enumeration is
+    infeasible.  *node_limit* (a solver option) caps the expanded states;
+    when hit, the incumbent — at worst the greedy seed, scored through the
+    objective — is returned as an upper bound and ``extras["certified"]``
+    is ``False``, as it is when an exact one-port latency schedule search
+    stopped at its own node limit.
     *deadline* (seconds) stops the search the same way on wall clock — the
     anytime knob the portfolio solver leans on.
     """

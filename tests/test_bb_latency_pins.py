@@ -40,110 +40,110 @@ TIERS = ("exact", "certified", "fast")
 #: Counters are (expanded, pruned, duplicates, evaluated); the optional
 #: dict gives the tiers whose counters differ from the exact ones.
 PINS = {
-    ("n4s2", "overlap", "heuristic"): ("3535/256", "C0>C2", (26, 162, 11, 24)),
-    ("n4s2", "overlap", "bound"): ("3535/256", "C0>C2", (26, 162, 11, 24)),
-    ("n4s2", "inorder", "bound"): ("3535/256", "C0>C2", (26, 162, 11, 24)),
+    ("n4s2", "overlap", "heuristic"): ("3535/256", "C0>C2", (26, 162, 11, 11)),
+    ("n4s2", "overlap", "bound"): ("3535/256", "C0>C2", (26, 162, 11, 11)),
+    ("n4s2", "inorder", "bound"): ("3535/256", "C0>C2", (26, 162, 11, 11)),
     ("n4s3", "overlap", "heuristic"): (
-        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 20),
+        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 11),
     ),
     ("n4s3", "overlap", "bound"): (
-        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 20),
+        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 11),
     ),
     ("n4s3", "inorder", "bound"): (
-        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 20),
+        "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 11),
     ),
     ("n4s4", "overlap", "heuristic"): (
-        "885/16", "", (0, 0, 0, 25), {"certified": (0, 1, 0, 25)},
+        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
     ),
     ("n4s4", "overlap", "bound"): (
-        "885/16", "", (0, 0, 0, 25), {"certified": (0, 1, 0, 25)},
+        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
     ),
     ("n4s4", "inorder", "bound"): (
-        "885/16", "", (0, 0, 0, 25), {"certified": (0, 1, 0, 25)},
+        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
     ),
     ("n5s2", "overlap", "heuristic"): (
-        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 36),
+        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 16),
     ),
     ("n5s2", "overlap", "bound"): (
-        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 36),
+        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 16),
     ),
     ("n5s2", "inorder", "bound"): (
-        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 36),
+        "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 16),
     ),
     ("n5s3", "overlap", "heuristic"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 32),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 16),
     ),
     ("n5s3", "overlap", "bound"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 32),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 16),
     ),
     ("n5s3", "inorder", "bound"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 32),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (23, 312, 7, 16),
     ),
-    ("n5s4", "overlap", "heuristic"): ("885/16", "", (55, 679, 56, 38)),
-    ("n5s4", "overlap", "bound"): ("885/16", "", (55, 679, 56, 38)),
-    ("n5s4", "inorder", "bound"): ("885/16", "", (55, 679, 56, 38)),
+    ("n5s4", "overlap", "heuristic"): ("885/16", "", (55, 679, 56, 16)),
+    ("n5s4", "overlap", "bound"): ("885/16", "", (55, 679, 56, 16)),
+    ("n5s4", "inorder", "bound"): ("885/16", "", (55, 679, 56, 16)),
     ("n6s2", "overlap", "heuristic"): (
-        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 51),
+        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 22),
     ),
     ("n6s2", "overlap", "bound"): (
-        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 51),
+        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 22),
     ),
     ("n6s2", "inorder", "bound"): (
-        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 51),
+        "3535/256", "C0>C2 C0>C4 C0>C5", (613, 17713, 601, 22),
     ),
     ("n6s3", "overlap", "heuristic"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 46),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 22),
     ),
     ("n6s3", "overlap", "bound"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 46),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 22),
     ),
     ("n6s3", "inorder", "bound"): (
-        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 46),
+        "4929/1024", "C0>C2 C0>C4 C2>C1 C2>C3 C2>C5", (63, 1761, 57, 22),
     ),
-    ("n6s4", "overlap", "heuristic"): ("885/16", "", (150, 3683, 224, 54)),
-    ("n6s4", "overlap", "bound"): ("885/16", "", (150, 3683, 224, 54)),
-    ("n6s4", "inorder", "bound"): ("885/16", "", (150, 3683, 224, 54)),
+    ("n6s4", "overlap", "heuristic"): ("885/16", "", (150, 3683, 224, 22)),
+    ("n6s4", "overlap", "bound"): ("885/16", "", (150, 3683, 224, 22)),
+    ("n6s4", "inorder", "bound"): ("885/16", "", (150, 3683, 224, 22)),
     ("near", "overlap", "heuristic"): (
-        "19/4", "S3>S1 S3>S2", (114, 1406, 178, 84),
-        {"fast": (83, 1038, 109, 56)},
+        "19/4", "S3>S1 S3>S2", (114, 1406, 178, 64),
+        {"fast": (83, 1038, 109, 36)},
     ),
     ("near", "overlap", "bound"): (
-        "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 42),
-        {"certified": (33, 395, 14, 42), "fast": (33, 385, 14, 41)},
+        "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 22),
+        {"certified": (33, 395, 14, 22), "fast": (33, 385, 14, 21)},
     ),
     ("near", "inorder", "bound"): (
-        "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 42),
-        {"certified": (33, 395, 14, 42), "fast": (33, 385, 14, 41)},
+        "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 22),
+        {"certified": (33, 395, 14, 22), "fast": (33, 385, 14, 21)},
     ),
-    ("het4s2", "overlap", "heuristic"): ("661/32", "C0>C2", (43, 246, 34, 36)),
-    ("het4s2", "overlap", "bound"): ("661/32", "C0>C2", (43, 246, 34, 36)),
-    ("het4s2", "inorder", "bound"): ("661/32", "C0>C2", (43, 246, 34, 36)),
+    ("het4s2", "overlap", "heuristic"): ("661/32", "C0>C2", (43, 246, 34, 23)),
+    ("het4s2", "overlap", "bound"): ("661/32", "C0>C2", (43, 246, 34, 23)),
+    ("het4s2", "inorder", "bound"): ("661/32", "C0>C2", (43, 246, 34, 23)),
     ("het4s3", "overlap", "heuristic"): (
-        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 34),
+        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 25),
     ),
     ("het4s3", "overlap", "bound"): (
-        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 34),
+        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 25),
     ),
     ("het4s3", "inorder", "bound"): (
-        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 34),
+        "5913/1024", "C0>C2 C2>C1 C2>C3", (9, 37, 7, 25),
     ),
     ("het5s2", "overlap", "heuristic"): (
-        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 36),
+        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 16),
     ),
     ("het5s2", "overlap", "bound"): (
-        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 36),
+        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 16),
     ),
     ("het5s2", "inorder", "bound"): (
-        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 36),
+        "661/32", "C0>C2 C0>C4", (369, 5212, 213, 16),
     ),
     ("het5s3", "overlap", "heuristic"): (
-        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 450),
+        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 434),
     ),
     ("het5s3", "overlap", "bound"): (
-        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 450),
+        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 434),
     ),
     ("het5s3", "inorder", "bound"): (
-        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 450),
+        "6201/1024", "C0>C2 C0>C4 C2>C1 C2>C3", (71, 396, 221, 434),
     ),
 }
 

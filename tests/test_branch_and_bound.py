@@ -89,7 +89,8 @@ class TestPeriodExactness:
         value, graph, stats = bb_minperiod(
             app, make_period_objective(CommModel.OVERLAP), node_limit=1
         )
-        # The incumbent (greedy + local search) is still a valid upper bound.
+        # The incumbent (at worst the scored greedy seed) is still a valid
+        # upper bound.
         exact, _ = exhaustive_minperiod(app, CommModel.OVERLAP)
         assert value >= exact
         assert stats.expanded <= 1

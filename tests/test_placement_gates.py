@@ -200,23 +200,30 @@ class TestGatesChangeNoDecision:
 
 
 class TestHetCountsPinned:
-    """The gated heterogeneous search: counts pinned, certified == exact."""
+    """The gated heterogeneous search: value and counts pinned per tier."""
 
-    #: spec -> (value, expanded, pruned, evaluated), gated.
+    #: spec -> (value, expanded, pruned, evaluated), gated; the optional
+    #: dict gives a tier whose counts differ.  Only ``pruned`` does: the
+    #: certified search counts each popped state whose bound ties an
+    #: improved incumbent as pruned, where the exact search stops at the
+    #: first one.
     PINNED = {
-        "random:n=6,seed=5994": ("340305/131072", 23, 230, 19),
-        "random:n=6,seed=259953": ("399/128", 6, 56, 20),
-        "random:n=5,seed=169611": ("705/128", 0, 1, 9),
+        "random:n=6,seed=5994": ("340305/131072", 25, 216, 2),
+        "random:n=6,seed=259953": (
+            "399/128", 43, 311, 8, {"exact": ("399/128", 43, 304, 8)},
+        ),
+        "random:n=5,seed=169611": ("705/128", 5, 30, 2),
     }
 
     @pytest.mark.parametrize("spec", sorted(PINNED))
     def test_counts(self, spec):
         app = load_workload(spec).application
         het4 = load_platform("het4")
+        pinned, overrides = self.PINNED[spec][:4], dict(*self.PINNED[spec][4:])
         for tier in ("certified", "exact"):
             objective = make_period_objective(
                 CommModel.OVERLAP, Effort.EXACT, het4, exactness=tier
             )
             value, _, stats = bb_minperiod(app, objective)
             assert (str(value), stats.expanded, stats.pruned,
-                    stats.evaluated) == self.PINNED[spec], tier
+                    stats.evaluated) == overrides.get(tier, pinned), tier

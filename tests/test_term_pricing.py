@@ -143,8 +143,8 @@ class TestSearchCountsPinned:
         extras = result.stats.extras
         assert (result.value, extras["expanded"], extras["pruned"],
                 extras["duplicates"]) == self.PINNED[case]
-        # Only the seed's final graph is scored: greedy and the local
-        # search price on terms and deltas, and no leaf beats the seed.
+        # Only the seed is scored: it is the greedy forest on the search's
+        # own terms, and no leaf beats it.
         assert extras["evaluated"] == 1
 
 
