@@ -9,7 +9,8 @@ and edge sets.  This script does both halves:
   (``perfbench/ops.py``, ``--seed``/``--seconds``) and every shape of the
   ``serve-mix`` list, under each ``--exactness`` tier, and writes one
   record per solve: its value, sorted edge set and method, plus the
-  search counters (``expanded``, ``pruned``, ``evaluated``) for reference.
+  search counters (``expanded``, ``pruned``, ``evaluated``,
+  ``duplicates``) for reference.
   It also replays the ``replan-churn`` list (its setup admissions, then
   every event) under each tier and writes one record per event: the
   sorted mapping, value, moved and forced services, the fallback flag and
@@ -48,7 +49,7 @@ import ops as opgen  # noqa: E402  (perfbench's seeded op lists)
 from repro import dynamic, planner  # noqa: E402
 from repro.optimize.placement import clear_placement_memo  # noqa: E402
 
-COUNTERS = ("expanded", "pruned", "evaluated")
+COUNTERS = ("expanded", "pruned", "evaluated", "duplicates")
 #: The fields of a record that make up its plan (compared exactly).
 PLAN_FIELDS = ("value", "edges", "mapping", "moved", "forced", "fallback",
                "migration_cost")

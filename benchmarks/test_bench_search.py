@@ -16,8 +16,9 @@ is tracked across PRs:
   3x), plus the certified two-tier delta against the exact-Fraction one;
 * heterogeneous MinPeriod(OVERLAP) on ``het4`` and on two contended
   topologies (a two-rack tree and a 3x3 torus) with a free mapping, where
-  every scored forest costs a placement search: value, expanded, pruned
-  and evaluated of the certified and exact tiers, which the sorted-speed
+  every scored forest costs a placement search: value, expanded, pruned,
+  duplicates and evaluated of the certified and exact tiers (the
+  branch-and-bound rows carry ``bb_duplicates`` too), which the sorted-speed
   placement bound and the term-priced seed cut (so the count guard fails
   a change that loses either).
 """
@@ -73,6 +74,7 @@ def _bb_row(n, seed, filter_fraction=0.6):
         "bb_evaluations": result.stats.extras["evaluated"],
         "bb_expanded": result.stats.extras["expanded"],
         "bb_pruned": result.stats.extras["pruned"],
+        "bb_duplicates": result.stats.extras["duplicates"],
         "certified": result.stats.extras["certified"],
         "enumeration_size": _forest_count(n),
     }
@@ -137,6 +139,7 @@ def _het_rows():
                 "value": str(result.value),
                 "bb_expanded": extras["expanded"],
                 "bb_pruned": extras["pruned"],
+                "bb_duplicates": extras["duplicates"],
                 "bb_evaluations": extras["evaluated"],
                 "certified": extras["certified"],
                 "bb_wall_s": round(wall, 4),

@@ -66,6 +66,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..core import (
@@ -104,9 +105,11 @@ class BBStats:
     counts greedy's insertion candidates.  ``expanded`` is the number of
     partial states popped and branched; ``pruned`` the number of generated
     states discarded because their lower bound already reached the
-    incumbent.  ``limit_hit`` records that the search stopped on
-    *node_limit* rather than by exhausting/pruning the state space (the
-    result is then an uncertified upper bound).  ``schedule_limit_hit``
+    incumbent; ``duplicates`` the number of generated states the search
+    had already generated along another insertion order.  ``limit_hit``
+    records that the search stopped on *node_limit* rather than by
+    exhausting/pruning the state space (the result is then an
+    uncertified upper bound).  ``schedule_limit_hit``
     records that an exact schedule search stopped at its own node limit
     while scoring a complete graph, which then got the value of the best
     schedule found: achievable, so the result is again an uncertified
@@ -559,14 +562,21 @@ class PlacementGate:
 # ---------------------------------------------------------------------------
 
 class _ForestState:
-    """A partial forest: parent index per placed service (revived lazily).
+    """A partial forest, as a heap entry holds it.
 
-    ``parents[i]`` is ``UNPLACED``, ``ROOT``, or the index of the parent
-    (which is itself placed).  The key — the tuple itself — is canonical:
-    two insertion orders reaching the same partial forest share it.
+    The parent of a placed service is ``ROOT`` or the index of a placed
+    service.  The state's key is the int whose digit ``u`` in base
+    ``n + 2`` is 0 while ``u`` is unplaced and ``parent + 2`` once it is
+    placed: canonical, so two insertion orders reaching the same partial
+    forest share it, and attaching ``u`` under ``p`` adds
+    ``(p + 2)·(n + 2)**u``.  The entry carries a list with, per placed
+    node, ``(parent, anc, size, children, grown)``: its ancestor product,
+    its out-size ``anc·σ``, its child count and its grown term (its term
+    with one more child); ``None`` per unplaced one.  A push copies the
+    list and sets the new leaf's tuple and its parent's, with the products
+    an ancestor walk would form, so a pop reprices nothing.
     """
 
-    UNPLACED = -2
     ROOT = -1
 
 
@@ -590,8 +600,13 @@ def bb_minperiod(
     for MinPeriod without precedence constraints.
 
     Every bound is priced on the :class:`ForestTerms` of the partial
-    forest: an expanded state computes each parent's out-size and its
-    term with one more child once, and a new leaf's term is one multiply.
+    forest.  A heap entry carries its state's ancestor products, child
+    counts and grown terms (:class:`_ForestState`): a push computes the
+    new leaf's term, one multiply, and its parent's grown term, so a pop
+    reprices nothing, and a duplicate child costs one int lookup.
+    Near-ties are settled on exact values memoised for the whole search
+    by ancestor bitmask — a set's selectivity product, a leaf term, a
+    grown term — which a new incumbent leaves valid.
     Without an *incumbent* the search seeds itself with the greedy forest
     priced on the same exact terms, on every platform, model and tier, and
     scores that one forest through *objective* (any forest is a valid
@@ -657,19 +672,15 @@ def bb_minperiod(
             # represent them — degrade to the (always-correct) exact tier.
             exactness = Exactness.EXACT
     one, sigma, k, fused = terms.one, terms.sigma, terms.k, terms.fused
+    ROOT = _ForestState.ROOT
     stats = BBStats()
     evaluations = objective.evaluations
     deadline_at = None if deadline is None else time.monotonic() + deadline
 
-    def graph_of(parents: Tuple[int, ...]) -> ExecutionGraph:
-        return ExecutionGraph.from_parents(
-            app,
-            {
-                names[i]: (names[p] if p >= 0 else None)
-                for i, p in enumerate(parents)
-                if p != _ForestState.UNPLACED
-            },
-        )
+    def graph_of(parents: List[int]) -> ExecutionGraph:
+        return ExecutionGraph.from_parents(app, {
+            names[i]: names[p] if p >= 0 else None for i, p in enumerate(parents)
+        })
 
     if incumbent is None:
         _, seed = _greedy_on_terms(app, terms_x)
@@ -677,6 +688,38 @@ def bb_minperiod(
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
+
+    # Exact values for the near-tie arbitration, memoised for the whole
+    # search on bitmasks of ancestor sets.  They are values, not
+    # decisions, so an incumbent improvement invalidates none of them.
+    def lineage(nodes: List, p: int) -> int:
+        # Bitmask of placed node *p* and its ancestors (0 for ROOT).
+        mask = 0
+        while p >= 0:
+            mask |= 1 << p
+            p = nodes[p][0]
+        return mask
+
+    @lru_cache(maxsize=None)
+    def exact_prod(mask: int) -> Fraction:
+        # Selectivity product of the services in *mask*.
+        if not mask:
+            return ONE
+        low = mask & -mask
+        return exact_prod(mask ^ low) * terms_x.sigma[low.bit_length() - 1]
+
+    @lru_cache(maxsize=None)
+    def exact_leaf(mask: int, u: int) -> Fraction:
+        # Exact term of *u* as a new leaf under the lineage *mask*.
+        return exact_prod(mask) * terms_x.k[u]
+
+    @lru_cache(maxsize=None)
+    def exact_grown_of(mask: int, p: int, children: int) -> Fraction:
+        # Exact term of *p*, below the ancestors *mask*, with *children*.
+        return terms_x.term(exact_prod(mask), children, p)
+
+    # Placed and unplaced indices of each placed-set bitmask.
+    layouts: Dict[int, Tuple[List[int], List[int]]] = {}
 
     # Float-tier pruning thresholds around the incumbent: a state whose
     # float bound exceeds ``cut`` is provably no better than the incumbent
@@ -690,14 +733,16 @@ def bb_minperiod(
     cut, low_cut = _cuts(best_value, use_float, eps)
     root_bound_x = max(floors_x, default=Fraction(0))
     root_bound = max(floor_list, default=one * 0)
-    start: Tuple[int, ...] = tuple([_ForestState.UNPLACED] * n)
+    weight = [(n + 2) ** u for u in range(n)]  # key digit of node u
     heap: List[Tuple] = []
     counter = itertools.count()
     gen = 0  # incumbent generation: bumps on every incumbent improvement
-    # The root is pushed un-arbitrated (generation -1), so its pop re-checks
-    # the band — the "floors certify the incumbent at the root" case.
-    heapq.heappush(heap, (root_bound, 0, next(counter), start, -1))
-    seen = {start}
+    # An entry is (bound, rank, counter, key, generation, placed bitmask,
+    # nodes).  The root is pushed un-arbitrated (generation -1), so its pop
+    # re-checks the band — the "floors certify the incumbent at the root"
+    # case.
+    heapq.heappush(heap, (root_bound, 0, next(counter), 0, -1, 0, [None] * n))
+    seen = {0}
 
     # Under EXACT ``low_cut == cut``, so one test serves every tier: a
     # bound at or above ``low_cut`` is no better than the incumbent,
@@ -705,7 +750,7 @@ def bb_minperiod(
     # generated child is pruned only on exact arbitration.
     pruned = duplicates = 0
     while heap:
-        bound, placed_rank, _, parents, state_gen = heapq.heappop(heap)
+        bound, _, _, key, state_gen, mask, nodes = heapq.heappop(heap)
         if bound >= low_cut and (not certified or bound > cut):
             break  # every remaining state is at least as bad — optimal
         if node_limit is not None and stats.expanded >= node_limit:
@@ -714,111 +759,50 @@ def bb_minperiod(
         if deadline_at is not None and time.monotonic() >= deadline_at:
             stats.limit_hit = True
             break
+        layout = layouts.get(mask)
+        if layout is None:
+            layout = layouts[mask] = (
+                [i for i in range(n) if mask >> i & 1],
+                [i for i in range(n) if not mask >> i & 1],
+            )
+        placed, unplaced = layout
 
-        # Revive the ancestor products and child counts of the partial
-        # forest: each unrevived chain is walked up to a revived node or a
-        # root, then folded root-down (the same float order every time).
-        placed: List[int] = []
-        unplaced: List[int] = []
-        anc: List[object] = [None] * n
-        children = [0] * n
-        for i, p in enumerate(parents):
-            if p == _ForestState.UNPLACED:
-                unplaced.append(i)
-                continue
-            placed.append(i)
-            if p >= 0:
-                children[p] += 1
-            if anc[i] is None:
-                chain, top = [i], p
-                while top >= 0 and anc[top] is None:
-                    chain.append(top)
-                    top = parents[top]
-                prod = one if top < 0 else anc[top] * sigma[top]
-                for j in reversed(chain[1:]):
-                    anc[j] = prod
-                    prod = prod * sigma[j]
-                anc[i] = prod
-
-        if certified:
-            # Lazy exact revival of this state's bound — only touched when
-            # a float bound lands in the near-tie band.  A state's
-            # accumulated bound equals max(static root bound, the placed
-            # nodes' *current* terms): terms only ever grow as children
-            # are attached, so the historical max collapses to the
-            # current one.
-            exact_state: List[Optional[Fraction]] = [None]
-            exact_anc: Dict[int, Fraction] = {}
-            exact_size: Dict[int, Fraction] = {}
-            exact_grown: Dict[int, Fraction] = {}
-
-            def exact_anc_of(i: int) -> Fraction:
-                found = exact_anc.get(i)
-                if found is None:
-                    p = parents[i]
-                    found = (
-                        ONE if p == _ForestState.ROOT
-                        else exact_anc_of(p) * terms_x.sigma[p]
-                    )
-                    exact_anc[i] = found
-                return found
-
-            def exact_bound() -> Fraction:
-                found = exact_state[0]
-                if found is None:
-                    found = root_bound_x
-                    for i in placed:
-                        t = terms_x.term(exact_anc_of(i), children[i], i)
-                        if t > found:
-                            found = t
-                    exact_state[0] = found
-                return found
-
-            def exact_leaf(p: int, u: int) -> Fraction:
-                # Exact term of *u* as a new leaf under *p*.
-                if p == _ForestState.ROOT:
-                    return terms_x.k[u]
-                size = exact_size.get(p)
-                if size is None:
-                    size = exact_size[p] = exact_anc_of(p) * terms_x.sigma[p]
-                return size * terms_x.k[u]
-
-            def exact_grown_of(p: int) -> Fraction:
-                # Exact term of parent *p* with one more child.
-                found = exact_grown.get(p)
-                if found is None:
-                    found = exact_grown[p] = terms_x.term(
-                        exact_anc_of(p), children[p] + 1, p
-                    )
-                return found
-
-            # A state pushed under the current incumbent was already exactly
-            # arbitrated at generation time; only a since-improved incumbent
-            # warrants re-checking the near-tie band at pop time.
-            if (
-                state_gen != gen
-                and bound >= low_cut
-                and exact_bound() >= best_value
-            ):
-                pruned += 1  # exact arbitration: a true (near-)tie
-                continue
+        # A state pushed under the current incumbent was already exactly
+        # arbitrated at generation time; only a since-improved incumbent
+        # warrants re-checking the near-tie band at pop time.  A state's
+        # accumulated bound equals max(static root bound, the placed
+        # nodes' *current* terms): terms only ever grow as children are
+        # attached, so the historical max collapses to the current one.
+        if (
+            certified
+            and state_gen != gen
+            and bound >= low_cut
+            and max([root_bound_x] + [
+                exact_grown_of(lineage(nodes, nodes[i][0]), i, nodes[i][3])
+                for i in placed
+            ]) >= best_value
+        ):
+            pruned += 1  # exact arbitration: a true (near-)tie
+            continue
         if gate is not None:
             def sorted_bound(tier, leaf: Optional[Tuple[int, int]] = None):
                 # The sorted-speed bound in *tier* (on the search's own
                 # ancestor products, or exact ones to settle a certified
                 # band) of the placed services' works plus the unplaced
                 # floors, or plus *leaf* (p, u): u as a new child of p.
-                a = (
-                    exact_anc_of if tier is gate.exact and use_float
-                    else anc.__getitem__
-                )
+                if tier is gate.exact and use_float:
+                    def a(i: int) -> Fraction:
+                        return exact_prod(lineage(nodes, nodes[i][0]))
+                else:
+                    def a(i: int):
+                        return nodes[i][1]
                 works = [a(i) * tier.cost[i] for i in placed]
                 if leaf is None:
                     works += [tier.floor[j] for j in unplaced]
                 else:
                     p, u = leaf
                     size = (
-                        tier.terms.one if p == _ForestState.ROOT
+                        tier.terms.one if p == ROOT
                         else a(p) * tier.terms.sigma[p]
                     )
                     works.append(size * tier.cost[u])
@@ -836,23 +820,22 @@ def bb_minperiod(
         # component was only verified against the pre-improvement value).
         verified_gen = gen
 
-        # Once per state, not per (unplaced, parent) pair: each candidate
-        # parent's out-size (a new child's ancestor product), its term with
-        # one more child, and the floor that puts under every such child,
-        # max(bound, grown term).  A root slot has out-size 1 and floor
-        # ``bound``.  A parent whose floor alone is no better than the
-        # incumbent prunes its whole column (the cut only ever falls).
-        slots = [(_ForestState.ROOT, one, bound, None)]
+        # Each candidate parent's out-size (a new child's ancestor
+        # product) and the floor its grown term puts under every such
+        # child, max(bound, grown term).  A root slot has out-size 1 and
+        # floor ``bound``.  A parent whose floor alone is no better than
+        # the incumbent prunes its whole column (the cut only ever falls).
+        slots = [(ROOT, one, bound, None)]
         for p in placed:
-            grown = terms.term(anc[p], children[p] + 1, p)
+            _, _, size, _, grown = nodes[p]
             floor = grown if grown > bound else bound
             if floor >= low_cut and (not certified or floor > cut):
                 pruned += len(unplaced)
             else:
-                slots.append((p, anc[p] * sigma[p], floor, grown))
+                slots.append((p, size, floor, grown))
         rank = n - len(placed) - 1
         for u in unplaced:
-            k_u = k[u]
+            k_u, weight_u = k[u], weight[u]
             for p, size, floor, grown in slots:
                 new_term = size * k_u if fused else terms.leaf(size, u)
                 child_bound = floor if new_term <= floor else new_term
@@ -865,24 +848,33 @@ def bb_minperiod(
                     # the incumbent, so only the two terms the move changes
                     # can reach it, and only one whose float is in the band
                     # (below ``low_cut`` it is provably below the incumbent).
-                    or new_term >= low_cut and exact_leaf(p, u) >= best_value
+                    or new_term >= low_cut
+                    and exact_leaf(lineage(nodes, p), u) >= best_value
                     or grown is not None and grown >= low_cut
-                    and exact_grown_of(p) >= best_value
+                    and exact_grown_of(
+                        lineage(nodes, nodes[p][0]), p, nodes[p][3] + 1
+                    ) >= best_value
                 ):
                     pruned += 1
                     continue
-                child = list(parents)
-                child[u] = p
-                child_key = tuple(child)
+                child_key = key + (p + 2) * weight_u
                 if child_key in seen:
                     duplicates += 1
                     continue
                 seen.add(child_key)
                 if rank:
-                    heapq.heappush(
-                        heap,
-                        (child_bound, rank, next(counter), child_key, verified_gen),
-                    )
+                    # u is a leaf fed p's out-size, so its grown term is its
+                    # leaf term; p, if any, gains a child.
+                    child = nodes.copy()
+                    child[u] = (p, size, size * sigma[u], 0, new_term)
+                    if p != ROOT:
+                        top, anc_p, size_p, children_p, _ = nodes[p]
+                        child[p] = (top, anc_p, size_p, children_p + 1,
+                                    terms.term(anc_p, children_p + 2, p))
+                    heapq.heappush(heap, (
+                        child_bound, rank, next(counter), child_key,
+                        verified_gen, mask | 1 << u, child,
+                    ))
                     continue
                 # Complete forest: score it for real (exact tier under
                 # EXACT/CERTIFIED — only float-safe survivors reach here),
@@ -892,7 +884,8 @@ def bb_minperiod(
                 ):
                     pruned += 1
                     continue
-                graph = graph_of(child_key)
+                # u, attached under p, is the last unplaced node.
+                graph = graph_of([node[0] if node else p for node in nodes])
                 value = objective(graph)
                 if value < best_value:
                     best_value, best_graph = value, graph

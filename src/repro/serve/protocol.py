@@ -46,8 +46,9 @@ Operations
     incumbent summary plus move accounting.  Requests are serialised on
     the incumbent — concurrent replans apply one at a time.
 ``clear_cache``
-    Empty the daemon's two caches and its placement memo (used by load
-    tests to measure cold mixes).  Worker-pool processes keep their own.
+    Empty the daemon's two caches, its workload memo and its placement
+    memo (used by load tests to measure cold mixes).  Worker-pool
+    processes keep their own.
 ``shutdown``
     Graceful stop: drain in-flight work, answer ``"bye"``, exit.
 
@@ -65,6 +66,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
+from ..core.ttlcache import TTLCache
 from ..dynamic.events import Event
 from ..planner.catalog import Workload, load_workload
 from ..planner.facade import solve_key
@@ -175,12 +177,17 @@ class SolveJob:
     group: Tuple[Tuple[str, Any], ...]
 
 
-def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
+def resolve_solve(
+    params: Mapping[str, Any], workloads: Optional[TTLCache] = None
+) -> SolveJob:
     """Validate ``solve`` parameters into a :class:`SolveJob`.
 
     Raises :class:`ProtocolError` on unknown keys and ``ValueError`` (via
     the catalog/facade coercions) on malformed specs — both surface as a
-    one-line error response, never a dropped connection.
+    one-line error response, never a dropped connection.  *workloads*, a
+    spec → :class:`~repro.planner.catalog.Workload` memo, serves a spec it
+    holds without loading it again; a spec that fails to load is never
+    stored.
     """
     unknown = sorted(set(params) - set(SOLVE_PARAMS))
     if unknown:
@@ -192,7 +199,11 @@ def resolve_solve(params: Mapping[str, Any]) -> SolveJob:
     if not isinstance(spec, str) or not spec.strip():
         raise ProtocolError("solve requires a 'workload' spec string")
     spec = spec.strip()
-    workload = load_workload(spec)
+    workload = None if workloads is None else workloads.get(spec)
+    if workload is None:
+        workload = load_workload(spec)
+        if workloads is not None:
+            workloads.put(spec, workload)
 
     platform_spec = params.get("platform")
     if platform_spec is not None and not isinstance(platform_spec, str):

@@ -17,7 +17,14 @@ one-shot library call into a service for heavy repeated traffic:
   (objective values, shared by every solve run in its process) plus a
   result cache of finished :class:`~repro.planner.PlanResult` payloads
   (LRU+TTL bounded), both with hit/miss/eviction counters (``stats``
-  op).  Both live only as long as the daemon: a restart begins cold.
+  op), and a workload memo (spec → loaded
+  :class:`~repro.planner.catalog.Workload`, LRU bounded at
+  :data:`WORKLOAD_ENTRIES`), so a result-cache hit does not regenerate
+  its workload.  Sharing a loaded workload between requests is safe:
+  ``Workload``, ``Application`` and ``ExecutionGraph`` are immutable
+  apart from lazily filled caches of derived values.  All three live
+  only as long as the daemon: a restart begins cold, and the
+  ``clear_cache`` op empties them.
 * **Graceful shutdown** — the ``shutdown`` op (or stdin EOF) drains
   in-flight work, answers ``"bye"`` and exits.
 * **Per-request deadlines** — a ``deadline`` parameter routes the solve
@@ -61,6 +68,10 @@ from .protocol import (
 
 Write = Callable[[Dict[str, Any]], None]
 
+#: Bound on the daemon's spec → Workload memo: well above the number of
+#: shapes a client keeps hot, while a stream of fresh specs stays small.
+WORKLOAD_ENTRIES = 256
+
 
 @dataclass
 class ServeConfig:
@@ -87,6 +98,7 @@ class PlannerServer:
         self.results = TTLCache(
             max_entries=self.config.result_entries, ttl=self.config.result_ttl
         )
+        self.workloads = TTLCache(max_entries=WORKLOAD_ENTRIES)
         self.coalescer = Coalescer()
         self.batcher = MicroBatcher(
             self._run_group,
@@ -157,7 +169,7 @@ class PlannerServer:
             return error_response(request_id, str(exc))
 
     async def _handle_solve(self, request: Request) -> Dict[str, Any]:
-        job = resolve_solve(request.params)
+        job = resolve_solve(request.params, self.workloads)
         started = time.perf_counter()
         cached = self.results.get(job.key)
         if cached is not None:
@@ -276,6 +288,7 @@ class PlannerServer:
         }
         self.cache.clear()
         self.results.clear()
+        self.workloads.clear()
         clear_placement_memo()
         return dropped
 

@@ -358,6 +358,42 @@ def test_in_process_solve_reuses_the_resolved_workload(monkeypatch):
     assert loads == []
 
 
+def test_workload_memo_loads_each_spec_once_until_cleared(monkeypatch):
+    """A repeated solve reuses the memoised workload; a malformed spec is
+    never memoised; ``clear_cache`` empties the memo."""
+    import repro.serve.protocol as protocol
+
+    loads = []
+
+    def counting_load(spec):
+        loads.append(spec)
+        return load_workload(spec)
+
+    monkeypatch.setattr(protocol, "load_workload", counting_load)
+    spec, bad = "random:n=5,seed=3", "random:n=5,seed=3,colour=red"
+
+    async def body(server):
+        first = await server.handle_request({"op": "solve", "id": 1, "workload": spec})
+        second = await server.handle_request({"op": "solve", "id": 2, "workload": spec})
+        assert first["ok"] and first["served"] == "solve"
+        assert second["ok"] and second["served"] == "result-cache"
+        assert second["result"] == first["result"]
+        assert loads == [spec]
+        for request_id in (3, 4):
+            response = await server.handle_request(
+                {"op": "solve", "id": request_id, "workload": bad}
+            )
+            assert not response["ok"] and "colour" in response["error"]
+        assert loads == [spec, bad, bad]
+        cleared = await server.handle_request({"op": "clear_cache", "id": 5})
+        assert cleared["ok"]
+        again = await server.handle_request({"op": "solve", "id": 6, "workload": spec})
+        assert again["ok"] and again["served"] == "solve"
+        assert loads == [spec, bad, bad, spec]
+
+    run(_with_server(body))
+
+
 def test_stats_and_shutdown_carry_no_snapshot_fields():
     async def body(server):
         stats = (await server.handle_request({"op": "stats", "id": 1}))["result"]
