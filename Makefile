@@ -33,6 +33,7 @@ bench-batched:   ## batched-kernel throughput + anytime curve (BENCH_batched.jso
 
 bench-serve:     ## planner-daemon load test: rps + p50/p99 per mix (BENCH_serve.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_serve.py -q
+	$(PYTHON) benchmarks/compare_bench.py --stamp
 
 bench-topology:  ## hierarchical vs flat placement on tree/torus (BENCH_topology.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_topology.py -q
@@ -50,7 +51,7 @@ serve-smoke:     ## start the real daemon subprocess; solve/stats/shutdown round
 bench-compare:   ## perf-regression guard: snapshot committed BENCH_*.json, regenerate, diff
 	$(PYTHON) benchmarks/compare_bench.py --snapshot
 	$(PYTHON) -m pytest benchmarks/test_bench_search.py benchmarks/test_bench_concurrent.py \
-		benchmarks/test_bench_dynamic.py -q
+		benchmarks/test_bench_dynamic.py benchmarks/test_bench_serve.py -q
 	$(PYTHON) benchmarks/compare_bench.py
 
 profile:         ## cProfile a representative solve (evidence for perf PRs)

@@ -2,8 +2,8 @@
 """Perf-regression guard: diff fresh ``BENCH_*.json`` against a baseline.
 
 The machine-readable benchmark artifacts (``BENCH_search.json``,
-``BENCH_concurrent.json``, ``BENCH_dynamic.json``) carry two kinds of
-numbers:
+``BENCH_concurrent.json``, ``BENCH_dynamic.json``, ``BENCH_serve.json``)
+carry two kinds of numbers:
 
 * **counts** — objective evaluations, expanded/pruned states, quality
   ratios: deterministic, compared **exactly** (a drifted count means the
@@ -22,7 +22,7 @@ numbers:
 Usage::
 
     python benchmarks/compare_bench.py --snapshot          # save committed
-    make bench-search bench-concurrent bench-dynamic       # regenerate
+    make bench-search bench-concurrent bench-dynamic bench-serve  # regenerate
     python benchmarks/compare_bench.py                     # diff
 
 ``make bench-compare`` runs the three steps in order; CI snapshots the
@@ -47,6 +47,7 @@ DEFAULT_BASELINE = HERE / ".bench-baseline"
 #: The artifacts under the guard.
 BENCH_FILES = (
     "BENCH_search.json", "BENCH_concurrent.json", "BENCH_dynamic.json",
+    "BENCH_serve.json",
 )
 
 #: Committed calibration of the machine that generated the committed wall
@@ -58,7 +59,7 @@ STAMP_FILE = "BENCH_calibration.json"
 #: Keys that identify a row (everything else is a measurement).
 ID_KEYS = (
     "n", "seed", "label", "name", "apps", "servers", "services",
-    "platform", "mode", "index",
+    "platform", "mode", "index", "mix",
 )
 
 

@@ -14,9 +14,13 @@ three mixes:
   solve (``O(distinct shapes)`` solves for ``O(requests)`` traffic).
 
 Records ``benchmarks/results/BENCH_serve.json`` (and a human table to
-``serve_load.txt``) with requests/sec and p50/p99 latency per mix, plus
-the server counters that explain them (solves, coalesced, result-cache
-hits).  Asserted floors — the machine-independent claims:
+``serve_load.txt``).  Its ``mixes`` rows are under the
+``compare_bench.py`` guard: the server counters (requests, solves,
+coalesced, result-cache hits, evaluation-cache stats) are compared
+exactly and ``wall_s`` by ratio.  Requests/sec and p50/p99 latency per
+mix sit in ``rates``, which the guard does not walk: they move with the
+runner and with how the daemon's solver threads interleave.  Asserted
+floors — the machine-independent claims:
 
 * the duplicate-heavy mix clears **>= 5x** the cold throughput (typical
   headroom is far larger: ~#distinct-shapes/#requests fewer solves);
@@ -24,10 +28,6 @@ hits).  Asserted floors — the machine-independent claims:
   solver work at all);
 * the counters match the story: cold runs one solve per request, warm
   runs none, duplicate-heavy runs one per *shape*.
-
-``BENCH_serve.json`` is uploaded as a CI artifact but deliberately *not*
-added to ``compare_bench.BENCH_FILES``: raw requests/sec moves with
-runner hardware; the 5x floors asserted here are the stable claims.
 """
 
 import asyncio
@@ -85,15 +85,13 @@ def _percentile(latencies, fraction):
     return ordered[index]
 
 
-def _mix_row(name, responses, latencies, wall, server):
+def _mix_row(name, responses, wall, server):
+    """One mix's guarded row: deterministic counters plus its wall time."""
     served = [r["served"] for r in responses]
     return {
         "mix": name,
         "requests": len(responses),
         "wall_s": round(wall, 4),
-        "rps": round(len(responses) / wall, 1),
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
         "solves": served.count("solve"),
         "coalesced": served.count("coalesced"),
         "result_cache_hits": served.count("result-cache"),
@@ -101,40 +99,51 @@ def _mix_row(name, responses, latencies, wall, server):
     }
 
 
+def _mix_rates(responses, latencies, wall):
+    return {
+        "rps": round(len(responses) / wall, 1),
+        "p50_ms": round(_percentile(latencies, 0.50), 3),
+        "p99_ms": round(_percentile(latencies, 0.99), 3),
+    }
+
+
 async def _load_test():
-    rows = []
+    """Returns (guarded rows, rates by mix)."""
+    rows, rates = [], {}
+
+    async def mix(name, server, payloads):
+        responses, latencies, wall = await _run_mix(server, payloads)
+        rows.append(_mix_row(name, responses, wall, server))
+        rates[name] = _mix_rates(responses, latencies, wall)
 
     # --- cold + warm: same server, distinct shapes ----------------------
-    server = PlannerServer(ServeConfig(batch_window=0.002))
+    server = PlannerServer(ServeConfig())
     cold_payloads = [
         {"op": "solve", "id": i, "workload": SPEC.format(seed=i)}
         for i in range(DISTINCT)
     ]
-    responses, latencies, wall = await _run_mix(server, cold_payloads)
-    rows.append(_mix_row("cold", responses, latencies, wall, server))
-
-    responses, latencies, wall = await _run_mix(server, cold_payloads)
-    rows.append(_mix_row("warm", responses, latencies, wall, server))
+    await mix("cold", server, cold_payloads)
+    await mix("warm", server, cold_payloads)
     await server.aclose()
 
     # --- duplicate-heavy: fresh server, few shapes, many requests -------
-    server = PlannerServer(ServeConfig(batch_window=0.002))
+    server = PlannerServer(ServeConfig())
     dup_payloads = [
         {"op": "solve", "id": i,
          "workload": SPEC.format(seed=100 + i % DUP_SHAPES)}
         for i in range(DUP_REQUESTS)
     ]
-    responses, latencies, wall = await _run_mix(server, dup_payloads)
-    rows.append(_mix_row("duplicate-heavy", responses, latencies, wall, server))
+    await mix("duplicate-heavy", server, dup_payloads)
     await server.aclose()
-    return rows
+    return rows, rates
 
 
 def test_serve_load(benchmark):
-    rows = benchmark.pedantic(
+    rows, rates = benchmark.pedantic(
         lambda: asyncio.run(_load_test()), rounds=1, iterations=1
     )
     cold, warm, dup = rows
+    cold_rps = rates["cold"]["rps"]
 
     # --- assertions: the shape the ISSUE promises -----------------------
     assert cold["solves"] == DISTINCT and cold["coalesced"] == 0
@@ -142,8 +151,8 @@ def test_serve_load(benchmark):
     assert dup["solves"] == DUP_SHAPES
     assert dup["coalesced"] == DUP_REQUESTS - DUP_SHAPES
     # Throughput floors (generous: typical headroom is >10x).
-    assert dup["rps"] >= MIN_MIX_SPEEDUP * cold["rps"], (cold, dup)
-    assert warm["rps"] >= MIN_MIX_SPEEDUP * cold["rps"], (cold, warm)
+    assert rates["duplicate-heavy"]["rps"] >= MIN_MIX_SPEEDUP * cold_rps, rates
+    assert rates["warm"]["rps"] >= MIN_MIX_SPEEDUP * cold_rps, rates
 
     payload = {
         "distinct_shapes": DISTINCT,
@@ -151,9 +160,12 @@ def test_serve_load(benchmark):
         "duplicate_shapes": DUP_SHAPES,
         "workload": SPEC.format(seed="<seed>"),
         "mixes": rows,
+        "rates": rates,
         "speedups": {
-            "warm_vs_cold": round(warm["rps"] / cold["rps"], 1),
-            "duplicate_vs_cold": round(dup["rps"] / cold["rps"], 1),
+            "warm_vs_cold": round(rates["warm"]["rps"] / cold_rps, 1),
+            "duplicate_vs_cold": round(
+                rates["duplicate-heavy"]["rps"] / cold_rps, 1
+            ),
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -165,9 +177,9 @@ def test_serve_load(benchmark):
         ["mix", "requests", "wall s", "req/s", "p50 ms", "p99 ms",
          "solves", "coalesced", "cache hits"],
         [
-            [r["mix"], r["requests"], r["wall_s"], r["rps"], r["p50_ms"],
-             r["p99_ms"], r["solves"], r["coalesced"],
-             r["result_cache_hits"]]
+            [r["mix"], r["requests"], r["wall_s"], rates[r["mix"]]["rps"],
+             rates[r["mix"]]["p50_ms"], rates[r["mix"]]["p99_ms"],
+             r["solves"], r["coalesced"], r["result_cache_hits"]]
             for r in rows
         ],
     )

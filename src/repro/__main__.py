@@ -712,15 +712,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--workers", type=int, default=0,
         help="worker processes for sharding micro-batches (default 0: "
-        "solve in-process against the shared warm cache)",
+        "solve in-process against the shared warm cache, each cold solve "
+        "starting on arrival)",
     )
     p_srv.add_argument(
         "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="how long a request waits for batch company (default 0.005)",
+        help="with --workers N: how long a request waits for batch "
+        "company (default 0.005)",
     )
     p_srv.add_argument(
         "--max-batch", type=int, default=16,
-        help="flush a batch group at this many requests (default 16)",
+        help="with --workers N: flush a batch group at this many "
+        "requests (default 16)",
     )
     p_srv.add_argument(
         "--result-entries", type=int, default=4096,

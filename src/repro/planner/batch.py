@@ -125,16 +125,17 @@ def solve_many(
         problems; order is preserved in ``results``.
     processes:
         Worker process count; ``None`` picks ``min(cpu_count, len(jobs))``
-        and ``1`` (or a single job) solves serially in-process.  Workers
-        are plain ``concurrent.futures`` processes — no external
-        dependencies.
+        and, without a *pool*, ``1`` (or a single job) solves serially
+        in-process.  Workers are plain ``concurrent.futures`` processes —
+        no external dependencies.
     pool:
         An already-running ``concurrent.futures`` executor to shard over
         instead of spawning (and tearing down) a fresh process pool per
         call.  The serve daemon passes its persistent worker pool here so
         micro-batched request groups don't pay process startup on every
         batch.  The caller owns the pool's lifecycle; ``processes`` still
-        bounds how many shards are cut.
+        bounds how many shards are cut, and every shard goes to the pool,
+        even when only one is cut.
     solve_kwargs:
         Forwarded to :func:`repro.planner.solve` for every job —
         ``objective``, ``model``, ``method``, ``effort``, ``schedule``,
@@ -152,7 +153,7 @@ def solve_many(
     started = time.perf_counter()
 
     indexed = list(enumerate(jobs))
-    if processes == 1 or len(jobs) == 1:
+    if pool is None and (processes == 1 or len(jobs) == 1):
         processes = 1  # report what actually ran, not what was requested
         shard_results = [_solve_shard((indexed, dict(solve_kwargs)))]
     else:

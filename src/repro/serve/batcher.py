@@ -4,10 +4,10 @@ Distinct-but-compatible requests (same objective/model/method/exactness/
 platform parameters, different workloads) that arrive within a short
 *batch window* are flushed together as one group, which the server then
 runs as one ``solve_many`` call sharded over its persistent
-worker-process pool when configured, or as a serial loop against the
-shared warm cache otherwise.  Batching trades a few milliseconds of
-queueing latency for amortised dispatch: one executor hop per *group*,
-not per request.
+worker-process pool.  Batching trades a few milliseconds of queueing
+latency for fan-out: one group spreads over the pool's processes.  The
+server batches only when it has a pool (``workers > 0``); without one
+there is nothing to fan out over, and each cold solve starts on arrival.
 
 The batcher is generic: it knows nothing about solving.  The server
 injects ``run_group(group, jobs) -> results`` and the batcher guarantees

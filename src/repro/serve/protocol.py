@@ -47,8 +47,9 @@ Operations
     the incumbent — concurrent replans apply one at a time.
 ``clear_cache``
     Empty the daemon's two caches, its workload memo and its placement
-    memo (used by load tests to measure cold mixes).  Worker-pool
-    processes keep their own.
+    memo (used by load tests to measure cold mixes).  With a worker
+    pool, each worker empties its own default evaluation cache and
+    placement memo before the first task it runs after the clear.
 ``shutdown``
     Graceful stop: drain in-flight work, answer ``"bye"``, exit.
 

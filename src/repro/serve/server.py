@@ -9,10 +9,14 @@ one-shot library call into a service for heavy repeated traffic:
 * **In-flight coalescing** (:class:`~repro.serve.coalescer.Coalescer`) —
   N identical concurrent solve requests cost one underlying solve,
   keyed on the canonical :func:`~repro.planner.solve_key` fingerprint.
-* **Micro-batching** (:class:`~repro.serve.batcher.MicroBatcher`) —
-  compatible requests queued within the batch window run as one group:
-  in the daemon's own process by default, or as one ``solve_many`` call
-  sharded over a persistent worker-process pool when ``workers > 0``.
+* **Solving on arrival** — without a worker pool (``workers == 0``, the
+  default) a cold solve starts on one of the daemon's solver threads as
+  soon as it arrives, and its response goes out when its own solve ends.
+* **Micro-batching** (:class:`~repro.serve.batcher.MicroBatcher`) — with
+  ``workers > 0`` only: compatible requests queued within the batch
+  window run as one ``solve_many`` call sharded over a persistent
+  worker-process pool.  ``stats`` counts these pool batches alone in
+  ``server.batches``/``batched_jobs``.
 * **Warm caches** — the daemon's :class:`~repro.planner.EvaluationCache`
   (objective values, shared by every solve run in its process) plus a
   result cache of finished :class:`~repro.planner.PlanResult` payloads
@@ -24,7 +28,9 @@ one-shot library call into a service for heavy repeated traffic:
   ``Workload``, ``Application`` and ``ExecutionGraph`` are immutable
   apart from lazily filled caches of derived values.  All three live
   only as long as the daemon: a restart begins cold, and the
-  ``clear_cache`` op empties them.
+  ``clear_cache`` op empties them.  It also reaches the pool: each
+  worker empties its own default evaluation cache and placement memo
+  before the first task it runs after the clear.
 * **Graceful shutdown** — the ``shutdown`` op (or stdin EOF) drains
   in-flight work, answers ``"bye"`` and exits.
 * **Per-request deadlines** — a ``deadline`` parameter routes the solve
@@ -44,12 +50,12 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..planner.batch import _resolve_job, solve_many
-from ..planner.cache import EvaluationCache, TTLCache
+from ..planner.cache import EvaluationCache, TTLCache, clear_default_cache
 from ..planner.facade import solve
 from .batcher import MicroBatcher
 from .coalescer import Coalescer
@@ -77,11 +83,14 @@ WORKLOAD_ENTRIES = 256
 class ServeConfig:
     """Tunables of one :class:`PlannerServer` (CLI flags map 1:1)."""
 
-    #: Worker processes for micro-batched groups (0 = solve in-process).
+    #: Worker processes for micro-batched groups (0 = solve in-process,
+    #: each cold solve starting on arrival).
     workers: int = 0
-    #: Seconds a request group waits for company before it is flushed.
+    #: Seconds a request group waits for company before it is flushed
+    #: to the worker pool (unused when ``workers == 0``).
     batch_window: float = 0.005
-    #: Flush a group immediately at this many queued requests.
+    #: Flush a group to the pool at this many queued requests (unused
+    #: when ``workers == 0``).
     max_batch: int = 16
     #: Result-cache entry bound (finished PlanResult payloads).
     result_entries: Optional[int] = 4096
@@ -109,6 +118,8 @@ class PlannerServer:
         self.errors = 0
         self.solves = 0
         self.replans = 0
+        # ``clear_cache`` ops so far; every pool task carries the count.
+        self._clears = 0
         # The live replan incumbent (repro.dynamic); its lock is created
         # lazily inside the running loop for the same 3.9 reason as the
         # shutdown event below.
@@ -179,6 +190,9 @@ class PlannerServer:
             )
 
         async def run_one() -> Dict[str, Any]:
+            if self._pool is None:
+                # Nothing to fan out over: start the solve now.
+                return (await self._run_group(job.group, [job]))[0]
             return await self.batcher.submit(job.group, job)
 
         payload, coalesced = await self.coalescer.run(job.key, run_one)
@@ -233,7 +247,8 @@ class PlannerServer:
     async def _run_group(
         self, group: Hashable, jobs: Sequence[SolveJob]
     ) -> List[Dict[str, Any]]:
-        """Execute one flushed batch off the event loop."""
+        """Execute one flushed pool batch, or one in-process solve, off
+        the event loop."""
         loop = asyncio.get_running_loop()
         payloads = await loop.run_in_executor(
             self._threads, self._solve_group, group, list(jobs)
@@ -247,15 +262,15 @@ class PlannerServer:
         """Worker-thread body: one ``solve_many`` shard-out over the
         worker pool when one is configured and the batch has fan-out (the
         workers load each spec and solve against their own caches), else
-        a serial loop over the loaded workloads against the shared warm
-        cache."""
+        the job (a lone pool job, or any job without a pool) solved here
+        from its loaded workload against the shared warm cache."""
         kwargs = dict(group)
         platform_spec = kwargs.pop("platform", None)
         if self._pool is not None and len(jobs) > 1:
             batch = solve_many(
                 [job.spec for job in jobs],
                 processes=min(self.config.workers, len(jobs)),
-                pool=self._pool,
+                pool=_ClearingPool(self._pool, self._clears),
                 platform=platform_spec,
                 **kwargs,
             )
@@ -290,6 +305,7 @@ class PlannerServer:
         self.results.clear()
         self.workloads.clear()
         clear_placement_memo()
+        self._clears += 1
         return dropped
 
     def stats(self) -> Dict[str, Any]:
@@ -494,6 +510,35 @@ class PlannerServer:
     async def wait_shutdown(self) -> None:
         """Block until a ``shutdown`` request arrives (TCP-only mode)."""
         await self._stop_event().wait()
+
+
+#: The latest ``clear_cache`` count this process has acted on; moved only
+#: inside pool workers, by :func:`_run_after_clears`.
+_worker_clears = 0
+
+
+def _run_after_clears(clears: int, fn: Callable[..., Any], *args: Any) -> Any:
+    """Pool-task body: a worker that sees a newer ``clear_cache`` count
+    than it has acted on first empties its default evaluation cache and
+    placement memo; then it runs ``fn(*args)``."""
+    global _worker_clears
+    if clears > _worker_clears:
+        clear_default_cache()
+        _worker_clears = clears
+    return fn(*args)
+
+
+class _ClearingPool:
+    """The daemon's worker pool as ``solve_many`` sees it: every task it
+    submits carries the daemon's ``clear_cache`` count, so no worker
+    answers from an entry made before the last clear."""
+
+    def __init__(self, pool: ProcessPoolExecutor, clears: int) -> None:
+        self._pool = pool
+        self._clears = clears
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        return self._pool.submit(_run_after_clears, self._clears, fn, *args)
 
 
 def _fresh_incumbent(platform_spec: str, model: str):

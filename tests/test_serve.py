@@ -1,8 +1,10 @@
 """The planner daemon: protocol, coalescing, batching, caches, transports.
 
 Most tests drive a :class:`~repro.serve.PlannerServer` in-process (one
-event loop, no subprocess) — that is where the coalescing/batching
-invariants are assertable exactly.  The ``smoke`` tests at the bottom
+event loop, no subprocess) — that is where the coalescing invariants
+are assertable exactly; the batching tests drive a
+:class:`~repro.serve.MicroBatcher` over a fake ``run_group``, since the
+server batches only over a worker pool.  The ``smoke`` tests at the bottom
 spawn the real ``python -m repro serve`` subprocess and run the
 solve/stats/shutdown round trip over stdio, and one batch through its
 worker pool; ``make serve-smoke`` runs just those.
@@ -11,13 +13,15 @@ worker pool; ``make serve-smoke`` runs just those.
 import asyncio
 import gc
 import json
+import sys
 import warnings
 
 import pytest
 
-from repro.planner import EvaluationCache, load_workload, solve
+from repro.planner import EvaluationCache, default_cache, load_workload, solve
 from repro.serve import (
     PROTOCOL_VERSION,
+    MicroBatcher,
     PlannerServer,
     ProtocolError,
     ServeConfig,
@@ -260,53 +264,156 @@ def test_deadline_routes_to_portfolio():
 # -------------------------------------------------------------- micro-batching
 
 
-def test_compatible_requests_share_a_batch():
-    async def body(server):
-        responses = await asyncio.gather(*[
-            server.handle_request(
-                {"op": "solve", "id": i, "workload": f"random:n=5,seed={i}"}
-            )
-            for i in range(4)
-        ])
-        assert all(r["ok"] for r in responses)
-        assert server.batcher.batches == 1
-        assert server.batcher.batched_jobs == 4
+def _recording_batcher(**options):
+    """A :class:`MicroBatcher` over a fake ``run_group`` that records each
+    flush and answers every job with ``(group, job)``."""
+    flushes = []
 
-    config = ServeConfig(batch_window=0.05)
-    run(_with_server(body, config))
+    async def run_group(group, jobs):
+        flushes.append((group, list(jobs)))
+        await asyncio.sleep(0)
+        return [(group, job) for job in jobs]
+
+    return MicroBatcher(run_group, **options), flushes
+
+
+def test_compatible_requests_share_a_batch():
+    async def body():
+        batcher, flushes = _recording_batcher(window=0.05)
+        results = await asyncio.gather(*[batcher.submit("g", i) for i in range(4)])
+        assert results == [("g", i) for i in range(4)]
+        assert flushes == [("g", [0, 1, 2, 3])]
+        assert (batcher.batches, batcher.batched_jobs) == (1, 4)
+
+    run(body())
 
 
 def test_incompatible_requests_split_batches():
-    async def body(server):
-        responses = await asyncio.gather(
-            server.handle_request(
-                {"op": "solve", "id": 1, "workload": "random:n=5,seed=1"}
-            ),
-            server.handle_request(
-                {"op": "solve", "id": 2, "workload": "random:n=5,seed=2",
-                 "objective": "latency"}
-            ),
+    async def body():
+        batcher, flushes = _recording_batcher(window=0.05)
+        results = await asyncio.gather(
+            batcher.submit("period", 1), batcher.submit("latency", 2)
         )
-        assert all(r["ok"] for r in responses)
-        assert server.batcher.batches == 2
+        assert results == [("period", 1), ("latency", 2)]
+        assert sorted(flushes) == [("latency", [2]), ("period", [1])]
+        assert (batcher.batches, batcher.batched_jobs) == (2, 2)
 
-    config = ServeConfig(batch_window=0.05)
-    run(_with_server(body, config))
+    run(body())
 
 
 def test_max_batch_flushes_immediately():
+    async def body():
+        batcher, flushes = _recording_batcher(window=10.0, max_batch=2)
+        results = await asyncio.wait_for(
+            asyncio.gather(*[batcher.submit("g", i) for i in range(4)]), 5
+        )
+        assert results == [("g", i) for i in range(4)]
+        # 2 flushes of max_batch=2, long before the window
+        assert flushes == [("g", [0, 1]), ("g", [2, 3])]
+        assert batcher.batches == 2
+
+    run(body())
+
+
+def test_batcher_answers_each_job_in_job_order():
+    async def run_group(group, jobs):
+        await asyncio.sleep(0.01 if group == "slow" else 0)
+        return [f"{group}:{job}" for job in jobs]
+
+    async def body():
+        batcher = MicroBatcher(run_group, window=0.01)
+        submits = [("slow", "a"), ("fast", "b"), ("slow", "c"), ("fast", "d")]
+        results = await asyncio.gather(*[
+            batcher.submit(group, job) for group, job in submits
+        ])
+        assert results == ["slow:a", "fast:b", "slow:c", "fast:d"]
+
+    run(body())
+
+
+def test_batcher_fans_a_group_error_out_to_every_job():
+    async def failing(group, jobs):
+        raise RuntimeError("boom")
+
+    async def short(group, jobs):
+        return list(jobs)[1:]
+
+    async def body(run_group):
+        batcher = MicroBatcher(run_group, window=0.01)
+        return await asyncio.gather(
+            *[batcher.submit("g", i) for i in range(3)], return_exceptions=True
+        )
+
+    failed, miscounted = run(body(failing)), run(body(short))
+    assert [str(e) for e in failed] == ["boom"] * 3
+    assert len(miscounted) == 3
+    assert all(isinstance(e, RuntimeError) for e in miscounted), miscounted
+
+
+def test_batcher_drain_flushes_queued_jobs_and_waits_for_them():
+    async def body():
+        batcher, flushes = _recording_batcher(window=10.0)
+        submits = [asyncio.ensure_future(batcher.submit("g", i)) for i in range(3)]
+        await asyncio.sleep(0)  # let every submit queue its job
+        assert flushes == []
+        await asyncio.wait_for(batcher.drain(), 5)
+        assert flushes == [("g", [0, 1, 2])]
+        assert await asyncio.gather(*submits) == [("g", i) for i in range(3)]
+        await batcher.drain()  # nothing left: returns at once
+        assert batcher.batches == 1
+
+    run(body())
+
+
+# ------------------------------------------------------------ solve on arrival
+
+
+def test_in_process_cold_solve_starts_on_arrival():
+    """Without a worker pool a lone cold solve never waits for the batch
+    window."""
+    spec = "random:n=6,seed=3"
+
+    async def body(server):
+        return await asyncio.wait_for(
+            server.handle_request({"op": "solve", "id": 1, "workload": spec}), 5
+        )
+
+    response = run(_with_server(body, ServeConfig(batch_window=30.0)))
+    assert response["ok"] and response["served"] == "solve"
+    assert response["result"]["value"] == _library_value(spec)
+
+
+def test_gathered_in_process_solves_match_library_solve():
+    """Concurrent cold solves share loaded workloads across the daemon's
+    two solver threads; each still returns the library's value."""
+    specs = [f"random:n=6,seed={seed}" for seed in range(8)]
+    requests = [{"workload": spec} for spec in specs] + [
+        {"workload": specs[0], "objective": "latency"},
+        {"workload": specs[0], "model": "inorder"},
+    ]
+
     async def body(server):
         responses = await asyncio.gather(*[
-            server.handle_request(
-                {"op": "solve", "id": i, "workload": f"random:n=5,seed={i}"}
-            )
-            for i in range(4)
+            server.handle_request({"op": "solve", "id": i, **params})
+            for i, params in enumerate(requests)
         ])
-        assert all(r["ok"] for r in responses)
-        assert server.batcher.batches == 2  # 2 flushes of max_batch=2
+        stats = (await server.handle_request({"op": "stats", "id": "s"}))["result"]
+        return responses, stats
 
-    config = ServeConfig(batch_window=10.0, max_batch=2)
-    run(_with_server(body, config))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the solver threads finely
+    try:
+        responses, stats = run(_with_server(body, ServeConfig()))
+    finally:
+        sys.setswitchinterval(interval)
+    for params, response in zip(requests, responses):
+        assert response["ok"] and response["served"] == "solve", response
+        kwargs = {k: v for k, v in params.items() if k != "workload"}
+        assert response["result"]["value"] == _library_value(
+            params["workload"], **kwargs
+        ), params
+    assert stats["server"]["solves"] == len(requests)
+    assert stats["server"]["batches"] == stats["server"]["batched_jobs"] == 0
 
 
 # ---------------------------------------------------------------- worker pool
@@ -314,9 +421,9 @@ def test_max_batch_flushes_immediately():
 POOL_SPECS = ["random:n=6,seed=11", "random:n=6,seed=12"]
 
 
-def _library_value(spec):
+def _library_value(spec, **options):
     return str(solve(load_workload(spec).application,
-                     cache=EvaluationCache()).value)
+                     cache=EvaluationCache(), **options).value)
 
 
 def test_worker_pool_solves_one_batch_like_library_solve():
@@ -334,6 +441,80 @@ def test_worker_pool_solves_one_batch_like_library_solve():
     for spec, response in zip(POOL_SPECS, responses):
         assert response["ok"] and response["served"] == "solve"
         assert response["result"]["value"] == _library_value(spec)
+
+
+def test_single_worker_pool_solves_in_its_worker():
+    """With ``workers=1`` a batch still goes to the pool: the daemon's own
+    process-wide evaluation cache sees no lookup."""
+    cache = default_cache()
+    lookups = cache.hits + cache.misses
+
+    async def body(server):
+        responses = await asyncio.gather(*[
+            server.handle_request({"op": "solve", "id": i, "workload": spec})
+            for i, spec in enumerate(POOL_SPECS)
+        ])
+        assert server.batcher.batches == 1
+        assert server.batcher.batched_jobs == 2
+        return responses
+
+    config = ServeConfig(workers=1, batch_window=0.2)
+    responses = run(_with_server(body, config))
+    assert cache.hits + cache.misses == lookups
+    for spec, response in zip(POOL_SPECS, responses):
+        assert response["ok"] and response["served"] == "solve"
+        assert response["result"]["value"] == _library_value(spec)
+
+
+def test_pool_task_empties_worker_caches_after_a_newer_clear(monkeypatch):
+    """The worker side of ``clear_cache``: the first task carrying a newer
+    clear count starts from an empty default evaluation cache and
+    placement memo; later tasks with the same count keep what was made
+    since."""
+    import repro.serve.server as server_module
+    from repro.optimize.placement import placement_memo_size
+    from repro.planner import clear_default_cache
+
+    monkeypatch.setattr(server_module, "_worker_clears", 0)
+    clear_default_cache()
+    app = load_workload("random:n=4,seed=1").application
+
+    def sizes():
+        return len(default_cache()), placement_memo_size()
+
+    def fill():
+        solve(app, platform="het4", schedule=False)
+        return sizes()
+
+    filled = fill()
+    assert min(filled) > 0
+    assert server_module._run_after_clears(0, sizes) == filled
+    assert server_module._run_after_clears(1, sizes) == (0, 0)
+    assert server_module._run_after_clears(1, fill) == filled
+    assert server_module._run_after_clears(1, sizes) == filled
+    assert server_module._run_after_clears(2, sizes) == (0, 0)
+
+
+def test_clear_cache_reaches_the_pool_workers():
+    """After every ``clear_cache`` the pool's next solves are cold,
+    whichever worker takes which shard."""
+    requests = [
+        {"op": "solve", "id": i, "workload": spec, "schedule": False}
+        for i, spec in enumerate(POOL_SPECS)
+    ]
+
+    async def body(server):
+        for _ in range(4):
+            cleared = await server.handle_request({"op": "clear_cache", "id": "c"})
+            assert cleared["ok"]
+            responses = await asyncio.gather(*map(server.handle_request, requests))
+            for response in responses:
+                assert response["ok"] and response["served"] == "solve"
+                assert response["result"]["stats"]["cache_hits"] == 0, response
+        assert server.batcher.batches == 4
+
+    config = ServeConfig(workers=2, batch_window=0.2)
+    run(_with_server(body, config))
 
 
 def test_in_process_solve_reuses_the_resolved_workload(monkeypatch):
