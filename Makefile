@@ -55,7 +55,7 @@ bench-compare:   ## perf-regression guard: snapshot committed BENCH_*.json, rege
 	$(PYTHON) benchmarks/compare_bench.py
 
 profile:         ## cProfile a representative solve (evidence for perf PRs)
-	$(PYTHON) -m repro profile random:n=11,seed=4 --method branch-and-bound
+	$(PYTHON) -m repro profile random:n=6,seed=1 --platform het4 --method branch-and-bound
 
 docs:            ## execute the documented examples (doctests + quickstarts)
 	$(PYTHON) -m pytest tests/test_docs.py -q

@@ -5,12 +5,10 @@ Records machine-readable numbers to ``benchmarks/results/BENCH_search.json``
 is tracked across PRs:
 
 * exact MinPeriod(OVERLAP): objective evaluations and wall time of branch
-  and bound versus the forest-enumeration baseline, per instance size —
-  with **certified-vs-exact tier comparison rows**: the certified float
-  fast path must return bit-for-bit the exact tier's optimum while
-  cutting the wall time (n=9 at least 3x here; ~8x measured), and it
-  pushes the frontier to n=10/11, where the exact tier is no longer
-  timed (n=11 must certify in under 10 s);
+  and bound versus the forest-enumeration baseline, per instance size,
+  on the certified and the exact tier, which run one search: they must
+  agree in value, edge set and every counter (n=11 must certify in
+  under 10 s);
 * the local-search hot path at ``n = 12``: objective evaluations with and
   without incremental delta scoring (the delta path must save at least
   3x), plus the certified two-tier delta against the exact-Fraction one;
@@ -47,10 +45,6 @@ F = Fraction
 #: Enumerate the baseline only while it stays tractable in CI.
 ENUMERATION_MAX = 6
 
-#: Run the exact (all-Fraction) tier alongside the certified one up to
-#: this size; beyond it only the certified fast path is timed.
-EXACT_COMPARE_MAX = 9
-
 
 def _forest_count(n):
     """Labelled rooted forests on *n* nodes: ``(n+1)^(n-1)``."""
@@ -64,9 +58,19 @@ def _bb_solve(app, exactness):
     return time.perf_counter() - started, result
 
 
+def _outcome(result):
+    """Value, edge set and search counters of a branch-and-bound solve."""
+    extras = result.stats.extras
+    return (result.value, result.graph.edges, extras["expanded"],
+            extras["pruned"], extras["duplicates"], extras["evaluated"])
+
+
 def _bb_row(n, seed, filter_fraction=0.6):
     app = random_application(n, seed=seed, filter_fraction=filter_fraction)
     cert_wall, result = _bb_solve(app, "certified")
+    exact_wall, exact_result = _bb_solve(app, "exact")
+    # Certified branch and bound is the exact search: same plan, same counts.
+    assert _outcome(result) == _outcome(exact_result), n
     row = {
         "n": n,
         "value": str(result.value),
@@ -77,15 +81,8 @@ def _bb_row(n, seed, filter_fraction=0.6):
         "bb_duplicates": result.stats.extras["duplicates"],
         "certified": result.stats.extras["certified"],
         "enumeration_size": _forest_count(n),
+        "exact_wall_s": round(exact_wall, 4),
     }
-    if n <= EXACT_COMPARE_MAX:
-        exact_wall, exact_result = _bb_solve(app, "exact")
-        assert exact_result.value == result.value  # bit-for-bit certification
-        row["exact_wall_s"] = round(exact_wall, 4)
-        row["certified_speedup"] = round(exact_wall / cert_wall, 1)
-    else:
-        row["exact_wall_s"] = None  # exact tier out of the timed range
-        row["certified_speedup"] = None
     if n <= ENUMERATION_MAX:
         objective = make_period_objective(CommModel.OVERLAP)
         started = time.perf_counter()
@@ -130,7 +127,7 @@ def _het_rows():
                 walls.append(time.perf_counter() - started)
             wall = min(walls)
             extras = result.stats.extras
-            values.add((result.value, result.graph.edges))
+            values.add(_outcome(result))
             rows.append({
                 "label": spec,
                 "platform": platform_spec,
@@ -144,7 +141,8 @@ def _het_rows():
                 "certified": extras["certified"],
                 "bb_wall_s": round(wall, 4),
             })
-        assert len(values) == 1, (platform_spec, spec)  # certified == exact
+        # Certified equals exact: value, edge set and every counter.
+        assert len(values) == 1, (platform_spec, spec)
     return rows
 
 
@@ -200,9 +198,9 @@ def _local_search_rows(n=12, seeds=(1, 2, 3)):
 
 def test_search_performance(benchmark):
     def run():
-        # Seeds chosen so the bound does real work (the incumbent is not
-        # simply certified at the root by the static floors).  n=10 and 11
-        # are certified-tier only — the frontier the float fast path opened.
+        # Seeds chosen, under the static floors, so the bound did real
+        # work; the no-communication chain bound now closes each of them at
+        # the root, which the counts pin.
         bb_rows = [
             _bb_row(n, seed)
             for n, seed in [(5, 0), (6, 2), (7, 6), (8, 2), (9, 4),
@@ -218,12 +216,9 @@ def test_search_performance(benchmark):
         assert row["certified"], row
         # Pruned exact search pays far fewer evaluations than enumeration.
         assert row["bb_evaluations"] * 10 < row["enumeration_size"], row
-    n9 = next(r for r in bb_rows if r["n"] == 9)
-    # The certified float tier must beat the exact tier by a wide margin
-    # (>= 3x asserted to stay unflaky in CI; ~8x measured) ...
-    assert n9["certified_speedup"] >= 3.0, n9
-    # ... and push the frontier: n=11 certifies the optimum in under 10 s
-    # where the exact tier took minutes and enumeration ~ 3e10 forests.
+    # Every row asserted certified == exact (value, edges, counters) as it
+    # was built.  n=11 certifies the optimum in under 10 s where
+    # enumeration would score ~ 6e10 forests.
     n11 = next(r for r in bb_rows if r["n"] == 11)
     assert n11["bb_wall_s"] < 10.0, n11
     for row in ls_rows:
@@ -247,13 +242,10 @@ def test_search_performance(benchmark):
 
     table = text_table(
         ["n", "bb value", "bb evals", "expanded", "pruned",
-         "certified s", "exact s", "speedup", "enum size", "enum s"],
+         "certified s", "exact s", "enum size", "enum s"],
         [
             [r["n"], r["value"], r["bb_evaluations"], r["bb_expanded"],
-             r["bb_pruned"], r["bb_wall_s"],
-             r["exact_wall_s"] if r["exact_wall_s"] is not None else "-",
-             r["certified_speedup"] if r["certified_speedup"] is not None
-             else "-",
+             r["bb_pruned"], r["bb_wall_s"], r["exact_wall_s"],
              r["enumeration_size"],
              r["enumeration_wall_s"] if r["enumeration_wall_s"] is not None
              else "infeasible"]
@@ -281,8 +273,8 @@ def test_search_performance(benchmark):
     )
     record(
         "search_performance",
-        "exact MinPeriod(OVERLAP): certified branch and bound vs the exact "
-        "tier vs forest enumeration\n"
+        "exact MinPeriod(OVERLAP): branch and bound on the certified and "
+        "exact tiers vs forest enumeration\n"
         + table
         + "\n\nlocal search at n=12: full evaluation vs incremental deltas "
         "(exact and certified tiers)\n"

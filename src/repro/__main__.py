@@ -31,7 +31,7 @@ Examples::
     python -m repro calibrate fig1 --datasets 6 --noise 1/20
     python -m repro calibrate --trace measured.csv --json
     python -m repro solve random:n=9,seed=4 --exactness exact   # no fast path
-    python -m repro profile random:n=9,seed=4 --method branch-and-bound
+    python -m repro profile random:n=6,seed=1 --platform het4 --method branch-and-bound
     python -m repro solve random:n=6,seed=3 --method local-search
     python -m repro compare fig1 --objectives period,latency
     python -m repro batch fig1 b1 random:n=9,seed=1 --processes 4

@@ -23,13 +23,23 @@ true objective of any completion.  Best-first, it expands every state
 whose bound is below the optimum whatever the incumbent, so the seed is
 cheap: the period search prices greedy on its own per-node terms.
 
-Unplaced services contribute a static floor: service ``j`` processes data
-of size at least ``prod_{i != j, sigma_i < 1} sigma_i`` no matter where it
-ends up, which bounds its ``Ccomp`` (and its one unavoidable outgoing
-message) from below.  On heterogeneous platforms the per-node terms divide
-computation by the hosting server's speed when the mapping is pinned and
-communication by the fastest link.  A free mapping divides computation by
-the fastest speed, and :class:`PlacementBound` adds what that divisor
+For MinPeriod the unplaced services are bounded together.  Placed nodes
+never gain ancestors, so their out-sizes are final, and an unplaced
+service ends up below a placed node or as a root, with only unplaced
+services between: its ancestor product is at least ``m``, the least
+out-size of a placed node capped at 1, times that of its unplaced
+ancestors.  Without the growth of ``Cout`` with more children, what
+remains is MinPeriod without communication on the unplaced set ``U``,
+solved by the chain of its filters by increasing per-node ``k`` with the
+expanders below them (Srivastava et al., PAPER.md [1]): ``m·chain(U)``
+bounds every completion.  For MinLatency an unplaced service contributes
+a static floor: service ``j`` processes data of size at least
+``prod_{i != j, sigma_i < 1} sigma_i`` no matter where it ends up, which
+bounds its ``Ccomp`` (and its one unavoidable outgoing message) from
+below.  On heterogeneous platforms the per-node terms divide computation
+by the hosting server's speed when the mapping is pinned and
+communication by the fastest link.  A free mapping divides computation
+by the fastest speed, and :class:`PlacementBound` adds what that divisor
 forgets: each service gets its own server, so the ``k``-th largest work
 runs on a server no faster than the ``k``-th fastest.  A period search
 drops a popped state, and skips scoring a complete forest, once that
@@ -44,19 +54,16 @@ not be forests, Proposition 13).  The planner registers them as the
 ``"branch-and-bound"`` solver, which is also the ``method="auto"`` exact
 path (:data:`repro.planner.AUTO_EXHAUSTIVE_MAX`).
 
-**Numeric tiers** (:class:`~repro.core.Exactness`): the bound algebra —
-ancestor products, per-node terms, heap keys — runs in exact
-``Fraction``s under ``EXACT`` and in native floats under ``CERTIFIED``
-and ``FAST``.  Certified pruning is conservative: a state is discarded
-only when its float bound exceeds the incumbent by more than
-:data:`~repro.core.CERT_EPS` relative (``float_lb > incumbent *
-(1 + eps)``), which the float error (~1e-13) can never fake, so the
-exact optimum is never pruned; surviving complete graphs are re-scored
-through the exact *objective*, keeping the returned optimum bit-for-bit
-identical to the ``EXACT`` tier — at one to two orders of magnitude less
-bound arithmetic.  Under ``FAST`` the caller supplies a float-tier
-objective and the result is an uncertified (but typically optimal)
-incumbent.
+**Numeric tiers** (:class:`~repro.core.Exactness`): :func:`bb_minperiod`
+prices every bound and heap key in exact ``Fraction``s on every tier, so
+its certified search is the exact one; under ``FAST`` the objective
+scores in floats, near-ties with the incumbent prune, and the result is
+uncertified.  :func:`bb_minlatency` prices its bounds in floats under
+``CERTIFIED`` and ``FAST``: a certified state is pruned only when its
+float bound exceeds the incumbent by more than
+:data:`~repro.core.CERT_EPS` relative, a bound inside that band is
+settled exactly, and complete graphs are scored through the exact
+objective, so its optimum is bit-for-bit the ``EXACT`` tier's.
 """
 
 from __future__ import annotations
@@ -66,7 +73,6 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..core import (
@@ -184,7 +190,7 @@ class _Scaling:
         return self._speed.get(name, self._default_speed)
 
 
-def _cuts(value: Fraction, use_float: bool, eps: float) -> Tuple:
+def _cuts(value: Fraction, use_float: bool) -> Tuple:
     """``(cut, low_cut)`` pruning thresholds around an exact incumbent.
 
     The exact tier prunes at the incumbent itself.  The float tiers get
@@ -199,7 +205,7 @@ def _cuts(value: Fraction, use_float: bool, eps: float) -> Tuple:
         f = float(value)
     except OverflowError:
         return float("inf"), float("-inf")
-    return certified_threshold(f, eps), f * (1.0 - eps)
+    return certified_threshold(f), f * (1.0 - CERT_EPS)
 
 
 def _min_products(app: Application) -> Dict[str, Fraction]:
@@ -223,7 +229,7 @@ def _min_products(app: Application) -> Dict[str, Fraction]:
 
 
 class ForestTerms:
-    """Theorem-1 per-node terms of a partial forest, in one numeric tier.
+    """Theorem-1 per-node terms of a partial forest, in exact arithmetic.
 
     A placed node ``i`` with ancestor product ``a`` and ``m`` children
     pays ``Cin = a·ci``, ``Ccomp = a·cc_i`` and ``Cout = max(m, 1)·a·co_i``
@@ -233,55 +239,40 @@ class ForestTerms:
     attaching a node changes only its own term and its parent's.
 
     ``ci = 1/b``, ``cc_i = c_i/s_i`` and ``co_i = σ_i/b`` take ``b`` and
-    ``s`` from *scaling* (the unit platform without one).  They are
-    computed exactly and converted once by *num* (``float`` for the float
-    tiers; ``None`` keeps them exact), and so is ``k_i``, their max
-    (their sum under one-port): a new leaf under a parent of out-size
-    ``A`` costs ``A·k_i``, one multiply.  On a unit platform that float
-    product is bit-for-bit the max of the three rounded products, because
-    rounding is monotone; float one-port leaves keep the three products,
-    in order, so their sums round as before.
+    ``s`` from *scaling* (the unit platform without one), and ``k_i`` is
+    their max (their sum under one-port): a new leaf under a parent of
+    out-size ``A`` costs ``A·k_i``, one multiply.
     """
 
-    __slots__ = ("one", "ci", "sigma", "cc", "co", "k", "overlap", "fused")
+    __slots__ = ("ci", "sigma", "cc", "co", "k", "overlap")
 
     def __init__(
         self,
         app: Application,
         model: CommModel,
         scaling: Optional[_Scaling] = None,
-        num=None,
     ) -> None:
         names = list(app.names)
         scaling = scaling or _Scaling(app, None, None)
         b = scaling.comm_div
-        ci = ONE / b
-        cc = [app.cost(x) / scaling.speed(x) for x in names]
-        co = [app.selectivity(x) / b for x in names]
+        self.ci = ONE / b
+        self.sigma = [app.selectivity(x) for x in names]
+        self.cc = [app.cost(x) / scaling.speed(x) for x in names]
+        self.co = [sigma / b for sigma in self.sigma]
         self.overlap = model.overlaps_compute
-        k = [
-            max(ci, c, o) if self.overlap else ci + c + o
-            for c, o in zip(cc, co)
+        self.k = [
+            max(self.ci, c, o) if self.overlap else self.ci + c + o
+            for c, o in zip(self.cc, self.co)
         ]
-        conv = num or (lambda value: value)
-        self.one = conv(ONE)
-        self.ci = conv(ci)
-        self.sigma = [conv(app.selectivity(x)) for x in names]
-        self.cc = [conv(c) for c in cc]
-        self.co = [conv(o) for o in co]
-        self.k = [conv(x) for x in k]
-        self.fused = self.overlap or num is None
 
-    def leaf(self, size, i: int):
+    def leaf(self, size: Fraction, i: int) -> Fraction:
         """Term of node *i* as a leaf whose parent emits *size*."""
-        if self.fused:
-            return size * self.k[i]
-        return size * self.ci + size * self.cc[i] + size * self.co[i]
+        return size * self.k[i]
 
-    def term(self, anc, children: int, i: int):
+    def term(self, anc: Fraction, children: int, i: int) -> Fraction:
         """Term of node *i* with ancestor product *anc* and *children*."""
         if children <= 1:
-            return self.leaf(anc, i)
+            return anc * self.k[i]
         cin = anc * self.ci
         ccomp = anc * self.cc[i]
         cout = children * anc * self.co[i]
@@ -329,7 +320,7 @@ def _greedy_on_terms(
             if val < best_val:
                 best_val, best_parent = val, parent
         parents[name] = best_parent
-        anc[name] = terms.one if best_parent is None else size[best_parent]
+        anc[name] = ONE if best_parent is None else size[best_parent]
         children[name] = 0
         size[name] = anc[name] * terms.sigma[u]
         grown[name] = terms.term(anc[name], 1, u)
@@ -421,7 +412,7 @@ class DagTerms:
 
 
 class PlacementBound:
-    """A forest's period bound over every injective placement, in one tier.
+    """A forest's period bound over every injective placement.
 
     On a non-unit platform with a free mapping the objective places each
     service on a server of its own.  Sort the services' works ``A_u·c_u``
@@ -434,38 +425,36 @@ class PlacementBound:
     its final work can only exceed.  :meth:`forest` returns the larger of
     that bound and the forest's :class:`ForestTerms` at the fastest speed
     and bandwidth.
-
-    Every quantity is converted once by *num* (``float`` for the float
-    tiers; ``None`` keeps them exact), as in :class:`ForestTerms`.
     """
 
     __slots__ = ("terms", "index", "cost", "floor", "speeds")
 
     def __init__(
-        self, app: Application, model: CommModel, platform: Platform, num=None
+        self, app: Application, model: CommModel, platform: Platform
     ) -> None:
-        conv = num or (lambda value: value)
         names = list(app.names)
         minprod = _min_products(app)
-        self.terms = ForestTerms(app, model, _Scaling(app, platform, None), num)
+        self.terms = ForestTerms(app, model, _Scaling(app, platform, None))
         self.index = {name: i for i, name in enumerate(names)}
-        self.cost = [conv(app.cost(x)) for x in names]
-        self.floor = [conv(minprod[x] * app.cost(x)) for x in names]
+        self.cost = [app.cost(x) for x in names]
+        self.floor = [minprod[x] * app.cost(x) for x in names]
         fastest = sorted((s.speed for s in platform.servers), reverse=True)
-        self.speeds = [conv(s) for s in fastest[: len(names)]]
+        self.speeds = fastest[: len(names)]
 
-    def sorted_speeds(self, works):
+    def sorted_speeds(self, works: List[Fraction]) -> Fraction:
         """``max_k w_(k)/s_(k)`` of *works* against the fastest speeds."""
         return max(
             (w / s for w, s in zip(sorted(works, reverse=True), self.speeds)),
-            default=self.terms.one * 0,
+            default=Fraction(0),
         )
 
-    def forest(self, parents: Dict[str, Optional[str]]):
-        """The bound of the forest *parents* (node to parent, ``None`` for
-        a root) over its own nodes."""
+    def parts(
+        self, parents: Dict[str, Optional[str]]
+    ) -> Tuple[Fraction, List[Fraction]]:
+        """The forest *parents* (node to parent, ``None`` for a root): the
+        max of its :class:`ForestTerms`, and its nodes' works."""
         terms, index = self.terms, self.index
-        anc: Dict[str, object] = {}
+        anc: Dict[str, Fraction] = {}
         children = dict.fromkeys(parents, 0)
         for parent in parents.values():
             if parent is not None:
@@ -475,13 +464,17 @@ class PlacementBound:
             while top is not None and top not in anc:
                 chain.append(top)
                 top = parents[top]
-            prod = terms.one if top is None else anc[top] * terms.sigma[index[top]]
+            prod = ONE if top is None else anc[top] * terms.sigma[index[top]]
             for x in reversed(chain):
                 anc[x] = prod
                 prod = prod * terms.sigma[index[x]]
         term = max(terms.term(anc[x], children[x], index[x]) for x in parents)
-        compute = self.sorted_speeds([anc[x] * self.cost[index[x]] for x in parents])
-        return compute if compute > term else term
+        return term, [anc[x] * self.cost[index[x]] for x in parents]
+
+    def forest(self, parents: Dict[str, Optional[str]]) -> Fraction:
+        """The bound of the forest *parents* over its own nodes."""
+        term, works = self.parts(parents)
+        return max(term, self.sorted_speeds(works))
 
 
 def _free_platform(objective: Objective) -> Optional[Platform]:
@@ -494,36 +487,26 @@ def _free_platform(objective: Objective) -> Optional[Platform]:
 
 
 class PlacementGate:
-    """:class:`PlacementBound` in a search's numeric tier, behind the band
-    rule: :meth:`reaches` says whether a candidate's bound already reaches
-    the value it must strictly beat, so its placement search can be
-    skipped without changing any accept/reject decision.
+    """:class:`PlacementBound` as a gate: :meth:`reaches` says whether a
+    candidate's bound already reaches the value it must strictly beat, so
+    its placement search can be skipped without changing any accept/reject
+    decision.
 
-    ``EXACT`` compares the exact bound.  ``CERTIFIED`` prices in floats
-    and settles the :data:`~repro.core.CERT_EPS` band around the value in
-    exact arithmetic, so its answer is the exact one.  ``FAST``, whose
-    objective values are float images, answers yes only beyond the band.
-    Building the float tier raises ``OverflowError`` beyond float range.
+    The bound is exact under every tier, so a ``CERTIFIED`` search skips
+    exactly what an ``EXACT`` one does; under ``FAST`` the value compared
+    is the float image the objective returned.  The sorted-speed test
+    compares each work with ``value·s_(k)``, formed once per value, so it
+    divides nothing.
     """
 
-    __slots__ = ("exact", "fast", "certified", "eps")
+    __slots__ = ("bound", "_value", "_cuts")
 
     def __init__(
-        self,
-        app: Application,
-        model: CommModel,
-        platform: Platform,
-        exactness: Exactness,
-        eps: float = CERT_EPS,
+        self, app: Application, model: CommModel, platform: Platform
     ) -> None:
-        self.exact = PlacementBound(app, model, platform)
-        self.fast = (
-            PlacementBound(app, model, platform, float)
-            if exactness.uses_float
-            else None
-        )
-        self.certified = exactness is Exactness.CERTIFIED
-        self.eps = eps
+        self.bound = PlacementBound(app, model, platform)
+        self._value: Optional[Fraction] = None
+        self._cuts: List[Fraction] = []
 
     @classmethod
     def of(cls, app: Application, objective) -> Optional["PlacementGate"]:
@@ -532,29 +515,26 @@ class PlacementGate:
         if not isinstance(objective, Objective):
             return None
         platform = _free_platform(objective)
-        if platform is None:
-            return None
-        try:
-            return cls(app, objective.model, platform, objective.exactness)
-        except OverflowError:
-            return cls(app, objective.model, platform, Exactness.EXACT)
+        return None if platform is None else cls(app, objective.model, platform)
 
     def reaches(self, value: Fraction, bound_of) -> bool:
-        """Is the bound that *bound_of* prices on a :class:`PlacementBound`
-        tier at least *value*, by the band rule of this tier?"""
-        if self.fast is None:
-            return bound_of(self.exact) >= value
-        cut, low_cut = _cuts(value, True, self.eps)
-        bound = bound_of(self.fast)
-        if bound > cut:
+        """Does the candidate that *bound_of* prices on the
+        :class:`PlacementBound`, as ``(term bound, works)``, have a bound
+        of at least *value*?"""
+        term, works = bound_of(self.bound)
+        if term >= value:
             return True
-        return self.certified and bound >= low_cut and bound_of(self.exact) >= value
+        if value != self._value:
+            self._value = value
+            self._cuts = [value * s for s in self.bound.speeds]
+        ranked = sorted(works, reverse=True)
+        return any(w >= cut for w, cut in zip(ranked, self._cuts))
 
     def forest_reaches(
         self, parents: Dict[str, Optional[str]], value: Fraction
     ) -> bool:
         """:meth:`reaches` for the complete forest *parents*."""
-        return self.reaches(value, lambda tier: tier.forest(parents))
+        return self.reaches(value, lambda bound: bound.parts(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +549,13 @@ class _ForestState:
     ``n + 2`` is 0 while ``u`` is unplaced and ``parent + 2`` once it is
     placed: canonical, so two insertion orders reaching the same partial
     forest share it, and attaching ``u`` under ``p`` adds
-    ``(p + 2)·(n + 2)**u``.  The entry carries a list with, per placed
-    node, ``(parent, anc, size, children, grown)``: its ancestor product,
-    its out-size ``anc·σ``, its child count and its grown term (its term
-    with one more child); ``None`` per unplaced one.  A push copies the
-    list and sets the new leaf's tuple and its parent's, with the products
-    an ancestor walk would form, so a pop reprices nothing.
+    ``(p + 2)·(n + 2)**u``.  The entry carries ``m``, the least out-size
+    of a placed node capped at 1, and a list with, per placed node,
+    ``(parent, anc, size, children, grown)``: its ancestor product, its
+    out-size ``anc·σ``, its child count and its grown term (its term with
+    one more child); ``None`` per unplaced one.  A push copies the list
+    and sets the new leaf's tuple and its parent's, with the products an
+    ancestor walk would form, so a pop reprices nothing.
     """
 
     ROOT = -1
@@ -587,50 +568,45 @@ def bb_minperiod(
     incumbent: Optional[Tuple[Fraction, ExecutionGraph]] = None,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
-    eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinPeriod over forests by best-first branch and bound.
 
     *objective* (an :class:`~repro.optimize.evaluation.Objective`; pass
     the planner's memoized one to share its cache) scores complete
-    forests, and the search reads its model, platform, mapping and
-    numeric tier from it; the result optimises exactly the same quantity
-    as ``exhaustive_minperiod`` / the ``"exhaustive"`` solver at the
+    forests, and the search reads its model, platform and mapping from
+    it; the result optimises exactly the same quantity as
+    ``exhaustive_minperiod`` / the ``"exhaustive"`` solver at the
     matching effort.  Proposition 4 guarantees the forest space suffices
     for MinPeriod without precedence constraints.
 
-    Every bound is priced on the :class:`ForestTerms` of the partial
-    forest.  A heap entry carries its state's ancestor products, child
-    counts and grown terms (:class:`_ForestState`): a push computes the
-    new leaf's term, one multiply, and its parent's grown term, so a pop
-    reprices nothing, and a duplicate child costs one int lookup.
-    Near-ties are settled on exact values memoised for the whole search
-    by ancestor bitmask — a set's selectivity product, a leaf term, a
-    grown term — which a new incumbent leaves valid.
+    Every bound is priced in exact arithmetic on the :class:`ForestTerms`
+    of the partial forest, under every numeric tier: a child's bound is
+    the max of its parent state's bound, its new leaf's term, its
+    parent's grown term and ``m·chain(U)`` over its unplaced services
+    ``U`` (the module docstring gives the argument), memoised per ``U``.
+    A heap entry carries its state's ancestor products, child counts,
+    grown terms and ``m`` (:class:`_ForestState`), so a pop reprices
+    nothing and a duplicate child costs one int lookup.
     Without an *incumbent* the search seeds itself with the greedy forest
-    priced on the same exact terms, on every platform, model and tier, and
-    scores that one forest through *objective* (any forest is a valid
-    incumbent).  On a heterogeneous platform with a free mapping every
-    complete forest costs a placement search, so a popped
-    state is dropped, and a complete forest is not scored, once its
-    :class:`PlacementBound` sorted-speed bound reaches the incumbent
-    (:class:`PlacementGate`'s band rule): no forest below it could have
-    been a strict improvement, so the incumbents, hence the result, are
-    those of the ungated search.  Heap keys stay the per-node terms.
+    priced on the same terms and scores that one forest through
+    *objective* (any forest is a valid incumbent).  On a heterogeneous
+    platform with a free mapping every complete forest costs a placement
+    search, so a popped state is dropped, and a complete forest is not
+    scored, once its :class:`PlacementBound` sorted-speed bound reaches
+    the incumbent (:class:`PlacementGate`): no forest below it could have
+    been a strict improvement, so the result is that of the ungated
+    search.
 
     *node_limit* caps the number of expanded states; when hit, the current
     incumbent, at worst the scored seed, is returned (an achievable upper
     bound, no longer certified optimal — ``stats.limit_hit`` flags it).
     *deadline* (seconds of wall clock) stops the search the same way — the
     anytime contract: the incumbent is always a valid plan, and
-    ``stats.limit_hit`` records whether optimality was proved.
-
-    The objective's ``exactness`` picks the numeric tier for the bound
-    arithmetic (the module docstring spells out the certification
-    contract): under ``CERTIFIED`` the bounds run in floats, states are
-    pruned only beyond the *eps* relative guard, and the returned optimum
-    is bit-for-bit the ``EXACT`` tier's; under ``FAST`` the objective
-    scores on the float tier and the incumbent returned is uncertified.
+    ``stats.limit_hit`` records whether optimality was proved.  Under
+    ``CERTIFIED`` the search is the ``EXACT`` one; under ``FAST`` the
+    objective scores on the float tier, a bound within
+    :data:`~repro.core.CERT_EPS` below the incumbent prunes, and the
+    incumbent is uncertified.
 
     Example::
 
@@ -644,34 +620,15 @@ def bb_minperiod(
     """
     if app.precedence:
         raise ValueError("forest branch and bound assumes no precedence constraints")
-    model, exactness = objective.model, objective.exactness
     names = list(app.names)
     n = len(names)
-    scaling = _Scaling(app, objective.platform, objective.mapping)
-    minprod = _min_products(app)
-    # Exact terms price the static floors (a service's floor is a leaf
-    # fed its smallest possible data set) and the near-tie arbitration.
-    terms_x = ForestTerms(app, model, scaling)
-    floors_x = [minprod[name] * k for name, k in zip(names, terms_x.k)]
+    terms = ForestTerms(
+        app, objective.model,
+        _Scaling(app, objective.platform, objective.mapping),
+    )
+    sigma, k = terms.sigma, terms.k
     free = _free_platform(objective)
-    while True:
-        use_float = exactness.uses_float
-        try:
-            if use_float:
-                terms = ForestTerms(app, model, scaling, float)
-                floor_list = [float(f) for f in floors_x]
-            else:
-                terms, floor_list = terms_x, floors_x
-            gate = (
-                None if free is None
-                else PlacementGate(app, model, free, exactness, eps)
-            )
-            break
-        except OverflowError:
-            # Instance quantities beyond float range: the fast tier cannot
-            # represent them — degrade to the (always-correct) exact tier.
-            exactness = Exactness.EXACT
-    one, sigma, k, fused = terms.one, terms.sigma, terms.k, terms.fused
+    gate = None if free is None else PlacementGate(app, objective.model, free)
     ROOT = _ForestState.ROOT
     stats = BBStats()
     evaluations = objective.evaluations
@@ -683,75 +640,48 @@ def bb_minperiod(
         })
 
     if incumbent is None:
-        _, seed = _greedy_on_terms(app, terms_x)
+        _, seed = _greedy_on_terms(app, terms)
         incumbent = objective(seed), seed
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
 
-    # Exact values for the near-tie arbitration, memoised for the whole
-    # search on bitmasks of ancestor sets.  They are values, not
-    # decisions, so an incumbent improvement invalidates none of them.
-    def lineage(nodes: List, p: int) -> int:
-        # Bitmask of placed node *p* and its ancestors (0 for ROOT).
-        mask = 0
-        while p >= 0:
-            mask |= 1 << p
-            p = nodes[p][0]
-        return mask
+    # chain(U), keyed on the placed bitmask: one scan of the filters by
+    # increasing k, then the expanders, each fed the product before it.
+    order = sorted(range(n), key=lambda i: (sigma[i] >= 1, k[i]))
+    chains: Dict[int, Fraction] = {}
 
-    @lru_cache(maxsize=None)
-    def exact_prod(mask: int) -> Fraction:
-        # Selectivity product of the services in *mask*.
-        if not mask:
-            return ONE
-        low = mask & -mask
-        return exact_prod(mask ^ low) * terms_x.sigma[low.bit_length() - 1]
-
-    @lru_cache(maxsize=None)
-    def exact_leaf(mask: int, u: int) -> Fraction:
-        # Exact term of *u* as a new leaf under the lineage *mask*.
-        return exact_prod(mask) * terms_x.k[u]
-
-    @lru_cache(maxsize=None)
-    def exact_grown_of(mask: int, p: int, children: int) -> Fraction:
-        # Exact term of *p*, below the ancestors *mask*, with *children*.
-        return terms_x.term(exact_prod(mask), children, p)
+    def chain(mask: int) -> Fraction:
+        value = chains.get(mask)
+        if value is None:
+            value, prod = Fraction(0), ONE
+            for i in order:
+                if not mask >> i & 1:
+                    value = max(value, prod * k[i])
+                    if sigma[i] < 1:
+                        prod *= sigma[i]
+            chains[mask] = value
+        return value
 
     # Placed and unplaced indices of each placed-set bitmask.
     layouts: Dict[int, Tuple[List[int], List[int]]] = {}
-
-    # Float-tier pruning thresholds around the incumbent: a state whose
-    # float bound exceeds ``cut`` is provably no better than the incumbent
-    # (the eps guard swallows the float error).  Under CERTIFIED a state
-    # inside the ``[low_cut, cut]`` near-tie band is arbitrated in exact
-    # arithmetic — so the prune *set* is bit-for-bit the exact tier's —
-    # and one below ``low_cut`` provably admits an improvement.  Under
-    # FAST (uncertified by contract) ties prune aggressively at
-    # ``low_cut``, with no exact arithmetic anywhere.
-    certified = exactness is Exactness.CERTIFIED
-    cut, low_cut = _cuts(best_value, use_float, eps)
-    root_bound_x = max(floors_x, default=Fraction(0))
-    root_bound = max(floor_list, default=one * 0)
     weight = [(n + 2) ** u for u in range(n)]  # key digit of node u
     heap: List[Tuple] = []
     counter = itertools.count()
-    gen = 0  # incumbent generation: bumps on every incumbent improvement
-    # An entry is (bound, rank, counter, key, generation, placed bitmask,
-    # nodes).  The root is pushed un-arbitrated (generation -1), so its pop
-    # re-checks the band — the "floors certify the incumbent at the root"
-    # case.
-    heapq.heappush(heap, (root_bound, 0, next(counter), 0, -1, 0, [None] * n))
+    # An entry is (bound, rank, counter, key, placed bitmask, m, nodes).
+    heapq.heappush(heap, (chain(0), 0, next(counter), 0, 0, ONE, [None] * n))
     seen = {0}
 
-    # Under EXACT ``low_cut == cut``, so one test serves every tier: a
-    # bound at or above ``low_cut`` is no better than the incumbent,
-    # except inside CERTIFIED's ``[low_cut, cut]`` band, where a
-    # generated child is pruned only on exact arbitration.
+    # The search prunes at the incumbent.  Under FAST the incumbent is a
+    # float image, which can round above the exact optimum: the states
+    # tying that optimum would be expanded without ever beating it, so a
+    # bound within CERT_EPS below the incumbent prunes too.
+    slack = Fraction(1 - CERT_EPS) if objective.exactness is Exactness.FAST else ONE
+    cut = best_value * slack
     pruned = duplicates = 0
     while heap:
-        bound, _, _, key, state_gen, mask, nodes = heapq.heappop(heap)
-        if bound >= low_cut and (not certified or bound > cut):
+        bound, _, _, key, mask, least, nodes = heapq.heappop(heap)
+        if bound >= cut:
             break  # every remaining state is at least as bad — optimal
         if node_limit is not None and stats.expanded >= node_limit:
             stats.limit_hit = True
@@ -767,94 +697,49 @@ def bb_minperiod(
             )
         placed, unplaced = layout
 
-        # A state pushed under the current incumbent was already exactly
-        # arbitrated at generation time; only a since-improved incumbent
-        # warrants re-checking the near-tie band at pop time.  A state's
-        # accumulated bound equals max(static root bound, the placed
-        # nodes' *current* terms): terms only ever grow as children are
-        # attached, so the historical max collapses to the current one.
-        if (
-            certified
-            and state_gen != gen
-            and bound >= low_cut
-            and max([root_bound_x] + [
-                exact_grown_of(lineage(nodes, nodes[i][0]), i, nodes[i][3])
-                for i in placed
-            ]) >= best_value
-        ):
-            pruned += 1  # exact arbitration: a true (near-)tie
-            continue
         if gate is not None:
-            def sorted_bound(tier, leaf: Optional[Tuple[int, int]] = None):
-                # The sorted-speed bound in *tier* (on the search's own
-                # ancestor products, or exact ones to settle a certified
-                # band) of the placed services' works plus the unplaced
-                # floors, or plus *leaf* (p, u): u as a new child of p.
-                if tier is gate.exact and use_float:
-                    def a(i: int) -> Fraction:
-                        return exact_prod(lineage(nodes, nodes[i][0]))
-                else:
-                    def a(i: int):
-                        return nodes[i][1]
-                works = [a(i) * tier.cost[i] for i in placed]
+            def works(placement: PlacementBound, leaf=None) -> List[Fraction]:
+                # The placed services' works plus the unplaced floors, or
+                # plus *leaf* (p, u): u as a new child of p.
+                out = [nodes[i][1] * placement.cost[i] for i in placed]
                 if leaf is None:
-                    works += [tier.floor[j] for j in unplaced]
-                else:
-                    p, u = leaf
-                    size = (
-                        tier.terms.one if p == ROOT
-                        else a(p) * tier.terms.sigma[p]
-                    )
-                    works.append(size * tier.cost[u])
-                return tier.sorted_speeds(works)
+                    return out + [placement.floor[j] for j in unplaced]
+                p, u = leaf
+                size = ONE if p == ROOT else nodes[p][2]
+                return out + [size * placement.cost[u]]
 
             # The state's bound is below the incumbent; every completion
             # is still at least its sorted-speed bound.
-            if gate.reaches(best_value, sorted_bound):
+            if gate.reaches(best_value, lambda placement: (bound, works(placement))):
                 pruned += 1
                 continue
         stats.expanded += 1
-        # The incumbent generation this state's bound was screened under;
-        # children inherit it, so a mid-expansion incumbent improvement
-        # forces their own pop-time re-arbitration (the inherited bound
-        # component was only verified against the pre-improvement value).
-        verified_gen = gen
 
         # Each candidate parent's out-size (a new child's ancestor
         # product) and the floor its grown term puts under every such
         # child, max(bound, grown term).  A root slot has out-size 1 and
         # floor ``bound``.  A parent whose floor alone is no better than
-        # the incumbent prunes its whole column (the cut only ever falls).
-        slots = [(ROOT, one, bound, None)]
+        # the incumbent prunes its whole column (the incumbent only falls).
+        slots = [(ROOT, ONE, bound)]
         for p in placed:
             _, _, size, _, grown = nodes[p]
             floor = grown if grown > bound else bound
-            if floor >= low_cut and (not certified or floor > cut):
+            if floor >= cut:
                 pruned += len(unplaced)
             else:
-                slots.append((p, size, floor, grown))
+                slots.append((p, size, floor))
         rank = n - len(placed) - 1
         for u in unplaced:
-            k_u, weight_u = k[u], weight[u]
-            for p, size, floor, grown in slots:
-                new_term = size * k_u if fused else terms.leaf(size, u)
+            k_u, sigma_u, weight_u = k[u], sigma[u], weight[u]
+            rest = chain(mask | 1 << u)
+            for p, size, floor in slots:
+                new_term = size * k_u
                 child_bound = floor if new_term <= floor else new_term
-                if child_bound >= low_cut and (
-                    not certified
-                    or child_bound > cut
-                    # Near-tie band: arbitrate in exact arithmetic so the
-                    # prune set matches the exact tier bit-for-bit.  The
-                    # expanded state's own exact bound is known to be below
-                    # the incumbent, so only the two terms the move changes
-                    # can reach it, and only one whose float is in the band
-                    # (below ``low_cut`` it is provably below the incumbent).
-                    or new_term >= low_cut
-                    and exact_leaf(lineage(nodes, p), u) >= best_value
-                    or grown is not None and grown >= low_cut
-                    and exact_grown_of(
-                        lineage(nodes, nodes[p][0]), p, nodes[p][3] + 1
-                    ) >= best_value
-                ):
+                out = size * sigma_u  # the new leaf's out-size
+                m = out if out < least else least
+                if rest:
+                    child_bound = max(child_bound, m * rest)
+                if child_bound >= cut:
                     pruned += 1
                     continue
                 child_key = key + (p + 2) * weight_u
@@ -866,22 +751,21 @@ def bb_minperiod(
                     # u is a leaf fed p's out-size, so its grown term is its
                     # leaf term; p, if any, gains a child.
                     child = nodes.copy()
-                    child[u] = (p, size, size * sigma[u], 0, new_term)
+                    child[u] = (p, size, out, 0, new_term)
                     if p != ROOT:
                         top, anc_p, size_p, children_p, _ = nodes[p]
                         child[p] = (top, anc_p, size_p, children_p + 1,
                                     terms.term(anc_p, children_p + 2, p))
                     heapq.heappush(heap, (
                         child_bound, rank, next(counter), child_key,
-                        verified_gen, mask | 1 << u, child,
+                        mask | 1 << u, m, child,
                     ))
                     continue
-                # Complete forest: score it for real (exact tier under
-                # EXACT/CERTIFIED — only float-safe survivors reach here),
-                # unless its placement search could not beat the incumbent.
-                if gate is not None and gate.reaches(
-                    best_value, lambda tier: sorted_bound(tier, (p, u))
-                ):
+                # Complete forest: score it for real, unless its placement
+                # search could not beat the incumbent.
+                if gate is not None and gate.reaches(best_value, lambda placement: (
+                    child_bound, works(placement, (p, u))
+                )):
                     pruned += 1
                     continue
                 # u, attached under p, is the last unplaced node.
@@ -889,8 +773,7 @@ def bb_minperiod(
                 value = objective(graph)
                 if value < best_value:
                     best_value, best_graph = value, graph
-                    gen += 1
-                    cut, low_cut = _cuts(best_value, use_float, eps)
+                    cut = best_value * slack
                     stats.incumbent_updates += 1
 
     stats.pruned, stats.duplicates = pruned, duplicates
@@ -910,7 +793,6 @@ def bb_minlatency(
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
     max_services: int = MAX_BB_LATENCY_SERVICES,
-    eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinLatency over DAGs by best-first branch and bound.
 
@@ -921,11 +803,11 @@ def bb_minlatency(
     need not be forests (Proposition 13), hence the DAG space.
 
     *objective* is read as in :func:`bb_minperiod`: it scores complete
-    DAGs, and its platform, mapping and ``exactness`` (with *eps*) set the
-    bound's divisors and numeric tier under the same certification
-    contract; *deadline* (wall-clock seconds) stops the search like
-    *node_limit*, leaving the incumbent as an anytime upper bound with
-    ``stats.limit_hit`` set; the default seed is
+    DAGs, and its platform, mapping and ``exactness`` set the bound's
+    divisors and numeric tier (see the module docstring); *deadline*
+    (wall-clock seconds) stops the search like *node_limit*, leaving the
+    incumbent as an anytime upper bound with ``stats.limit_hit`` set; the
+    default seed is
     :func:`~repro.optimize.greedy.greedy_forest` on *objective*.  A
     complete DAG whose exact one-port schedule search stops at its node
     limit is scored by the best schedule it found, and
@@ -966,7 +848,9 @@ def bb_minlatency(
                 terms, floor_list = terms_x, floors_x
             break
         except OverflowError:
-            exactness = Exactness.EXACT  # beyond float range (see bb_minperiod)
+            # Instance quantities beyond float range: the fast tier cannot
+            # represent them — degrade to the (always-correct) exact tier.
+            exactness = Exactness.EXACT
     stats = BBStats()
     evaluations = objective.evaluations
     deadline_at = None if deadline is None else time.monotonic() + deadline
@@ -977,9 +861,15 @@ def bb_minlatency(
         incumbent = greedy_forest(app, objective)
     best_value, best_graph = incumbent
 
-    # Near-tie band thresholds and the one prune test — see bb_minperiod.
+    # Float-tier pruning thresholds around the incumbent: a state whose
+    # float bound exceeds ``cut`` is provably no better than the incumbent
+    # (the eps guard swallows the float error).  Under CERTIFIED a state
+    # inside the ``[low_cut, cut]`` near-tie band is arbitrated in exact
+    # arithmetic, so the prune set is the exact tier's; under FAST ties
+    # prune at ``low_cut``.  Under EXACT ``low_cut == cut``, so one test
+    # serves every tier.
     certified = exactness is Exactness.CERTIFIED
-    cut, low_cut = _cuts(best_value, use_float, eps)
+    cut, low_cut = _cuts(best_value, use_float)
     root_bound_x = max(floors_x, default=Fraction(0))
     root_bound = max(floor_list, default=terms.one * 0)
 
@@ -988,7 +878,7 @@ def bb_minlatency(
     start: State = (frozenset(), frozenset())
     heap: List[Tuple] = []
     counter = itertools.count()
-    gen = 0  # incumbent generation (see bb_minperiod)
+    gen = 0  # incumbent generation: bumps on every incumbent improvement
     heapq.heappush(heap, (root_bound, n, next(counter), start, -1))
     seen = {start}
 
@@ -1030,6 +920,9 @@ def bb_minlatency(
                 revived_x.append(terms_x.revive(topo, preds, ancestors))
             return revived_x[0]
 
+        # A state pushed under the current incumbent was already exactly
+        # arbitrated at generation time; only a since-improved incumbent
+        # (or the root, pushed at generation -1) re-checks the band here.
         if (
             certified
             and state_gen != gen
@@ -1039,7 +932,10 @@ def bb_minlatency(
             stats.pruned += 1
             continue
         stats.expanded += 1
-        verified_gen = gen  # see bb_minperiod: children re-check if stale
+        # The incumbent generation this state's bound was screened under;
+        # children inherit it, so a mid-expansion incumbent improvement
+        # forces their own pop-time re-arbitration.
+        verified_gen = gen
 
         unplaced = [i for i in range(n) if i not in placed]
         k = len(order)
@@ -1082,7 +978,7 @@ def bb_minlatency(
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1
-                        cut, low_cut = _cuts(best_value, use_float, eps)
+                        cut, low_cut = _cuts(best_value, use_float)
                         stats.incumbent_updates += 1
                     continue
                 heapq.heappush(

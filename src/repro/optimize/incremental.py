@@ -69,7 +69,6 @@ from typing import (
 )
 
 from ..core import (
-    CERT_EPS,
     INPUT,
     OUTPUT,
     CommModel,
@@ -373,17 +372,16 @@ class _CertifiedPair:
     majority.  A committed move is applied to both tiers.
     """
 
-    __slots__ = ("exact", "fast", "eps", "_cut")
+    __slots__ = ("exact", "fast", "_cut")
     _single: type
 
-    def __init__(self, *args, eps: float = CERT_EPS, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         self.exact = self._single(*args, **kwargs)
         self.fast = self._single(*args, num=float, **kwargs)
-        self.eps = eps
         self._refresh()
 
     def _refresh(self) -> None:
-        self._cut = certified_threshold(float(self.exact.value()), self.eps)
+        self._cut = certified_threshold(float(self.exact.value()))
 
     def _score(self, move: str, *args):
         trial = getattr(self.fast, move)(*args)
@@ -416,7 +414,7 @@ def _in_tier(exactness: Exactness, pair: type, *args, **kwargs):
 
 class CertifiedForestPeriod(_CertifiedPair):
     """Exact + float :class:`IncrementalForestPeriod` behind one certified
-    interface (same arguments, plus *eps*).  Drop-in wherever an
+    interface (same arguments).  Drop-in wherever an
     :class:`IncrementalForestPeriod` is accepted."""
 
     __slots__ = ()
@@ -640,7 +638,7 @@ class IncrementalSharedCosts:
 
 class CertifiedPlacementCosts(_CertifiedPair):
     """Exact + float :class:`IncrementalSharedCosts` behind one certified
-    interface (same arguments, plus *eps*), for the reassignment/swap
+    interface (same arguments), for the reassignment/swap
     moves of the placement searches."""
 
     __slots__ = ()
@@ -748,7 +746,7 @@ class FullPlacementCosts:
 
     __slots__ = (
         "graph", "platform", "model", "weights", "shared", "exactness",
-        "eps", "assignment", "_arrays", "_allow_shared", "_value", "_cut",
+        "assignment", "_arrays", "_allow_shared", "_value", "_cut",
         "_exact", "_weights", "_batch", "_bottleneck", "_floor",
     )
 
@@ -762,7 +760,6 @@ class FullPlacementCosts:
         weights: Optional[Dict[str, Fraction]] = None,
         shared: bool = False,
         exactness: Exactness = Exactness.CERTIFIED,
-        eps: float = CERT_EPS,
     ) -> None:
         mapping.validate_on(graph.nodes, platform)
         self.graph = graph
@@ -772,7 +769,6 @@ class FullPlacementCosts:
         self.shared = shared or bool(weights)
         self._allow_shared = shared
         self.exactness = Exactness.coerce(exactness)
-        self.eps = eps
         self._arrays = GraphArrays(graph)
         self._exact = CostAlgebra(GraphArrays(graph, exact_num), platform)
         self._weights = self._exact.weight_list(weights)
@@ -927,7 +923,7 @@ class FullPlacementCosts:
                 u for u in self._bottleneck if sums[u][1] == self._value
             )
         try:
-            self._cut = certified_threshold(float(self._value), self.eps)
+            self._cut = certified_threshold(float(self._value))
         except OverflowError:
             self._cut = float("inf")  # arbitrate everything exactly
 
@@ -999,7 +995,7 @@ class FullPlacementCosts:
             return
         cut = self._cut
         if not ties:
-            cut = min(cut, certified_threshold(min(prices), self.eps))
+            cut = min(cut, certified_threshold(min(prices)))
         floats = iter(prices)
         for move, skip in zip(moves, floored):
             if skip:

@@ -67,9 +67,8 @@ Problem = Union[Application, ExecutionGraph]
 #: period, DAGs for latency), heuristic search beyond them.  Branch and
 #: bound prunes with Cin/Ccomp/Cout lower bounds, so the exact range
 #: reaches well past the plain-enumeration caps (which were 5 and 4); the
-#: certified float fast path (the default exactness) pushed the period
-#: frontier from 8 to 10 — n=10 certifies in well under a second where
-#: exact-tier arithmetic took several.
+#: no-communication chain bound over the unplaced services closes most
+#: period searches at n=10 at the root, in a few milliseconds.
 AUTO_EXHAUSTIVE_MAX = {"period": 10, "latency": MAX_DAG_SERVICES}
 
 #: Orchestration methods (fixed graph) and the evaluation effort they map to.

@@ -188,12 +188,14 @@ def test_distinct_platforms_never_coalesce():
             ),
             server.handle_request(
                 {"op": "solve", "id": 3, "workload": "fig1",
-                 "platform": "het:n=3,seed=1"}
+                 "platform": "het:n=6,seed=1"}
             ),
         )
         assert all(r["served"] == "solve" for r in responses)
         assert server.coalescer.coalesced == 0
         assert server.solves == 3
+
+    run(_with_server(body))
 
 
 def test_unit_platform_is_interchangeable_with_none():
@@ -210,8 +212,6 @@ def test_unit_platform_is_interchangeable_with_none():
         )
         assert sorted(r["served"] for r in responses) == ["coalesced", "solve"]
         assert server.solves == 1
-
-    run(_with_server(body))
 
     run(_with_server(body))
 

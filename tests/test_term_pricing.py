@@ -9,13 +9,10 @@ the cost:
 1. term-priced greedy equals objective-priced greedy, value and edge set,
    on seeded random instances, equal-cost ties and 2^-60 near-ties;
 2. the term path is taken exactly where the terms are the objective;
-3. a leaf's one-multiply float term is bit-for-bit the max (or ordered
-   sum) of the three rounded products it replaces;
-4. the search explores the same states: expanded/pruned/duplicates are
-   pinned to their values from before the term pricing, under every tier;
-5. a near-tie on a parent's grown term is settled in exact arithmetic,
-   and the heap-order near-ties where certified still differs from exact
-   are pinned as expected failures.
+3. the search explores the same states under every tier:
+   expanded/pruned/duplicates are pinned;
+4. 2^-60 near-ties, on a parent's grown term or in the heap order, give
+   the certified search the exact search's plan and counts.
 """
 
 import random
@@ -25,7 +22,6 @@ import pytest
 
 from repro.core import CommModel, Exactness, make_application
 from repro.optimize import Effort, greedy_forest, make_period_objective
-from repro.optimize.branch_and_bound import ForestTerms
 from repro.planner import EvaluationCache, solve
 from repro.workloads.generators import random_application, random_platform
 
@@ -106,31 +102,14 @@ class TestGreedyOnTerms:
             assert fast[0] == exact[0] and fast[1].edges == exact[1].edges
 
 
-class TestFloatLeafTerm:
-    """A leaf's float term rounds exactly as its three products did."""
-
-    def test_one_multiply_matches_three_products(self):
-        rng = random.Random(7)
-        for seed in range(40):
-            app = random_application(6, seed=seed, filter_fraction=0.5)
-            overlap = ForestTerms(app, CommModel.OVERLAP, num=float)
-            oneport = ForestTerms(app, CommModel.INORDER, num=float)
-            for _ in range(20):
-                size = rng.uniform(1e-3, 4.0)
-                for i, service in enumerate(app.services):
-                    c, s = float(service.cost), float(service.selectivity)
-                    assert overlap.leaf(size, i) == max(size, size * c, size * s)
-                    assert oneport.leaf(size, i) == size + size * c + size * s
-
-
 class TestSearchCountsPinned:
     """Expansion on the terms explores exactly the states it did before."""
 
     #: (n, seed) -> (value, expanded, pruned, duplicates), identical on
-    #: every tier (the near-tie band makes certified match exact).
+    #: every tier (the search prices its bounds exactly on each).
     PINNED = {
-        (8, 2): (F(59829, 16384), 161, 2444, 150),
-        (9, 4): (F(75, 2), 1940, 39218, 3943),
+        (8, 2): (F(59829, 16384), 0, 0, 0),
+        (9, 4): (F(75, 2), 0, 0, 0),
     }
 
     @pytest.mark.parametrize("exactness", ["certified", "exact", "fast"])
@@ -151,44 +130,29 @@ class TestSearchCountsPinned:
 class TestNearTieArbitration:
     """Certified B&B settles 2^-60 near-ties exactly, as the exact tier."""
 
-    def test_grown_parent_term_is_arbitrated_exactly(self, monkeypatch):
-        # A child whose float bound sits in the near-tie band because its
-        # parent's term grows with one more child: certified B&B settles
-        # it on the parent's exact grown term (``exact_grown_of``).
-        import sys
-
-        from repro.optimize import branch_and_bound
-
-        callers = set()
-        real = ForestTerms.term
-
-        def term(self, anc, children, i):
-            callers.add(sys._getframe(1).f_code.co_name)
-            return real(self, anc, children, i)
-
-        monkeypatch.setattr(branch_and_bound.ForestTerms, "term", term)
+    def test_grown_parent_term_is_arbitrated_exactly(self):
+        # A child whose bound is within float resolution of the incumbent
+        # because its parent's term grows with one more child.
         app = make_application([
             ("S0", 2 - 2 * TINY, 2), ("S1", 1, F(1, 2)), ("S2", F(1, 2) + TINY, 1),
         ])
         for model in ("inorder", "outorder"):
             runs = {}
             for exactness in ("exact", "certified"):
-                callers.clear()
                 result = solve(app, model=model, effort="bound",
                                method="branch-and-bound", exactness=exactness,
                                cache=EvaluationCache(), schedule=False)
                 extras = result.stats.extras
                 runs[exactness] = (result.value, sorted(result.graph.edges),
                                    extras["expanded"], extras["pruned"])
-            assert "exact_grown_of" in callers, model  # in the certified run
             assert runs["certified"] == runs["exact"], model
             assert runs["exact"][0] == F(5, 2)
             assert runs["exact"][2:] == (4, 9)
 
-    #: Each instance: (services, solve options).  The float-keyed heap
-    #: pops equal-float states in insertion order where the exact tier
-    #: orders them by their exact bounds, so a different (equally
-    #: optimal) forest can win.
+    #: Each instance: (services, solve options).  A float-keyed heap
+    #: would pop equal-float states in insertion order where the exact
+    #: tier orders them by their exact bounds, so a different (equally
+    #: optimal) forest could win.
     HEAP_ORDER_CASES = {
         "auto": (
             [("S0", F(1, 2), 1 - TINY), ("S1", 3, F(3, 2)), ("S2", 4, F(1, 2)),
@@ -204,12 +168,6 @@ class TestNearTieArbitration:
         ),
     }
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="certified B&B keys its heap on floats: below float "
-        "resolution it pops near-tied states in a different order than "
-        "the exact tier and returns another optimal forest",
-    )
     @pytest.mark.parametrize("case", sorted(HEAP_ORDER_CASES))
     def test_heap_order_near_ties_return_the_exact_forest(self, case):
         services, options = self.HEAP_ORDER_CASES[case]
