@@ -10,17 +10,21 @@ and edge sets.  This script does both halves:
   ``serve-mix`` list, under each ``--exactness`` tier, and writes one
   record per solve: its value, sorted edge set and method, plus the
   search counters (``expanded``, ``pruned``, ``evaluated``,
-  ``duplicates``) for reference.
+  ``duplicates``) for reference.  A fixed-graph op is solved a second
+  time with its schedule, and its record adds the schedule's period
+  ``lam`` and every operation's begin and end.
   It also replays the ``replan-churn`` list (its setup admissions, then
   every event) under each tier and writes one record per event: the
   sorted mapping, value, moved and forced services, the fallback flag and
   the migration cost.  It prints how many problems the certified and the
   exact tier plan alike;
 * ``--compare OLD NEW`` reports every record whose plan differs — a
-  solve's value or edge set, an event's whole record — (exit status 1 if
-  any does), how many of those differ in value and how many only in
-  their edge set (a tied optimum), and the records whose counters moved
-  (informational: a search gate may lower them).
+  solve's value, edge set or schedule, an event's whole record — (exit
+  status 1 if any does), how many of those differ in value and how many
+  only in their edge set (a tied optimum), and the records whose counters
+  moved (informational: a search gate may lower them).  Both files must
+  come from this version of the script: an older one records no
+  schedules.
 
 Run it from the root of each checkout, for example::
 
@@ -46,13 +50,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import ops as opgen  # noqa: E402  (perfbench's seeded op lists)
 
-from repro import dynamic, planner  # noqa: E402
+from repro import ExecutionGraph, dynamic, planner  # noqa: E402
 from repro.optimize.placement import clear_placement_memo  # noqa: E402
 
 COUNTERS = ("expanded", "pruned", "evaluated", "duplicates")
 #: The fields of a record that make up its plan (compared exactly).
-PLAN_FIELDS = ("value", "edges", "mapping", "moved", "forced", "fallback",
-               "migration_cost")
+PLAN_FIELDS = ("value", "edges", "lam", "schedule", "mapping", "moved",
+               "forced", "fallback", "migration_cost")
 
 
 def _problems(seed: int, seconds: float, only):
@@ -116,6 +120,18 @@ def replan_records(seed: int, seconds: float, tier: str):
         }
 
 
+def _schedule(operations) -> dict:
+    """The period and every operation's ``[label, begin, end]`` of a plan's
+    operation list, as strings."""
+    return {
+        "lam": str(operations.lam),
+        "schedule": sorted(
+            [repr(op), str(begin), str(end)]
+            for op, (begin, end) in operations.items()
+        ),
+    }
+
+
 def fingerprint(args) -> None:
     records = {}
     started = time.perf_counter()
@@ -126,12 +142,16 @@ def fingerprint(args) -> None:
                 problem, exactness=tier, schedule=False, **kwargs
             )
             extras = result.stats.extras
-            records[f"{key}/{tier}"] = {
+            records[f"{key}/{tier}"] = record = {
                 "value": str(result.value),
                 "edges": sorted(map(list, result.graph.edges)),
                 "method": result.method,
                 **{k: extras.get(k) for k in COUNTERS},
             }
+            if isinstance(problem, ExecutionGraph):
+                record.update(_schedule(planner.solve(
+                    problem, exactness=tier, **kwargs
+                ).plan.operation_list))
     if not args.only or "replan" in args.only:
         for tier in args.exactness:
             for key, record in replan_records(args.seed, args.seconds, tier):

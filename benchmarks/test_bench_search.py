@@ -18,16 +18,24 @@ is tracked across PRs:
   duplicates and evaluated of the certified and exact tiers (the
   branch-and-bound rows carry ``bb_duplicates`` too), which the sorted-speed
   placement bound and the term-priced seed cut (so the count guard fails
-  a change that loses either).
+  a change that loses either);
+* fixed-graph INORDER and OUTORDER orchestration on solve-mix's ``orch``
+  families (chain, fork-join, layered and random graphs): each shape's
+  period and ``minimum_period`` call count, compared exactly, and one
+  wall over the whole panel, compared by ratio, which a return of the
+  cycle-ratio kernel to ``Fraction`` relaxation fails (~8x slower).
 """
 
+import contextlib
 import itertools
 import json
+import sys
 import time
 from fractions import Fraction
 
 from repro.analysis import text_table
 from repro.core import CommModel, Exactness
+from repro.cyclic import mcr
 from repro.optimize import (
     greedy_forest,
     iter_forests,
@@ -196,6 +204,79 @@ def _local_search_rows(n=12, seeds=(1, 2, 3)):
     return rows
 
 
+#: Fixed-graph shapes of solve-mix's ``orch`` families with their models.
+#: OUTORDER's repair scheduler takes seconds on some layered and random
+#: graphs, so those two families run under INORDER only, as in solve-mix.
+ORCH_SHAPES = tuple(
+    (spec, model)
+    for seed in (1, 2, 3)
+    for spec, models in (
+        (f"chain:n=6,seed={seed}", ("inorder", "outorder")),
+        (f"chain:n=9,seed={seed}", ("inorder", "outorder")),
+        (f"forkjoin:branches=3,seed={seed}", ("inorder", "outorder")),
+        (f"forkjoin:branches=5,seed={seed}", ("inorder", "outorder")),
+        (f"layered:widths=2x3x2,seed={seed}", ("inorder",)),
+        (f"layered:widths=3x3x2,seed={seed}", ("inorder",)),
+        (f"random:n=6,seed={seed},graph=random,density=0.25", ("inorder",)),
+        (f"random:n=7,seed={seed},graph=random,density=0.25", ("inorder",)),
+    )
+    for model in models
+)
+
+#: Passes over :data:`ORCH_SHAPES` in the timed total, which keeps it well
+#: above ``compare_bench.py``'s noise floor (one pass takes ~30 ms).
+ORCH_PASSES = 10
+
+
+@contextlib.contextmanager
+def _counted_minimum_period():
+    """Count ``minimum_period`` calls at every ``repro`` module binding
+    the name (the schedulers import it)."""
+    original = mcr.minimum_period
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    modules = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("repro") and module is not None
+        and getattr(module, "minimum_period", None) is original
+    ]
+    for module in modules:
+        module.minimum_period = counted
+    try:
+        yield calls
+    finally:
+        for module in modules:
+            module.minimum_period = original
+
+
+def _orchestration_rows():
+    """Period and ``minimum_period`` calls of each orchestrated shape (the
+    INORDER/OUTORDER schedulers, schedule included), then the wall of
+    :data:`ORCH_PASSES` passes over the panel."""
+    graphs = [(spec, model, load_workload(spec).graph)
+              for spec, model in ORCH_SHAPES]
+    rows = []
+    with _counted_minimum_period() as calls:
+        for spec, model, graph in graphs:
+            calls["n"] = 0
+            result = solve(graph, model=model, cache=EvaluationCache())
+            assert result.plan.is_valid(), (spec, model)
+            rows.append({"label": spec, "mode": model,
+                         "period": str(result.value), "mcr_calls": calls["n"]})
+    started = time.perf_counter()
+    for _ in range(ORCH_PASSES):
+        for _spec, model, graph in graphs:
+            solve(graph, model=model, cache=EvaluationCache())
+    rows.append({"label": "all shapes", "shapes": len(graphs),
+                 "passes": ORCH_PASSES,
+                 "wall_s": round(time.perf_counter() - started, 4)})
+    return rows
+
+
 def test_search_performance(benchmark):
     def run():
         # Seeds chosen, under the static floors, so the bound did real
@@ -207,9 +288,11 @@ def test_search_performance(benchmark):
                             (10, 4), (11, 4)]
         ]
         ls_rows = _local_search_rows()
-        return bb_rows, ls_rows, _het_rows()
+        return bb_rows, ls_rows, _het_rows(), _orchestration_rows()
 
-    bb_rows, ls_rows, het_rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    bb_rows, ls_rows, het_rows, orch_rows = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
 
     # --- assertions: the shape the ISSUE promises -----------------------
     for row in bb_rows:
@@ -234,6 +317,7 @@ def test_search_performance(benchmark):
         "branch_and_bound": bb_rows,
         "local_search_incremental": ls_rows,
         "het_branch_and_bound": het_rows,
+        "orchestration": orch_rows,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_search.json").write_text(
@@ -271,6 +355,11 @@ def test_search_performance(benchmark):
             for r in het_rows
         ],
     )
+    *shapes, total = orch_rows
+    orch_table = text_table(
+        ["instance", "model", "period", "minimum_period calls"],
+        [[r["label"], r["mode"], r["period"], r["mcr_calls"]] for r in shapes],
+    )
     record(
         "search_performance",
         "exact MinPeriod(OVERLAP): branch and bound on the certified and "
@@ -282,5 +371,9 @@ def test_search_performance(benchmark):
         + "\n\nMinPeriod(OVERLAP) on het4 and contended topologies with a "
         "free mapping: branch and bound with the sorted-speed placement "
         "bound\n"
-        + het_table,
+        + het_table
+        + "\n\nfixed-graph INORDER/OUTORDER orchestration (schedule "
+        f"included): {total['shapes']} shapes x {total['passes']} passes in "
+        f"{total['wall_s']} s\n"
+        + orch_table,
     )

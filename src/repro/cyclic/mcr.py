@@ -15,10 +15,20 @@ repeatedly run a longest-path Bellman–Ford with reduced costs
 that cycle's ratio.  Each iteration pins ``lambda`` to the ratio of an
 actual simple cycle, so the loop terminates with the exact maximum ratio —
 no floating point, no epsilon.
+
+The relaxation runs in integers.  Every reduced cost is multiplied by one
+common denominator, ``den·q``: ``den`` is the lcm of the weights'
+denominators (formed once per call) and ``q`` that of ``lambda``.  A
+positive scale preserves every comparison of the relaxation, so it takes
+the same decisions, finds the same cycle and converges to the same
+distances, each ``den·q`` times the rational one.  The cycle's ratio is
+still formed from the original ``Fraction`` weights, and
+:func:`earliest_times` divides the distances back.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -27,41 +37,62 @@ from .eventgraph import ConstraintEdge, EventGraph
 
 ZERO = Fraction(0)
 
+#: An arc ``(src, dst, weight·den, height)`` in integers.
+IntArc = Tuple[int, int, int, int]
+
 
 class InfeasibleScheduleError(ValueError):
     """The constraint graph has a positive cycle of height 0."""
 
 
-def _find_positive_cycle(
-    n: int, edges: List[ConstraintEdge], lam: Fraction
-) -> Optional[Tuple[Fraction, int]]:
-    """Return ``(sum_w, sum_h)`` of a strictly positive cycle, else ``None``.
+def _integer_arcs(edges: List[ConstraintEdge]) -> Tuple[List[IntArc], int]:
+    """*edges* as integer arcs, each weight times ``den``, and ``den``: the
+    lcm of the weights' denominators."""
+    den = math.lcm(*{e.weight.denominator for e in edges})
+    return [
+        (e.src, e.dst, e.weight.numerator * (den // e.weight.denominator),
+         e.height)
+        for e in edges
+    ], den
 
-    Longest-path Bellman–Ford from a virtual source connected to every
-    event with length 0; a relaxation surviving ``n`` full passes exposes a
-    positive cycle, which is extracted through the predecessor array.
+
+def _longest_paths(
+    n: int, arcs: List[IntArc], den: int, lam: Fraction
+) -> Tuple[List[int], List[int], List[int]]:
+    """Longest-path Bellman–Ford at period *lam*, in integers.
+
+    Every event starts at 0 (a virtual source with length-0 arcs) and each
+    arc's length is ``w - lam·h`` times ``den·q``, ``q`` being *lam*'s
+    denominator.  Returns ``(dist, pred, last_pass)``: the scaled
+    distances, each event's last relaxed arc (an index into *arcs*, -1 for
+    none) and the events the final pass updated — empty once the
+    distances converge, non-empty after ``n`` passes only on a strictly
+    positive cycle.
     """
-    if n == 0 or not edges:
-        return None
-    dist: List[Fraction] = [ZERO] * n
-    pred: List[int] = [-1] * n  # index into `edges`
-    # Pre-extract hot-loop data; when everything is integral, plain ints
-    # make the relaxation passes several times faster than Fractions.
-    arcs = [(e.src, e.dst, e.weight - lam * e.height) for e in edges]
-    if all(r.denominator == 1 for _, _, r in arcs):
-        arcs = [(u, v, int(r)) for u, v, r in arcs]
-        dist = [0] * n  # type: ignore[list-item]
+    q = lam.denominator
+    p = lam.numerator * den
+    reduced = [(u, v, w * q - p * h) for u, v, w, h in arcs]
+    dist = [0] * n
+    pred = [-1] * n
     last_pass: List[int] = []
     for _ in range(n):
         last_pass = []
-        for ei, (src, dst, reduced) in enumerate(arcs):
-            cand = dist[src] + reduced
+        for ei, (src, dst, length) in enumerate(reduced):
+            cand = dist[src] + length
             if cand > dist[dst]:
                 dist[dst] = cand
                 pred[dst] = ei
                 last_pass.append(dst)
         if not last_pass:
-            return None
+            break
+    return dist, pred, last_pass
+
+
+def _find_positive_cycle(
+    edges: List[ConstraintEdge], pred: List[int], last_pass: List[int]
+) -> Optional[Tuple[Fraction, int]]:
+    """``(sum_w, sum_h)`` of a strictly positive cycle that the relaxation
+    left in *pred*, else ``None`` (*last_pass* empty: it converged)."""
     # Some node updated in the final pass leads backwards into a cycle of
     # the predecessor graph; every such cycle has strictly positive reduced
     # weight.  Walk with a visited set for robustness.
@@ -84,7 +115,9 @@ def _find_positive_cycle(
             cycle_w += e.weight
             cycle_h += e.height
         return cycle_w, cycle_h
-    raise AssertionError("relaxation persisted but no cycle was extracted")
+    if last_pass:
+        raise AssertionError("relaxation persisted but no cycle was extracted")
+    return None
 
 
 def minimum_period(graph: EventGraph, floor: Numeric = 0) -> Fraction:
@@ -96,8 +129,10 @@ def minimum_period(graph: EventGraph, floor: Numeric = 0) -> Fraction:
     lam = as_fraction(floor)
     n = graph.n_events
     edges = graph.edges
+    arcs, den = _integer_arcs(edges)
     while True:
-        found = _find_positive_cycle(n, edges, lam)
+        _, pred, last_pass = _longest_paths(n, arcs, den, lam)
+        found = _find_positive_cycle(edges, pred, last_pass)
         if found is None:
             return lam
         cycle_w, cycle_h = found
@@ -116,8 +151,9 @@ def minimum_period(graph: EventGraph, floor: Numeric = 0) -> Fraction:
 
 def is_feasible(graph: EventGraph, lam: Numeric) -> bool:
     """Is the constraint system satisfiable at period *lam*?"""
-    found = _find_positive_cycle(graph.n_events, graph.edges, as_fraction(lam))
-    return found is None
+    arcs, den = _integer_arcs(graph.edges)
+    _, _, last_pass = _longest_paths(graph.n_events, arcs, den, as_fraction(lam))
+    return not last_pass
 
 
 def earliest_times(graph: EventGraph, lam: Numeric) -> Dict[object, Fraction]:
@@ -127,22 +163,12 @@ def earliest_times(graph: EventGraph, lam: Numeric) -> Dict[object, Fraction]:
     costs; *lam* must be feasible.
     """
     lam = as_fraction(lam)
-    n = graph.n_events
-    dist: List[Fraction] = [ZERO] * n
-    edges = graph.edges
-    for _ in range(n):
-        changed = False
-        for e in edges:
-            cand = dist[e.src] + e.weight - lam * e.height
-            if cand > dist[e.dst]:
-                dist[e.dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        if _find_positive_cycle(n, edges, lam) is not None:
-            raise InfeasibleScheduleError(f"period {lam} is infeasible")
-    return {graph.label(i): dist[i] for i in range(n)}
+    arcs, den = _integer_arcs(graph.edges)
+    dist, _, last_pass = _longest_paths(graph.n_events, arcs, den, lam)
+    if last_pass:
+        raise InfeasibleScheduleError(f"period {lam} is infeasible")
+    scale = den * lam.denominator
+    return {graph.label(i): Fraction(d, scale) for i, d in enumerate(dist)}
 
 
 def brute_force_mcr(graph: EventGraph) -> Optional[Fraction]:

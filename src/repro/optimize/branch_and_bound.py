@@ -242,9 +242,15 @@ class ForestTerms:
     ``s`` from *scaling* (the unit platform without one), and ``k_i`` is
     their max (their sum under one-port): a new leaf under a parent of
     out-size ``A`` costs ``A·k_i``, one multiply.
+
+    :meth:`chain` prices MinPeriod without communication on a set of
+    services, which bounds every completion from below (the module
+    docstring gives the argument): branch and bound bounds its states
+    with it, and local search stops once its value reaches ``chain(all)``.
     """
 
-    __slots__ = ("ci", "sigma", "cc", "co", "k", "overlap")
+    __slots__ = ("index", "ci", "sigma", "cc", "co", "k", "overlap",
+                 "_order", "_chains")
 
     def __init__(
         self,
@@ -255,6 +261,7 @@ class ForestTerms:
         names = list(app.names)
         scaling = scaling or _Scaling(app, None, None)
         b = scaling.comm_div
+        self.index = {name: i for i, name in enumerate(names)}
         self.ci = ONE / b
         self.sigma = [app.selectivity(x) for x in names]
         self.cc = [app.cost(x) / scaling.speed(x) for x in names]
@@ -264,6 +271,20 @@ class ForestTerms:
             max(self.ci, c, o) if self.overlap else self.ci + c + o
             for c, o in zip(self.cc, self.co)
         ]
+        # The chain's order: the filters by increasing k, then the expanders.
+        self._order = sorted(
+            range(len(names)), key=lambda i: (self.sigma[i] >= 1, self.k[i])
+        )
+        self._chains: Dict[int, Fraction] = {}
+
+    @classmethod
+    def of(cls, app: Application, objective: Objective) -> "ForestTerms":
+        """The terms of *objective*'s model, divided by its platform and
+        mapping (:class:`_Scaling`)."""
+        return cls(
+            app, objective.model,
+            _Scaling(app, objective.platform, objective.mapping),
+        )
 
     def leaf(self, size: Fraction, i: int) -> Fraction:
         """Term of node *i* as a leaf whose parent emits *size*."""
@@ -279,6 +300,45 @@ class ForestTerms:
         if self.overlap:
             return max(cin, ccomp, cout)
         return cin + ccomp + cout
+
+    def chain(self, placed: int = 0) -> Fraction:
+        """``chain(U)`` over the services ``U`` outside the bitmask
+        *placed*: the filters by increasing ``k``, then the expanders, each
+        fed the product of the filters before it; the max of their terms.
+        Memoised per bitmask; ``chain()`` covers every service."""
+        value = self._chains.get(placed)
+        if value is None:
+            value, prod = Fraction(0), ONE
+            for i in self._order:
+                if not placed >> i & 1:
+                    value = max(value, prod * self.k[i])
+                    if self.sigma[i] < 1:
+                        prod *= self.sigma[i]
+            self._chains[placed] = value
+        return value
+
+    def forest(
+        self, parents: Dict[str, Optional[str]]
+    ) -> Tuple[Fraction, Dict[str, Fraction]]:
+        """The forest *parents* (node to parent, ``None`` for a root): the
+        max of its nodes' terms, and each node's ancestor product."""
+        index = self.index
+        anc: Dict[str, Fraction] = {}
+        children = dict.fromkeys(parents, 0)
+        for parent in parents.values():
+            if parent is not None:
+                children[parent] += 1
+        for node in parents:
+            path, top = [], node
+            while top is not None and top not in anc:
+                path.append(top)
+                top = parents[top]
+            prod = ONE if top is None else anc[top] * self.sigma[index[top]]
+            for x in reversed(path):
+                anc[x] = prod
+                prod = prod * self.sigma[index[x]]
+        term = max(self.term(anc[x], children[x], index[x]) for x in parents)
+        return term, anc
 
 
 def _insertion_order(app: Application) -> List[str]:
@@ -302,8 +362,12 @@ def _greedy_on_terms(
     Putting ``u`` under placed ``p`` costs ``max(current, A_p·k_u, p's
     term with one more child)``, where ``A_p`` is ``p``'s out-size; as a
     root it costs ``max(current, k_u)``.  Same order, same tie-break.
+    Every candidate costs at least the current value, and the first strict
+    minimum wins, so a slot that costs exactly the current value ends the
+    scan: the parent scan is skipped when the root slot does, and stops at
+    the first attachment that does.
     """
-    index = {name: i for i, name in enumerate(app.names)}
+    index = terms.index
     parents: Dict[str, Optional[str]] = {}
     anc: Dict[str, Fraction] = {}
     children: Dict[str, int] = {}
@@ -315,10 +379,13 @@ def _greedy_on_terms(
         u = index[name]
         best_val = max(value, terms.k[u])
         best_parent: Optional[str] = None
-        for parent in parents:
-            val = max(value, terms.leaf(size[parent], u), grown[parent])
-            if val < best_val:
-                best_val, best_parent = val, parent
+        if best_val > value:
+            for parent in parents:
+                val = max(value, terms.leaf(size[parent], u), grown[parent])
+                if val < best_val:
+                    best_val, best_parent = val, parent
+                    if val == value:
+                        break  # free: no later slot is a strict minimum
         parents[name] = best_parent
         anc[name] = ONE if best_parent is None else size[best_parent]
         children[name] = 0
@@ -427,7 +494,7 @@ class PlacementBound:
     and bandwidth.
     """
 
-    __slots__ = ("terms", "index", "cost", "floor", "speeds")
+    __slots__ = ("terms", "cost", "floor", "speeds")
 
     def __init__(
         self, app: Application, model: CommModel, platform: Platform
@@ -435,7 +502,6 @@ class PlacementBound:
         names = list(app.names)
         minprod = _min_products(app)
         self.terms = ForestTerms(app, model, _Scaling(app, platform, None))
-        self.index = {name: i for i, name in enumerate(names)}
         self.cost = [app.cost(x) for x in names]
         self.floor = [minprod[x] * app.cost(x) for x in names]
         fastest = sorted((s.speed for s in platform.servers), reverse=True)
@@ -453,22 +519,8 @@ class PlacementBound:
     ) -> Tuple[Fraction, List[Fraction]]:
         """The forest *parents* (node to parent, ``None`` for a root): the
         max of its :class:`ForestTerms`, and its nodes' works."""
-        terms, index = self.terms, self.index
-        anc: Dict[str, Fraction] = {}
-        children = dict.fromkeys(parents, 0)
-        for parent in parents.values():
-            if parent is not None:
-                children[parent] += 1
-        for node in parents:
-            chain, top = [], node
-            while top is not None and top not in anc:
-                chain.append(top)
-                top = parents[top]
-            prod = ONE if top is None else anc[top] * terms.sigma[index[top]]
-            for x in reversed(chain):
-                anc[x] = prod
-                prod = prod * terms.sigma[index[x]]
-        term = max(terms.term(anc[x], children[x], index[x]) for x in parents)
+        term, anc = self.terms.forest(parents)
+        index = self.terms.index
         return term, [anc[x] * self.cost[index[x]] for x in parents]
 
     def forest(self, parents: Dict[str, Optional[str]]) -> Fraction:
@@ -622,11 +674,8 @@ def bb_minperiod(
         raise ValueError("forest branch and bound assumes no precedence constraints")
     names = list(app.names)
     n = len(names)
-    terms = ForestTerms(
-        app, objective.model,
-        _Scaling(app, objective.platform, objective.mapping),
-    )
-    sigma, k = terms.sigma, terms.k
+    terms = ForestTerms.of(app, objective)
+    sigma, k, chain = terms.sigma, terms.k, terms.chain
     free = _free_platform(objective)
     gate = None if free is None else PlacementGate(app, objective.model, free)
     ROOT = _ForestState.ROOT
@@ -645,23 +694,6 @@ def bb_minperiod(
     best_value, best_graph = incumbent
     if not best_graph.is_forest:
         raise ValueError("the MinPeriod incumbent must be a forest")
-
-    # chain(U), keyed on the placed bitmask: one scan of the filters by
-    # increasing k, then the expanders, each fed the product before it.
-    order = sorted(range(n), key=lambda i: (sigma[i] >= 1, k[i]))
-    chains: Dict[int, Fraction] = {}
-
-    def chain(mask: int) -> Fraction:
-        value = chains.get(mask)
-        if value is None:
-            value, prod = Fraction(0), ONE
-            for i in order:
-                if not mask >> i & 1:
-                    value = max(value, prod * k[i])
-                    if sigma[i] < 1:
-                        prod *= sigma[i]
-            chains[mask] = value
-        return value
 
     # Placed and unplaced indices of each placed-set bitmask.
     layouts: Dict[int, Tuple[List[int], List[int]]] = {}

@@ -38,21 +38,20 @@ from .evaluation import (
 )
 
 
-def _term_priced(app: Application, objective) -> Optional[ForestTerms]:
-    """Exact per-node terms when they price *objective*, else ``None``.
+def _term_priced(objective) -> bool:
+    """Are the unit-platform :class:`ForestTerms` of *objective*'s model
+    its exact values?
 
-    An :class:`~repro.optimize.evaluation.Objective` for the period where
-    the float kernels' coverage rule holds, on a configuration that
-    normalises to the unit platform.
+    They are for an :class:`~repro.optimize.evaluation.Objective` for the
+    period where the float kernels' coverage rule holds, on a
+    configuration that normalises to the unit platform.
     """
     if not isinstance(objective, Objective) or objective.kind != "period":
-        return None
+        return False
     if not kernel_covers("period", objective.model, objective.effort):
-        return None
+        return False
     platform, mapping = _normalise(objective.platform, objective.mapping)
-    if platform is not None or mapping is not None:
-        return None
-    return ForestTerms(app, objective.model)
+    return platform is None and mapping is None
 
 
 def greedy_forest(
@@ -94,9 +93,8 @@ def greedy_forest(
     """
     if app.precedence:
         raise ValueError("greedy forest construction assumes no precedence")
-    terms = _term_priced(app, objective)
-    if terms is not None:
-        return _greedy_on_terms(app, terms)
+    if _term_priced(objective):
+        return _greedy_on_terms(app, ForestTerms(app, objective.model))
     gate = PlacementGate.of(app, objective)
     order = _insertion_order(app)
     parents: Dict[str, Optional[str]] = {}

@@ -10,7 +10,9 @@ are first-improvement with a deterministic scan order and terminate
 because the objective strictly decreases and the neighbourhood is finite.
 The scan *resumes* after an accepted move instead of restarting at the
 first service, so one full improvement pass costs one sweep of the
-neighbourhood, not a quadratic number of partial re-sweeps.
+neighbourhood, not a quadratic number of partial re-sweeps.  A forest
+search on the period also stops at the no-communication chain bound,
+which no forest beats.
 
 Both searches price each candidate move with a delta evaluator from
 :mod:`repro.optimize.incremental` where one computes the objective —
@@ -26,13 +28,14 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..core import CommModel, Exactness, ExecutionGraph, Mapping, Platform
 from ..core.graph import CycleError
-from .branch_and_bound import PlacementGate
+from .branch_and_bound import ForestTerms, PlacementGate
 from .evaluation import (
     Effort,
     Objective,
     make_latency_objective,
     make_period_objective,
 )
+from .greedy import _term_priced
 from .incremental import IncrementalSharedCosts, period_delta
 
 
@@ -85,8 +88,18 @@ def local_search_forest(
     :class:`~repro.optimize.branch_and_bound.PlacementBound` already
     reaches the current value.  The scan resumes at the service
     *after* an accepted move and stops once a whole pass finds no
-    improvement.  Example — starting from the empty forest, the search
-    discovers the filter-first chain::
+    improvement.
+
+    A period ``Objective`` also stops the search as soon as its value
+    reaches ``chain(all)``
+    (:meth:`~repro.optimize.branch_and_bound.ForestTerms.chain`, the
+    bound branch and bound starts from): no forest's value is below it,
+    so no move could be a strict improvement and the result is the full
+    search's.  Where the unit-platform terms are the objective's own
+    values (the period under OVERLAP or at the bound effort), a seed
+    already at the bound returns before the delta is built, with its
+    exact value on every tier.  Example — starting from the empty
+    forest, the search discovers the filter-first chain::
 
         >>> from repro import CommModel, ExecutionGraph, make_application
         >>> from repro.optimize import make_period_objective
@@ -101,8 +114,16 @@ def local_search_forest(
     if app.precedence:
         raise ValueError("local search assumes no precedence constraints")
     parents = _parents_of(graph)
-    delta = None
+    floor = delta = None
     if isinstance(objective, Objective) and objective.kind == "period":
+        # No forest's value is below chain(all), branch and bound's root
+        # bound: a value that reaches it admits no strict improvement.
+        terms = ForestTerms.of(app, objective)
+        floor = terms.chain()
+        if _term_priced(objective):
+            seed, _ = terms.forest(parents)  # the objective's own value
+            if seed <= floor:
+                return seed, ExecutionGraph.from_parents(app, parents)
         delta = period_delta(
             graph, objective.model, objective.effort, objective.platform,
             objective.mapping, exactness=objective.exactness,
@@ -114,7 +135,9 @@ def local_search_forest(
     moves = 0
     position = 0
     stale = 0  # services scanned since the last accepted move
-    while stale < n and moves < max_moves:
+    while (
+        stale < n and moves < max_moves and (floor is None or current > floor)
+    ):
         node = names[position % n]
         position += 1
         original = parents[node]

@@ -175,3 +175,86 @@ class TestAgainstBruteForce:
         for e in eg.edges:
             u, v = eg.label(e.src), eg.label(e.dst)
             assert times[v] >= times[u] + e.weight - lam * e.height
+
+
+# ---------------------------------------------------------------------------
+# The integer relaxation against a plain-Fraction one
+# ---------------------------------------------------------------------------
+
+#: Weight and floor denominators: dyadic and not, and two coprime ones
+#: near 10^6, whose lcm makes the scaled costs large.
+DENOMINATORS = (1, 2, 3, 7, 12, 256, 999_983, 1_000_003)
+
+
+def fraction_earliest_times(eg, lam):
+    """The longest-path relaxation in ``Fraction``s, the oracle of the
+    integer kernel: earliest times by label, or ``None`` when *lam*
+    leaves a positive cycle."""
+    dist = [F(0)] * eg.n_events
+    for _ in range(eg.n_events):
+        changed = False
+        for e in eg.edges:
+            cand = dist[e.src] + e.weight - lam * e.height
+            if cand > dist[e.dst]:
+                dist[e.dst] = cand
+                changed = True
+        if not changed:
+            return {eg.label(i): d for i, d in enumerate(dist)}
+    return None
+
+
+@st.composite
+def rational_event_graph(draw):
+    """Uniform graphs with negative and non-dyadic weights, heights 0-2
+    (height-0 cycles included) and a non-integral floor."""
+    n = draw(st.integers(1, 6))
+    eg = EventGraph()
+    for node in range(n):
+        eg.add_event(node)
+    for _ in range(draw(st.integers(0, 12))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        h = draw(st.integers(1 if u == v else 0, 2))
+        w = F(draw(st.integers(-30, 60)), draw(st.sampled_from(DENOMINATORS)))
+        eg.add_constraint(u, v, w, h)
+    floor = F(draw(st.integers(1, 40)), draw(st.sampled_from(DENOMINATORS[1:])))
+    return eg, floor
+
+
+class TestIntegerRelaxation:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_event_graph(), st.sampled_from(DENOMINATORS))
+    def test_matches_fraction_relaxation(self, case, step_den):
+        eg, floor = case
+        try:
+            expected = brute_force_mcr(eg)
+        except InfeasibleScheduleError:
+            with pytest.raises(InfeasibleScheduleError):
+                minimum_period(eg, floor)
+            assert not is_feasible(eg, floor)
+            assert fraction_earliest_times(eg, floor) is None
+            return
+        lam = minimum_period(eg, floor)
+        assert lam == (floor if expected is None else max(floor, expected))
+        # Earliest at the optimum and above it: the oracle's exact times.
+        for at in (lam, lam + F(1, step_den)):
+            times = earliest_times(eg, at)
+            assert times == fraction_earliest_times(eg, at)
+            assert all(type(t) is F for t in times.values())
+            assert is_feasible(eg, at)
+        if expected is not None and expected > 0:
+            below = expected - F(1, step_den)
+            assert fraction_earliest_times(eg, below) is None
+            assert not is_feasible(eg, below)
+            with pytest.raises(InfeasibleScheduleError):
+                earliest_times(eg, below)
+
+    def test_coprime_denominators_near_a_million(self):
+        eg = EventGraph()
+        eg.add_constraint("a", "b", F(1_000_001, 999_983), 0)
+        eg.add_constraint("b", "a", F(-3, 1_000_003), 1)
+        eg.add_constraint("b", "c", F(5, 7), 1)
+        eg.add_constraint("c", "b", F(2, 3), 1)
+        lam = minimum_period(eg, F(1, 3))
+        assert lam == max(F(1, 3), brute_force_mcr(eg))
+        assert earliest_times(eg, lam) == fraction_earliest_times(eg, lam)
