@@ -37,6 +37,7 @@ bench-serve:     ## planner-daemon load test: rps + p50/p99 per mix (BENCH_serve
 
 bench-topology:  ## hierarchical vs flat placement on tree/torus (BENCH_topology.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_topology.py -q
+	$(PYTHON) benchmarks/compare_bench.py --stamp
 
 bench-dynamic:   ## warm re-planning vs cold re-solve on a flash crowd (BENCH_dynamic.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_dynamic.py -q
@@ -44,6 +45,7 @@ bench-dynamic:   ## warm re-planning vs cold re-solve on a flash crowd (BENCH_dy
 
 bench-robust:    ## robust vs nominal degradation sweep (BENCH_robust.json)
 	$(PYTHON) -m pytest benchmarks/test_bench_robust.py -q
+	$(PYTHON) benchmarks/compare_bench.py --stamp
 
 serve-smoke:     ## start the real daemon subprocess; solve/stats/shutdown round trip
 	$(PYTHON) -m pytest tests/test_serve.py -q -m smoke
@@ -51,7 +53,8 @@ serve-smoke:     ## start the real daemon subprocess; solve/stats/shutdown round
 bench-compare:   ## perf-regression guard: snapshot committed BENCH_*.json, regenerate, diff
 	$(PYTHON) benchmarks/compare_bench.py --snapshot
 	$(PYTHON) -m pytest benchmarks/test_bench_search.py benchmarks/test_bench_concurrent.py \
-		benchmarks/test_bench_dynamic.py benchmarks/test_bench_serve.py -q
+		benchmarks/test_bench_dynamic.py benchmarks/test_bench_serve.py \
+		benchmarks/test_bench_robust.py benchmarks/test_bench_topology.py -q
 	$(PYTHON) benchmarks/compare_bench.py
 
 profile:         ## cProfile a representative solve (evidence for perf PRs)

@@ -2,8 +2,9 @@
 """Perf-regression guard: diff fresh ``BENCH_*.json`` against a baseline.
 
 The machine-readable benchmark artifacts (``BENCH_search.json``,
-``BENCH_concurrent.json``, ``BENCH_dynamic.json``, ``BENCH_serve.json``)
-carry two kinds of numbers:
+``BENCH_concurrent.json``, ``BENCH_dynamic.json``, ``BENCH_serve.json``,
+``BENCH_robust.json``, ``BENCH_topology.json``) carry two kinds of
+numbers:
 
 * **counts** — objective evaluations, expanded/pruned states, quality
   ratios: deterministic, compared **exactly** (a drifted count means the
@@ -19,10 +20,15 @@ carry two kinds of numbers:
   scheduler's noise floor swamps any real signal.  Both keep the CI
   smoke non-flaky.
 
+``BENCH_batched.json`` stays outside the guard: its anytime rows record
+what a search reached by a wall-clock deadline, so even their counts
+move with the machine's speed.
+
 Usage::
 
     python benchmarks/compare_bench.py --snapshot          # save committed
-    make bench-search bench-concurrent bench-dynamic bench-serve  # regenerate
+    make bench-search bench-concurrent bench-dynamic bench-serve \
+        bench-robust bench-topology                        # regenerate
     python benchmarks/compare_bench.py                     # diff
 
 ``make bench-compare`` runs the three steps in order; CI snapshots the
@@ -47,7 +53,7 @@ DEFAULT_BASELINE = HERE / ".bench-baseline"
 #: The artifacts under the guard.
 BENCH_FILES = (
     "BENCH_search.json", "BENCH_concurrent.json", "BENCH_dynamic.json",
-    "BENCH_serve.json",
+    "BENCH_serve.json", "BENCH_robust.json", "BENCH_topology.json",
 )
 
 #: Committed calibration of the machine that generated the committed wall
@@ -59,7 +65,7 @@ STAMP_FILE = "BENCH_calibration.json"
 #: Keys that identify a row (everything else is a measurement).
 ID_KEYS = (
     "n", "seed", "label", "name", "apps", "servers", "services",
-    "platform", "mode", "index", "mix",
+    "platform", "mode", "index", "mix", "workload", "instance",
 )
 
 

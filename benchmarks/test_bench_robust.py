@@ -18,9 +18,9 @@ Asserted shape — the PR's acceptance criteria, machine-independent:
   not a no-op.
 
 Records ``benchmarks/results/BENCH_robust.json`` (uploaded as a CI
-artifact; deliberately *not* in ``compare_bench.BENCH_FILES`` — wall
-times move with runner hardware, and the degradation shape is asserted
-right here) and the human table to ``robust_degradation.txt``.
+artifact and under ``compare_bench.py``, which compares every instance's
+values, scores and ratios exactly; it holds no wall times) and the human
+table to ``robust_degradation.txt``.
 """
 
 import json

@@ -23,7 +23,15 @@ is tracked across PRs:
   families (chain, fork-join, layered and random graphs): each shape's
   period and ``minimum_period`` call count, compared exactly, and one
   wall over the whole panel, compared by ratio, which a return of the
-  cycle-ratio kernel to ``Fraction`` relaxation fails (~8x slower).
+  cycle-ratio kernel to ``Fraction`` relaxation fails (~8x slower);
+* unit-platform MinPeriod(OVERLAP) instances whose branch and bound still
+  expands states (most now close at the root in about a millisecond):
+  per-instance counters, compared exactly, and one wall over the panel;
+* MinLatency DAG branch and bound (``bb_minlatency``) on unit and pinned
+  heterogeneous platforms, n = 4-6: value, edge set and counters per
+  instance on the certified and the exact tier, which run one search and
+  must agree, and one wall per tier over the panel, which a return of
+  the exact tier to ``Fraction`` bounds fails (5-6x slower).
 """
 
 import contextlib
@@ -34,17 +42,21 @@ import time
 from fractions import Fraction
 
 from repro.analysis import text_table
-from repro.core import CommModel, Exactness
+from repro.core import CommModel, Exactness, Mapping
 from repro.cyclic import mcr
 from repro.optimize import (
+    Effort,
+    bb_minlatency,
+    bb_minperiod,
     greedy_forest,
     iter_forests,
     local_search_forest,
+    make_latency_objective,
     make_period_objective,
 )
 from repro.optimize.placement import clear_placement_memo
 from repro.planner import EvaluationCache, load_platform, load_workload, solve
-from repro.workloads.generators import random_application
+from repro.workloads.generators import random_application, random_platform
 
 from bench_helpers import RESULTS_DIR, record
 
@@ -277,6 +289,105 @@ def _orchestration_rows():
     return rows
 
 
+#: ``random_application(n, seed, filter_fraction=0.6)`` instances whose
+#: unit-platform branch and bound expands states (one path each).
+UNIT_EXPANDING = ((9, 2), (9, 32), (9, 40), (9, 53), (10, 2), (10, 16),
+                  (10, 32), (10, 40), (11, 2), (11, 11), (11, 16), (11, 32))
+
+#: Passes over :data:`UNIT_EXPANDING` in its timed total (one takes ~60 ms).
+UNIT_PASSES = 8
+
+
+def _unit_rows():
+    """Counters of each :data:`UNIT_EXPANDING` search, then the wall of
+    :data:`UNIT_PASSES` passes over them."""
+    apps = [(n, seed, random_application(n, seed=seed, filter_fraction=0.6))
+            for n, seed in UNIT_EXPANDING]
+
+    def search(app):
+        return bb_minperiod(app, make_period_objective(CommModel.OVERLAP))
+
+    rows = []
+    for n, seed, app in apps:
+        value, _, stats = search(app)
+        assert stats.expanded, (n, seed)
+        rows.append({"n": n, "seed": seed, "value": str(value),
+                     "expanded": stats.expanded, "pruned": stats.pruned,
+                     "duplicates": stats.duplicates,
+                     "evaluated": stats.evaluated})
+    started = time.perf_counter()
+    for _ in range(UNIT_PASSES):
+        for _n, _seed, app in apps:
+            search(app)
+    rows.append({"label": "all instances", "instances": len(apps),
+                 "passes": UNIT_PASSES,
+                 "wall_s": round(time.perf_counter() - started, 4)})
+    return rows
+
+
+def _latency_panel():
+    """``(label, platform name, model/effort, app, objective args)`` of the
+    MinLatency panel: ``random_application(n, seed, filter_fraction=0.5)``
+    at n = 4-5 under OVERLAP and INORDER at the bound effort, on a pinned
+    heterogeneous platform (``random_platform(n + 1, seed)``, positional
+    mapping), and four n = 6 instances."""
+    panel = []
+    for n, seed in itertools.product((4, 5), range(1, 9)):
+        app = random_application(n, seed=seed, filter_fraction=0.5)
+        for model in (CommModel.OVERLAP, CommModel.INORDER):
+            panel.append((f"random:n={n},seed={seed}", "unit",
+                          f"{model.value}/bound", app, (model, None, None)))
+    for n, seed in itertools.product((4, 5), range(1, 5)):
+        app = random_application(n, seed=seed, filter_fraction=0.5)
+        platform = random_platform(n + 1, seed=seed)
+        mapping = Mapping(dict(zip(app.names, platform.names)))
+        panel.append((f"random:n={n},seed={seed}", f"random:{n + 1}",
+                      "overlap/bound", app,
+                      (CommModel.OVERLAP, platform, mapping)))
+    for seed in (2, 3, 4, 7):
+        app = random_application(6, seed=seed, filter_fraction=0.5)
+        panel.append((f"random:n=6,seed={seed}", "unit", "overlap/bound", app,
+                      (CommModel.OVERLAP, None, None)))
+    return panel
+
+
+def _latency_rows():
+    """Value, edges and counters of each panel search per tier (certified
+    must equal exact), then each tier's best-of-three panel wall."""
+    panel = _latency_panel()
+    rows, walls, outcomes = [], [], {}
+    for mode in ("certified", "exact"):
+        best = float("inf")
+        for rep in range(3):
+            started = time.perf_counter()
+            for label, platform_name, name, app, (model, platform, mapping) \
+                    in panel:
+                objective = make_latency_objective(
+                    model, Effort.BOUND, platform, mapping, exactness=mode
+                )
+                value, graph, stats = bb_minlatency(app, objective)
+                if rep:
+                    continue
+                row = {
+                    "label": label, "platform": platform_name, "name": name,
+                    "mode": mode, "value": str(value),
+                    "edges": " ".join(f"{a}>{b}" for a, b in sorted(graph.edges)),
+                    "expanded": stats.expanded, "pruned": stats.pruned,
+                    "duplicates": stats.duplicates,
+                    "evaluated": stats.evaluated,
+                }
+                rows.append(row)
+                outcome = {k: v for k, v in row.items() if k != "mode"}
+                # Certified branch and bound is the exact search.
+                assert outcomes.setdefault(
+                    (label, platform_name, name), outcome
+                ) == outcome, row
+            best = min(best, time.perf_counter() - started)
+        walls.append({"label": "all instances", "mode": mode,
+                      "instances": len(panel), "wall_s": round(best, 4)})
+    return rows + walls
+
+
 def test_search_performance(benchmark):
     def run():
         # Seeds chosen, under the static floors, so the bound did real
@@ -288,10 +399,11 @@ def test_search_performance(benchmark):
                             (10, 4), (11, 4)]
         ]
         ls_rows = _local_search_rows()
-        return bb_rows, ls_rows, _het_rows(), _orchestration_rows()
+        return (bb_rows, ls_rows, _het_rows(), _orchestration_rows(),
+                _unit_rows(), _latency_rows())
 
-    bb_rows, ls_rows, het_rows, orch_rows = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    bb_rows, ls_rows, het_rows, orch_rows, unit_rows, latency_rows = (
+        benchmark.pedantic(run, rounds=1, iterations=1)
     )
 
     # --- assertions: the shape the ISSUE promises -----------------------
@@ -318,6 +430,8 @@ def test_search_performance(benchmark):
         "local_search_incremental": ls_rows,
         "het_branch_and_bound": het_rows,
         "orchestration": orch_rows,
+        "unit_branch_and_bound": unit_rows,
+        "latency_branch_and_bound": latency_rows,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_search.json").write_text(
@@ -360,6 +474,22 @@ def test_search_performance(benchmark):
         ["instance", "model", "period", "minimum_period calls"],
         [[r["label"], r["mode"], r["period"], r["mcr_calls"]] for r in shapes],
     )
+    *unit_instances, unit_total = unit_rows
+    unit_table = text_table(
+        ["n", "seed", "value", "expanded", "pruned", "evals"],
+        [[r["n"], r["seed"], r["value"], r["expanded"], r["pruned"],
+          r["evaluated"]] for r in unit_instances],
+    )
+    latency_walls = {r["mode"]: r["wall_s"] for r in latency_rows
+                     if r["label"] == "all instances"}
+    latency_table = text_table(
+        ["instance", "platform", "model", "value", "expanded", "pruned",
+         "dups", "evals"],
+        [[r["label"], r["platform"], r["name"], r["value"], r["expanded"],
+          r["pruned"], r["duplicates"], r["evaluated"]]
+         for r in latency_rows
+         if r["label"] != "all instances" and r["mode"] == "certified"],
+    )
     record(
         "search_performance",
         "exact MinPeriod(OVERLAP): branch and bound on the certified and "
@@ -375,5 +505,13 @@ def test_search_performance(benchmark):
         + "\n\nfixed-graph INORDER/OUTORDER orchestration (schedule "
         f"included): {total['shapes']} shapes x {total['passes']} passes in "
         f"{total['wall_s']} s\n"
-        + orch_table,
+        + orch_table
+        + "\n\nunit-platform MinPeriod(OVERLAP) branch and bound that still "
+        f"expands: {unit_total['instances']} instances x "
+        f"{unit_total['passes']} passes in {unit_total['wall_s']} s\n"
+        + unit_table
+        + "\n\nMinLatency DAG branch and bound (bound effort; certified = "
+        f"exact, counters below): panel wall certified "
+        f"{latency_walls['certified']} s, exact {latency_walls['exact']} s\n"
+        + latency_table,
     )

@@ -17,9 +17,9 @@ Asserted shape (machine-independent):
   is a linear-time partition pass, not a second search).
 
 Records ``benchmarks/results/BENCH_topology.json`` (uploaded as a CI
-artifact; deliberately *not* in ``compare_bench.BENCH_FILES`` — wall
-times move with runner hardware, and the win/loss shape is asserted
-right here) and a human table to ``topology_scaling.txt``.
+artifact and under ``compare_bench.py``: the values and gains must match
+exactly, the ``*_wall_s`` walls are compared by ratio) and a human table
+to ``topology_scaling.txt``.
 """
 
 import json
@@ -94,8 +94,8 @@ def test_hierarchical_vs_flat_placement():
             "flat_value": str(flat_v),
             "hierarchical_value": str(hier_v),
             "gain_pct": round(gain, 2),
-            "flat_ms": round(flat_wall * 1000, 1),
-            "hierarchical_ms": round(hier_wall * 1000, 1),
+            "flat_wall_s": round(flat_wall, 4),
+            "hierarchical_wall_s": round(hier_wall, 4),
         })
 
     # The partitioned seed must actually matter somewhere, not just tie.

@@ -54,22 +54,20 @@ not be forests, Proposition 13).  The planner registers them as the
 ``"branch-and-bound"`` solver, which is also the ``method="auto"`` exact
 path (:data:`repro.planner.AUTO_EXHAUSTIVE_MAX`).
 
-**Numeric tiers** (:class:`~repro.core.Exactness`): :func:`bb_minperiod`
-prices every bound and heap key in exact ``Fraction``s on every tier, so
-its certified search is the exact one; under ``FAST`` the objective
-scores in floats, near-ties with the incumbent prune, and the result is
-uncertified.  :func:`bb_minlatency` prices its bounds in floats under
-``CERTIFIED`` and ``FAST``: a certified state is pruned only when its
-float bound exceeds the incumbent by more than
-:data:`~repro.core.CERT_EPS` relative, a bound inside that band is
-settled exactly, and complete graphs are scored through the exact
-objective, so its optimum is bit-for-bit the ``EXACT`` tier's.
+**Numeric tiers** (:class:`~repro.core.Exactness`): both searches price
+every bound and heap key exactly on every tier — :func:`bb_minperiod` in
+``Fraction``s, :func:`bb_minlatency` in ints on a common scale
+(:class:`DagTerms`) — so a certified search is the exact one.  Under
+``FAST`` the objective scores in floats, a bound within
+:data:`~repro.core.CERT_EPS` below the incumbent prunes, and the result is
+uncertified.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +83,6 @@ from ..core import (
     ExecutionGraph,
     Mapping,
     Platform,
-    certified_threshold,
 )
 from ..scheduling.latency import NodeLimitExceeded
 from .evaluation import Objective, _normalise
@@ -188,24 +185,6 @@ class _Scaling:
 
     def speed(self, name: str) -> Fraction:
         return self._speed.get(name, self._default_speed)
-
-
-def _cuts(value: Fraction, use_float: bool) -> Tuple:
-    """``(cut, low_cut)`` pruning thresholds around an exact incumbent.
-
-    The exact tier prunes at the incumbent itself.  The float tiers get
-    the :data:`~repro.core.CERT_EPS` band around it; an incumbent too large
-    for a float degenerates to ``(inf, -inf)`` — every bound then lands
-    "in the band", so a certified search arbitrates everything exactly
-    (slow but still exact) and a fast search returns its incumbent.
-    """
-    if not use_float:
-        return value, value
-    try:
-        f = float(value)
-    except OverflowError:
-        return float("inf"), float("-inf")
-    return certified_threshold(f), f * (1.0 - CERT_EPS)
 
 
 def _min_products(app: Application) -> Dict[str, Fraction]:
@@ -402,7 +381,7 @@ def _greedy_on_terms(
 
 
 class DagTerms:
-    """Critical-path terms of a partial DAG, in one numeric tier.
+    """Critical-path terms of a partial DAG, as integers.
 
     A placed node ``i`` whose ancestor set has selectivity product ``a_i``
     starts once every predecessor ``p`` has finished and sent it
@@ -413,69 +392,65 @@ class DagTerms:
     a node with predecessors among the placed ones changes no placed
     node's finish time, so only the new node's term joins the max.
 
-    ``b`` and ``s`` come from *scaling*; every quantity is converted once
-    by *num* (``float`` for the float tiers; ``None`` keeps them exact).
+    ``b`` and ``s`` come from *scaling*.  Every quantity is held as the int
+    ``scale`` times its value, ``scale = P·L``: ``P`` is the product of the
+    selectivities' denominators, ``L`` the lcm of the denominators of
+    ``1/b``, ``c_i/s_i`` and ``σ_i/b``.  An ancestor product ``a`` is held
+    as ``P·a``, and multiplying in ``σ_j`` is ``A·num_j // den_j``, exact
+    because ``den_j`` divides ``P`` times the product of any selectivities
+    but ``σ_j``.  ``ci = L/b``, ``cc_i = L·c_i/s_i`` and ``co_i = L·σ_i/b``
+    are ints, so every start, finish time, term and floor is one too.  A
+    node ``u`` appended with start ``t`` and held product ``A`` has the term
+    ``t + A·k_u``, ``k_u = cc_u + co_u``.
     """
 
-    __slots__ = ("one", "sigma", "cost", "speed", "b")
+    __slots__ = ("scale", "top", "num", "den", "ci", "cc", "co", "k")
 
-    def __init__(self, app: Application, scaling: _Scaling, num=None) -> None:
-        conv = num or (lambda value: value)
+    def __init__(self, app: Application, scaling: _Scaling) -> None:
         names = list(app.names)
-        self.one = conv(ONE)
-        self.sigma = [conv(app.selectivity(x)) for x in names]
-        self.cost = [conv(app.cost(x)) for x in names]
-        self.speed = [conv(scaling.speed(x)) for x in names]
-        self.b = conv(scaling.comm_div)
+        sigma = [app.selectivity(x) for x in names]
+        ci = ONE / scaling.comm_div
+        cc = [app.cost(x) / scaling.speed(x) for x in names]
+        co = [s / scaling.comm_div for s in sigma]
+        lcm = math.lcm(ci.denominator, *(x.denominator for x in cc + co))
+        self.top = math.prod(s.denominator for s in sigma)
+        self.scale = self.top * lcm
+        self.num = [s.numerator for s in sigma]
+        self.den = [s.denominator for s in sigma]
+        self.ci = ci.numerator * (lcm // ci.denominator)
+        self.cc = [x.numerator * (lcm // x.denominator) for x in cc]
+        self.co = [x.numerator * (lcm // x.denominator) for x in co]
+        self.k = [c + o for c, o in zip(self.cc, self.co)]
 
-    def floor(self, i: int, least):
-        """Term of node *i* fed its smallest possible data set *least*."""
-        return (
-            min(self.one, least) / self.b
-            + least * self.cost[i] / self.speed[i]
-            + least * self.sigma[i] / self.b
-        )
+    def floor(self, i: int, least: Fraction) -> int:
+        """Term of node *i* fed its smallest possible data set *least* (a
+        product of selectivities)."""
+        size = self.top * least.numerator // least.denominator
+        return min(self.top, size) * self.ci + size * self.k[i]
 
-    def _product(self, ancestors):
-        prod = self.one
+    def product(self, ancestors) -> int:
+        """``P`` times the selectivity product of *ancestors*."""
+        prod = self.top
         for j in ancestors:
-            prod *= self.sigma[j]
+            prod = prod * self.num[j] // self.den[j]
         return prod
 
-    def _start(self, preds, anc, finish):
+    def start(self, preds, anc, finish) -> int:
+        """When a node fed by *preds* starts, given the placed nodes'
+        :meth:`revive`."""
         if not preds:
-            return self.one / self.b
-        return max(finish[p] + anc[p] * self.sigma[p] / self.b for p in preds)
+            return self.top * self.ci
+        return max(finish[p] + anc[p] * self.co[p] for p in preds)
 
-    def revive(self, topo, preds, ancestors):
+    def revive(self, topo, preds, ancestors) -> Tuple[Dict, Dict]:
         """``(anc, finish)``: ancestor products and finish times of the
         placed nodes, visited in the topological order *topo*."""
-        anc: Dict[int, object] = {}
-        finish: Dict[int, object] = {}
+        anc: Dict[int, int] = {}
+        finish: Dict[int, int] = {}
         for i in topo:
-            anc[i] = prod = self._product(ancestors[i])
-            finish[i] = (
-                self._start(preds[i], anc, finish)
-                + prod * self.cost[i] / self.speed[i]
-            )
+            anc[i] = prod = self.product(ancestors[i])
+            finish[i] = self.start(preds[i], anc, finish) + prod * self.cc[i]
         return anc, finish
-
-    def bound(self, root, anc, finish):
-        """The state's bound: *root* (the static floors) or a placed
-        node's term, whichever is largest."""
-        return max(
-            [root] + [finish[i] + anc[i] * self.sigma[i] / self.b for i in anc]
-        )
-
-    def term(self, u: int, ancestors, preds, anc, finish):
-        """Term of *u* appended under *preds* (its ancestor set
-        *ancestors*), given the placed nodes' :meth:`revive`."""
-        prod = self._product(ancestors)
-        return (
-            self._start(preds, anc, finish)
-            + prod * self.cost[u] / self.speed[u]
-            + prod * self.sigma[u] / self.b
-        )
 
 
 class PlacementBound:
@@ -824,7 +799,6 @@ def bb_minlatency(
     incumbent: Optional[Tuple[Fraction, ExecutionGraph]] = None,
     node_limit: Optional[int] = None,
     deadline: Optional[float] = None,
-    max_services: int = MAX_BB_LATENCY_SERVICES,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinLatency over DAGs by best-first branch and bound.
 
@@ -832,14 +806,18 @@ def bb_minlatency(
     already-placed services, so every placed node's critical-path finish
     time is final; the bound adds each node's unavoidable output message
     and the static floors of the unplaced services.  Optimal latency plans
-    need not be forests (Proposition 13), hence the DAG space.
+    need not be forests (Proposition 13), hence the DAG space, which is
+    searched up to :data:`MAX_BB_LATENCY_SERVICES` services.
 
     *objective* is read as in :func:`bb_minperiod`: it scores complete
-    DAGs, and its platform, mapping and ``exactness`` set the bound's
-    divisors and numeric tier (see the module docstring); *deadline*
-    (wall-clock seconds) stops the search like *node_limit*, leaving the
-    incumbent as an anytime upper bound with ``stats.limit_hit`` set; the
-    default seed is
+    DAGs, and its platform and mapping set the bound's divisors.  Every
+    bound and heap key is an int on the :class:`DagTerms` scale, under
+    every numeric tier, so a ``CERTIFIED`` search is the ``EXACT`` one;
+    under ``FAST`` the objective scores on the float tier, a bound within
+    :data:`~repro.core.CERT_EPS` below the incumbent prunes, and the
+    incumbent is uncertified.  *deadline* (wall-clock seconds) stops the
+    search like *node_limit*, leaving the incumbent as an anytime upper
+    bound with ``stats.limit_hit`` set; the default seed is
     :func:`~repro.optimize.greedy.greedy_forest` on *objective*.  A
     complete DAG whose exact one-port schedule search stops at its node
     limit is scored by the best schedule it found, and
@@ -859,30 +837,17 @@ def bb_minlatency(
         raise ValueError("DAG branch and bound does not support precedence yet")
     names = list(app.names)
     n = len(names)
-    if n > max_services:
+    if n > MAX_BB_LATENCY_SERVICES:
         raise ValueError(
-            f"DAG branch and bound is unreasonable for n={n} > {max_services}; "
-            f"use the forest-restricted search or a heuristic"
+            f"DAG branch and bound is unreasonable for n={n} > "
+            f"{MAX_BB_LATENCY_SERVICES}; use the forest-restricted search or "
+            f"a heuristic"
         )
-    exactness = objective.exactness
-    scaling = _Scaling(app, objective.platform, objective.mapping)
+    terms = DagTerms(app, _Scaling(app, objective.platform, objective.mapping))
     minprod = _min_products(app)
-    # Exact terms price the static floors and the near-tie arbitration.
-    terms_x = DagTerms(app, scaling)
-    floors_x = [terms_x.floor(i, minprod[name]) for i, name in enumerate(names)]
-    while True:
-        use_float = exactness.uses_float
-        try:
-            if use_float:
-                terms = DagTerms(app, scaling, float)
-                floor_list = [float(f) for f in floors_x]
-            else:
-                terms, floor_list = terms_x, floors_x
-            break
-        except OverflowError:
-            # Instance quantities beyond float range: the fast tier cannot
-            # represent them — degrade to the (always-correct) exact tier.
-            exactness = Exactness.EXACT
+    root_bound = max(
+        (terms.floor(i, minprod[name]) for i, name in enumerate(names)), default=0
+    )
     stats = BBStats()
     evaluations = objective.evaluations
     deadline_at = None if deadline is None else time.monotonic() + deadline
@@ -893,44 +858,39 @@ def bb_minlatency(
         incumbent = greedy_forest(app, objective)
     best_value, best_graph = incumbent
 
-    # Float-tier pruning thresholds around the incumbent: a state whose
-    # float bound exceeds ``cut`` is provably no better than the incumbent
-    # (the eps guard swallows the float error).  Under CERTIFIED a state
-    # inside the ``[low_cut, cut]`` near-tie band is arbitrated in exact
-    # arithmetic, so the prune set is the exact tier's; under FAST ties
-    # prune at ``low_cut``.  Under EXACT ``low_cut == cut``, so one test
-    # serves every tier.
-    certified = exactness is Exactness.CERTIFIED
-    cut, low_cut = _cuts(best_value, use_float)
-    root_bound_x = max(floors_x, default=Fraction(0))
-    root_bound = max(floor_list, default=terms.one * 0)
+    # The search prunes at the incumbent on the terms' scale (an int bound
+    # reaches it iff it reaches its ceiling).  Under FAST a bound within
+    # CERT_EPS below the float-image incumbent prunes too, as in
+    # bb_minperiod.
+    slack = Fraction(1 - CERT_EPS) if objective.exactness is Exactness.FAST else ONE
+    cut = math.ceil(best_value * slack * terms.scale)
 
     # State: (frozenset of placed indices, frozenset of (pred, succ) edges).
     State = Tuple[frozenset, frozenset]
     start: State = (frozenset(), frozenset())
     heap: List[Tuple] = []
     counter = itertools.count()
-    gen = 0  # incumbent generation: bumps on every incumbent improvement
-    heapq.heappush(heap, (root_bound, n, next(counter), start, -1))
+    heapq.heappush(heap, (root_bound, n, next(counter), start))
     seen = {start}
 
     while heap:
-        bound, _, _, (placed, edges), state_gen = heapq.heappop(heap)
-        if bound >= low_cut and (not certified or bound > cut):
-            break
+        bound, _, _, (placed, edges) = heapq.heappop(heap)
+        if bound >= cut:
+            break  # every remaining state is at least as bad — optimal
         if node_limit is not None and stats.expanded >= node_limit:
             stats.limit_hit = True
             break
         if deadline_at is not None and time.monotonic() >= deadline_at:
             stats.limit_hit = True
             break
+        stats.expanded += 1
 
         order = sorted(placed)
         preds: Dict[int, List[int]] = {i: [] for i in order}
         for a, b in edges:
             preds[b].append(a)
         # Ancestor sets, in a topological order: ancestors of placed nodes
-        # are final, so the critical path revives in either tier.
+        # are final, so the critical path revives from them.
         ancestors: Dict[int, frozenset] = {}
         topo: List[int] = []
         pending = list(order)
@@ -944,48 +904,25 @@ def bb_minlatency(
             )
             topo.append(i)
         anc, finish = terms.revive(topo, preds, ancestors)
-        # Exact revival, only for a near-tie arbitration of this state.
-        revived_x: List[Tuple[Dict, Dict]] = []
 
-        def exact_revival() -> Tuple[Dict, Dict]:
-            if not revived_x:
-                revived_x.append(terms_x.revive(topo, preds, ancestors))
-            return revived_x[0]
-
-        # A state pushed under the current incumbent was already exactly
-        # arbitrated at generation time; only a since-improved incumbent
-        # (or the root, pushed at generation -1) re-checks the band here.
-        if (
-            certified
-            and state_gen != gen
-            and bound >= low_cut
-            and terms_x.bound(root_bound_x, *exact_revival()) >= best_value
-        ):
-            stats.pruned += 1
-            continue
-        stats.expanded += 1
-        # The incumbent generation this state's bound was screened under;
-        # children inherit it, so a mid-expansion incumbent improvement
-        # forces their own pop-time re-arbitration.
-        verified_gen = gen
-
-        unplaced = [i for i in range(n) if i not in placed]
-        k = len(order)
-        for u in unplaced:
-            for mask in range(1 << k):
-                chosen = [order[j] for j in range(k) if mask >> j & 1]
-                acc = frozenset().union(*[ancestors[p] | {p} for p in chosen])
-                new_term = terms.term(u, acc, chosen, anc, finish)
+        # Each predecessor set (a bitmask over ``order``), with when a node
+        # appended under it starts and its held ancestor product; every
+        # unplaced service shares them.
+        slots = []
+        for mask in range(1 << len(order)):
+            chosen = [p for j, p in enumerate(order) if mask >> j & 1]
+            acc = frozenset().union(*[ancestors[p] | {p} for p in chosen])
+            slots.append(
+                (chosen, terms.start(chosen, anc, finish), terms.product(acc))
+            )
+        for u in range(n):
+            if u in placed:
+                continue
+            k_u = terms.k[u]
+            for chosen, start_u, prod in slots:
+                new_term = start_u + prod * k_u
                 child_bound = bound if new_term <= bound else new_term
-                if child_bound >= low_cut and (
-                    not certified
-                    or child_bound > cut
-                    # Near-tie band: the expanded state's exact bound is
-                    # below the incumbent, so only the appended node's
-                    # exact term can reach it.
-                    or terms_x.term(u, acc, chosen, *exact_revival())
-                    >= best_value
-                ):
+                if child_bound >= cut:
                     stats.pruned += 1
                     continue
                 child: State = (
@@ -1009,14 +946,11 @@ def bb_minlatency(
                         stats.schedule_limit_hit = True
                     if value < best_value:
                         best_value, best_graph = value, graph
-                        gen += 1
-                        cut, low_cut = _cuts(best_value, use_float)
+                        cut = math.ceil(best_value * slack * terms.scale)
                         stats.incumbent_updates += 1
                     continue
                 heapq.heappush(
-                    heap,
-                    (child_bound, n - len(placed) - 1, next(counter), child,
-                     verified_gen),
+                    heap, (child_bound, n - len(placed) - 1, next(counter), child)
                 )
 
     stats.evaluated = objective.evaluations - evaluations

@@ -396,7 +396,9 @@ def solve(
         string value).  The default ``"certified"`` runs searches on the
         float fast path with the eps-guarded certification protocol —
         returned values are **bit-for-bit identical** to ``"exact"``, at
-        a fraction of the wall time.  ``"exact"`` forces Fraction
+        a fraction of the wall time.  Both branch-and-bound searches
+        bound in exact arithmetic on every tier, so there ``"certified"``
+        is the ``"exact"`` search.  ``"exact"`` forces Fraction
         arithmetic everywhere; ``"fast"`` stays on the float tier and
         returns uncertified float-image values.  The evaluation-cache and
         placement-memo keys include the tier, so a fast value is never

@@ -381,8 +381,8 @@ def _solve_branch_and_bound(
     return value, graph, {
         "space": "forests" if objective == "period" else "dags",
         "graphs_considered": stats.evaluated,
-        # A FAST search scores on float images (and the period search
-        # prunes near-ties with them): the incumbent it returns is honest
+        # A FAST search scores on float images (and prunes near-ties
+        # with them): the incumbent it returns is honest
         # but its optimality is no longer certified.
         "certified": (
             not (stats.limit_hit or stats.schedule_limit_hit)

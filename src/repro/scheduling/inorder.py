@@ -99,6 +99,19 @@ def server_sequence(node: str, orders: CommOrders) -> List[Operation]:
     return seq
 
 
+def _event_graph(
+    graph: ExecutionGraph, orders: CommOrders, dur: Dict[Operation, Fraction]
+) -> EventGraph:
+    """The constraint graph of *orders*, with operation durations *dur*."""
+    eg = EventGraph()
+    for node in graph.nodes:
+        seq = server_sequence(node, orders)
+        for a, b in zip(seq, seq[1:]):
+            eg.add_constraint(a, b, dur[a], height=0)
+        eg.add_constraint(seq[-1], seq[0], dur[seq[-1]], height=1)
+    return eg
+
+
 def inorder_event_graph(
     graph: ExecutionGraph,
     orders: Optional[CommOrders] = None,
@@ -110,14 +123,23 @@ def inorder_event_graph(
     if orders is None:
         orders = CommOrders.canonical(graph)
     costs = CostModel(graph, platform, mapping)
-    dur = _durations(costs)
-    eg = EventGraph()
-    for node in graph.nodes:
-        seq = server_sequence(node, orders)
-        for a, b in zip(seq, seq[1:]):
-            eg.add_constraint(a, b, dur[a], height=0)
-        eg.add_constraint(seq[-1], seq[0], dur[seq[-1]], height=1)
-    return eg
+    return _event_graph(graph, orders, _durations(costs))
+
+
+def _schedule(
+    graph: ExecutionGraph,
+    eg: EventGraph,
+    lam: Fraction,
+    dur: Dict[Operation, Fraction],
+    costs: CostModel,
+) -> Plan:
+    """The operation list of the earliest times of *eg* at period *lam*."""
+    begins = earliest_times(eg, lam)
+    times = {op: (b, b + dur[op]) for op, b in begins.items()}
+    return Plan(
+        graph, OperationList(times, lam=lam), CommModel.INORDER,
+        platform=costs.platform, mapping=costs.mapping,
+    )
 
 
 def inorder_period_for_orders(
@@ -162,12 +184,8 @@ def inorder_schedule_for_orders(
     """
     costs = CostModel(graph, platform, mapping)
     dur = _durations(costs)
-    eg = inorder_event_graph(graph, orders, platform=platform, mapping=mapping)
-    lam = minimum_period(eg)
-    begins = earliest_times(eg, lam)
-    times = {op: (b, b + dur[op]) for op, b in begins.items()}
-    ol = OperationList(times, lam=lam)
-    return Plan(graph, ol, CommModel.INORDER, platform=platform, mapping=costs.mapping)
+    eg = _event_graph(graph, orders, dur)
+    return _schedule(graph, eg, minimum_period(eg), dur, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +328,27 @@ def exact_inorder_period(
             f"order space has {space} configurations (> max_configs="
             f"{max_configs}); use inorder_schedule() for the heuristic"
         )
-    best_lam: Optional[Fraction] = None
-    best_orders: Optional[CommOrders] = None
-    floor = CostModel(graph, platform, mapping).period_lower_bound(CommModel.INORDER)
+    # One cost model prices every order set; the winner's event graph is
+    # kept, so its schedule needs only its earliest times.
+    costs = CostModel(graph, platform, mapping)
+    dur = _durations(costs)
+    floor = costs.period_lower_bound(CommModel.INORDER)
+    best: Optional[Tuple[Fraction, EventGraph]] = None
     for orders in iter_all_orders(graph):
+        eg = _event_graph(graph, orders, dur)
         try:
-            lam = inorder_period_for_orders(
-                graph, orders, platform=platform, mapping=mapping
-            )
+            lam = minimum_period(eg)
         except InfeasibleScheduleError:
             continue
-        if best_lam is None or lam < best_lam:
-            best_lam, best_orders = lam, orders
+        if best is None or lam < best[0]:
+            best = lam, eg
             if lam == floor:
                 break  # cannot do better than the lower bound
-    if best_orders is None:  # every ordering deadlocked (not expected)
+    if best is None:  # every ordering deadlocked (not expected)
         plan = _serialized_fallback(graph, platform, mapping)
         return plan.period, plan
-    return best_lam, inorder_schedule_for_orders(
-        graph, best_orders, platform=platform, mapping=mapping
-    )
+    lam, eg = best
+    return lam, _schedule(graph, eg, lam, dur, costs)
 
 
 def inorder_schedule(

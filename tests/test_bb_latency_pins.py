@@ -1,17 +1,19 @@
 """Pinned outcomes of the DAG branch and bound on every numeric tier.
 
-``bb_minlatency`` revives critical paths and prices each appended node in
-the search's tier (floats under ``CERTIFIED``/``FAST``), and ``CERTIFIED``
-re-prices near-ties in exact arithmetic.  These pins fix, per tier, the
-optimum's value and edge set and the search counters (``expanded``,
-``pruned``, ``duplicates``, ``evaluated``), so any rewrite of the bound
-arithmetic that moves one decision fails here.
+``bb_minlatency`` revives critical paths and prices each appended node on
+integer :class:`~repro.optimize.branch_and_bound.DagTerms` under every
+tier, so a ``CERTIFIED`` search is the ``EXACT`` one: same optimum, same
+counters.  Under ``FAST`` the objective scores in floats and a bound
+within ``CERT_EPS`` below the incumbent prunes, so its counters may
+differ.  These pins fix, per tier, the optimum's value and edge set and
+the search counters (``expanded``, ``pruned``, ``duplicates``,
+``evaluated``), so any rewrite of the bound arithmetic that moves one
+decision fails here.
 
-The instances cover the exact arbitration: the random ones tie their
-incumbent exactly, and the near-tie application (``t = 2^-60``) puts
-candidates within float resolution of each other, so certified searches
-re-price between 14 and 128 appended terms exactly.  The ``het`` rows pin a
-heterogeneous platform with a positional mapping.
+The random instances tie their incumbent exactly, and the near-tie
+application (``t = 2^-60``) puts candidates within float resolution of
+each other, where a float-priced bound would order or prune differently.
+The ``het`` rows pin a heterogeneous platform with a positional mapping.
 """
 
 from fractions import Fraction
@@ -38,7 +40,8 @@ TIERS = ("exact", "certified", "fast")
 
 #: (instance, model, effort) -> (value, edges, exact counters[, overrides]).
 #: Counters are (expanded, pruned, duplicates, evaluated); the optional
-#: dict gives the tiers whose counters differ from the exact ones.
+#: dict gives the tiers whose counters differ from the exact ones (only
+#: ``fast`` can: the certified search is the exact one).
 PINS = {
     ("n4s2", "overlap", "heuristic"): ("3535/256", "C0>C2", (26, 162, 11, 11)),
     ("n4s2", "overlap", "bound"): ("3535/256", "C0>C2", (26, 162, 11, 11)),
@@ -52,15 +55,9 @@ PINS = {
     ("n4s3", "inorder", "bound"): (
         "4929/1024", "C0>C2 C2>C1 C2>C3", (5, 30, 0, 11),
     ),
-    ("n4s4", "overlap", "heuristic"): (
-        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
-    ),
-    ("n4s4", "overlap", "bound"): (
-        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
-    ),
-    ("n4s4", "inorder", "bound"): (
-        "885/16", "", (0, 0, 0, 11), {"certified": (0, 1, 0, 11)},
-    ),
+    ("n4s4", "overlap", "heuristic"): ("885/16", "", (0, 0, 0, 11)),
+    ("n4s4", "overlap", "bound"): ("885/16", "", (0, 0, 0, 11)),
+    ("n4s4", "inorder", "bound"): ("885/16", "", (0, 0, 0, 11)),
     ("n5s2", "overlap", "heuristic"): (
         "3535/256", "C0>C2 C0>C4", (130, 1769, 95, 16),
     ),
@@ -109,11 +106,11 @@ PINS = {
     ),
     ("near", "overlap", "bound"): (
         "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 22),
-        {"certified": (33, 395, 14, 22), "fast": (33, 385, 14, 21)},
+        {"fast": (33, 385, 14, 21)},
     ),
     ("near", "inorder", "bound"): (
         "17/4", "S0>S4 S3>S1 S3>S2 S3>S4", (33, 374, 14, 22),
-        {"certified": (33, 395, 14, 22), "fast": (33, 385, 14, 21)},
+        {"fast": (33, 385, 14, 21)},
     ),
     ("het4s2", "overlap", "heuristic"): ("661/32", "C0>C2", (43, 246, 34, 23)),
     ("het4s2", "overlap", "bound"): ("661/32", "C0>C2", (43, 246, 34, 23)),
